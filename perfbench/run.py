@@ -51,6 +51,8 @@ END_TO_END = {
     "op_p99_ms": "ms",
     "peak_rss_mb": "MB",
 }
+#: End-to-end times also reported unnormalised (``raw.<name>``, trace 1).
+RAW_METRICS = ("setup_s", "total_s", "op_p50_ms", "op_p99_ms")
 
 
 def parse_args(argv):
@@ -129,6 +131,21 @@ def run_passes(scenario, inputs, tracer, checker, workdir, seconds, count=None, 
                 return passes
         elif len(passes) >= minimum and time.monotonic() - started >= seconds:
             return passes
+
+
+def interval_s(interval) -> float:
+    """An interval's raw (not speed-normalised) length in seconds."""
+    return interval[1] - interval[0]
+
+
+def tail_kinds(passes, op_time, limit_s: float) -> Dict[str, int]:
+    """How many operations of each kind take *limit_s* or longer."""
+    kinds: Dict[str, int] = {}
+    for p in passes:
+        for op, kind in zip(p.ops, p.extra["kinds"]):
+            if op is None or op_time(op) >= limit_s:
+                kinds[kind] = kinds.get(kind, 0) + 1
+    return kinds
 
 
 def peak_rss_mb() -> float:
@@ -299,8 +316,18 @@ def measure(args) -> dict:
         setup = [interval for interval, _ in raw["samples"]]
         rss = raw["rss"]
     baseline = end_to_end(untraced, setup, rss, op_time, setup_time)
+    unnormalised = end_to_end(untraced, setup, rss, interval_s, interval_s)
     passes = list(untraced)
-    report = {"baseline": baseline, "passes": len(untraced)}
+    report = {
+        "baseline": baseline,
+        "passes": len(untraced),
+        "raw": {f"raw.{name}": unnormalised[name] for name in RAW_METRICS},
+        "drag": speed.workload_drag(samplers, [p.wall for p in untraced]),
+        "cold_penalty": speed.cold_penalty(samplers, [p.wall for p in untraced]),
+        "factor": statistics.median(op_time(p.wall) / interval_s(p.wall) for p in untraced),
+    }
+    if serve:
+        report["p99_kinds"] = tail_kinds(untraced, op_time, baseline["op_p99_ms"] / 1e3)
     if args.trace:
         traced = raw["traced"]
         passes += traced
@@ -320,6 +347,10 @@ def measure(args) -> dict:
         scale = op_time(window) / (window[1] - window[0])
         metrics = per_layer(scenario, traced, raw["tracers"],
                             [split for _, split in raw["samples"]], sum_counters(traced), scale)
+        metrics.update(report["raw"])
+        metrics["speed.factor"] = report["factor"]
+        metrics["speed.drag"] = report["drag"]
+        metrics["speed.cold_penalty"] = report["cold_penalty"]
         for name, value in baseline.items():
             metrics[f"trace.overhead.{name}"] = traced_e2e[name] - value
         trace_path = OUT_DIR / f"trace-{scenario.name}-seed{args.seed}.json"
@@ -355,7 +386,7 @@ def unit_of(name: str) -> str:
         return "ms"
     if name.endswith("_s"):
         return "s"
-    if name.endswith("_ratio"):
+    if name.endswith("_ratio") or name.startswith("speed."):
         return "ratio"
     if name == "ilp.bounds_attempted":
         return "bounds/run"
@@ -364,14 +395,19 @@ def unit_of(name: str) -> str:
 
 def print_summary(args, report, out) -> None:
     """Human-readable lines: metrics with units, aliases and shares."""
+    import layers
+
     base = report["baseline"]
     untraced = report["untraced"]
     print(f"perfbench {args.workload} seed={args.seed} passes={report['passes']} "
           f"operations={report['samples']}", file=out)
     for name, value in base.items():
         print(f"  {name:<14} {value:14.4f} {END_TO_END[name]}", file=out)
-    raw = statistics.median(p.wall[1] - p.wall[0] for p in untraced)
-    print(f"  raw pass wall  {raw:14.4f} s (not speed-normalised)", file=out)
+    for name, value in report["raw"].items():
+        print(f"  {name:<18} {value:10.4f} {unit_of(name)} (not speed-normalised)", file=out)
+    print(f"  speed factor {report['factor']:.4f}; the measured work slows the timed "
+          f"probe by {report['drag']:+.2%} (limit {speed.DRAG_TOLERANCE:.0%}), "
+          f"an unwarmed one by {report['cold_penalty']:+.2%}", file=out)
     total = base["total_s"]
     if args.workload in ("flow_exact", "huge_graph"):
         print(f"  flow_total_s   {total:14.4f} s", file=out)
@@ -385,6 +421,8 @@ def print_summary(args, report, out) -> None:
         print(f"  request_p50_ms {base['op_p50_ms']:14.4f} ms", file=out)
         print(f"  request_p99_ms {base['op_p99_ms']:14.4f} ms", file=out)
         print(f"  requests_per_s {requests / total:14.4f} 1/s", file=out)
+        tail = ", ".join(f"{count} {kind}" for kind, count in sorted(report["p99_kinds"].items()))
+        print(f"  requests at or beyond p99: {tail}", file=out)
     share = report["failed"] / max(report["attempted"], 1)
     print(f"  failed_share   {share:14.4f} ({report['failed']}/{report['attempted']})",
           file=out)
@@ -395,9 +433,9 @@ def print_summary(args, report, out) -> None:
     metrics = report["metrics"]
     wall = report["wall_per_pass"]
     print(f"  traced pass wall {wall:.4f} s; layer self time per pass:", file=out)
-    for name, value in metrics.items():
-        if name.endswith("_s") and not name.startswith(("import.", "workloads.", "trace.")):
-            print(f"    {name:<32} {value:10.4f} s  {100 * value / wall:5.1f}%", file=out)
+    for layer in layers.TIMED_LAYERS:
+        value = metrics[f"{layer}_s"]
+        print(f"    {layer + '_s':<32} {value:10.4f} s  {100 * value / wall:5.1f}%", file=out)
     groups = {
         "ilp.*": ("ilp.",),
         "taskgraph.* + partition.multilevel": ("taskgraph.", "partition.multilevel"),
@@ -450,6 +488,12 @@ def main(argv=None) -> int:
     os.dup2(2, 1)
     report = measure(args)
     print_summary(args, report, out)
+    out.flush()
+    if report["drag"] > speed.DRAG_TOLERANCE:
+        print(f"error: the measured work slowed the timed speed probe by "
+              f"{report['drag']:+.2%}, beyond {speed.DRAG_TOLERANCE:.0%}; normalised "
+              "times would partly cancel the program's own changes", file=sys.stderr)
+        return 1
     metrics = {
         name: {"value": value, "unit": unit_of(name)}
         for name, value in report["metrics"].items()

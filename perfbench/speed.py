@@ -16,7 +16,25 @@ So the benchmark pins its measuring process (and the daemon, for
 of those vCPUs.  Every reported time is *normalised*: its raw seconds
 times ``REFERENCE_PROBE_S`` over the median probe CPU time sampled during
 the interval -- i.e. seconds on a vCPU running at the reference speed.
-The raw figures are printed next to the normalised ones.
+The raw figures are printed next to the normalised ones, and the traced
+run reports them as ``raw.*``.
+
+Normalising is sound only while the measured work leaves the probe's
+speed alone; otherwise a change to the program's own cache or memory
+behaviour would move the factor too and partly cancel itself out.  Even
+the arithmetic kernel is slowed when it starts on caches the measured
+work has just filled: :func:`cold_penalty` reports by how much.  So each
+probe first runs a short warm-up, then times the kernel in two halves.
+The measured work does not run on the probe's vCPU while it probes, so
+what the work left behind can only slow the first half.
+:func:`workload_drag` is the first half over the second, minus one, and
+a run whose drag exceeds ``DRAG_TOLERANCE`` fails.  Both halves are
+taken within a millisecond, so the host's drift cancels out of this
+check; comparing with idle or spinning windows before and after a pass
+did not work, because the probe's speed moves by 15-20% from one second
+to the next.  The check cannot see work on the *other* vCPU, which could
+slow both halves alike through shared caches; only ``serve_mixed`` runs
+any there (its clients and its daemon sit on different vCPUs).
 
 Run as a script, this module is the sampler: ``speed.py CPU OUTFILE``
 samples until its standard input closes, then writes the samples.
@@ -34,19 +52,25 @@ import sys
 import time
 from typing import List, Sequence, Tuple
 
-#: Iterations of the probe kernel (about 0.5 ms of CPU time).
+#: Iterations of the warm-up run that starts every probe.
+WARMUP_ITERATIONS = 3_500
+#: Iterations of the timed kernel, run as two halves (about 0.5 ms).
 PROBE_ITERATIONS = 7_000
-#: Probe CPU time on an unloaded reference vCPU (seconds).
+#: Timed probe CPU time on an unloaded reference vCPU (seconds).
 REFERENCE_PROBE_S = 0.0005
-#: Pause between probes; the probe takes ~2% of the pinned vCPU.
+#: Pause between probes; the probe takes ~3% of the pinned vCPU.
 PROBE_INTERVAL_S = 0.025
 #: Fewest probes a factor is computed from (the window widens to reach it).
 MIN_PROBES = 5
+#: Largest accepted :func:`workload_drag`.  The drag of one run scatters
+#: by about +-1% around a residue of a few tenths of a percent, and a probe
+#: without its warm-up would show about twice the cold penalty (5-9%).
+DRAG_TOLERANCE = 0.03
 
 
-def _kernel() -> int:
+def _kernel(iterations: int) -> int:
     total = 0
-    for i in range(PROBE_ITERATIONS):
+    for i in range(iterations):
         total += i * i % 7
     return total
 
@@ -72,7 +96,10 @@ class SpeedSampler:
             stdin=subprocess.PIPE,
         )
         self.times: List[float] = []
+        #: Timed CPU time of each probe (both halves).
         self.probes: List[float] = []
+        #: ``(warm-up, first half, second half)`` CPU time of each probe.
+        self.parts: List[Tuple[float, float, float]] = []
 
     def stop(self) -> "SpeedSampler":
         """Stop sampling and load the samples (time-ordered)."""
@@ -85,8 +112,9 @@ class SpeedSampler:
             self.proc.wait()
         with open(self.path, encoding="utf-8") as handle:
             samples = json.load(handle)
-        self.times = [at for at, _ in samples]
-        self.probes = [cpu for _, cpu in samples]
+        self.times = [at for at, *_ in samples]
+        self.parts = [tuple(parts) for _, *parts in samples]
+        self.probes = [first + second for _, first, second in self.parts]
         return self
 
     def factor(self, start: float, end: float) -> float:
@@ -99,6 +127,16 @@ class SpeedSampler:
             raise RuntimeError("the speed sampler recorded no probes")
         return REFERENCE_PROBE_S / statistics.median(self.probes[low:high])
 
+    def parts_in(self, windows: Sequence[Tuple[float, float]]):
+        """The probe parts taken inside *windows*."""
+        parts = [
+            part for at, part in zip(self.times, self.parts)
+            if any(start <= at <= end for start, end in windows)
+        ]
+        if not parts:
+            raise RuntimeError("the speed sampler recorded no probes in the windows")
+        return parts
+
 
 def normalise(samplers: Sequence[SpeedSampler], start: float, end: float) -> float:
     """``end - start`` in reference seconds (mean factor over *samplers*)."""
@@ -106,14 +144,48 @@ def normalise(samplers: Sequence[SpeedSampler], start: float, end: float) -> flo
     return (end - start) * scale
 
 
+def workload_drag(samplers: Sequence[SpeedSampler], windows) -> float:
+    """What the measured work left behind still costs the timed probe.
+
+    The median of first half over second half, minus one, over the probes
+    taken inside *windows*; the largest over *samplers* counts.
+    """
+    return max([
+        statistics.median(first / second for _, first, second in sampler.parts_in(windows))
+        - 1.0
+        for sampler in samplers
+    ])
+
+
+def cold_penalty(samplers: Sequence[SpeedSampler], windows) -> float:
+    """What the measured work would cost a probe without its warm-up.
+
+    The warm-up's CPU time beyond what it takes warm (second-half speed),
+    as a share of the timed probe; median over the probes in *windows*.
+    """
+    warm_share = WARMUP_ITERATIONS / (PROBE_ITERATIONS / 2)
+    return max([
+        statistics.median(
+            (warmup - second * warm_share) / (first + second)
+            for warmup, first, second in sampler.parts_in(windows)
+        )
+        for sampler in samplers
+    ])
+
+
 def _sample(cpu: int, path: str) -> None:
     pin(cpu)
+    half = PROBE_ITERATIONS // 2
     samples = []
     while True:
-        began = time.thread_time()
         at = time.monotonic()
-        _kernel()
-        samples.append((at, time.thread_time() - began))
+        began = time.thread_time()
+        _kernel(WARMUP_ITERATIONS)
+        warm = time.thread_time()
+        _kernel(half)
+        middle = time.thread_time()
+        _kernel(half)
+        samples.append((at, warm - began, middle - warm, time.thread_time() - middle))
         ready, _, _ = select.select([sys.stdin], [], [], PROBE_INTERVAL_S)
         if ready and not sys.stdin.buffer.read1(1):
             break

@@ -46,7 +46,10 @@ def test_serve_stream_composition_is_seed_independent():
     other = scenarios.ServeMixed().generate(scenarios.HELD_OUT_SEED)
     key = lambda spec: json.dumps(spec, sort_keys=True)  # noqa: E731
     assert sorted(map(key, stream)) == sorted(map(key, other))
-    assert len({key(spec) for spec in stream if spec not in scenarios.HOT_SPECS}) > 40
+    assert len(stream) == scenarios.STREAM_SIZE
+    distinct = {key(spec) for spec in stream if spec not in scenarios.HOT_SPECS}
+    variants = len(scenarios.HOT_SPECS) * len(scenarios.SERVE_CT_MS)
+    assert len(distinct) == variants + len(scenarios.COLD_SEEDS)
 
 
 def test_expected_results_cover_every_design():
@@ -112,6 +115,17 @@ def test_speed_factor_uses_the_probes_inside_the_interval():
     assert sampler.factor(0.0, 8.0) == pytest.approx(1.0)
     assert sampler.factor(11.0, 19.0) == pytest.approx(0.5)
     assert speed.normalise([sampler], 12.0, 13.0) == pytest.approx(0.5)
+
+
+def test_drag_compares_the_two_halves_of_each_probe():
+    sampler = speed.SpeedSampler.__new__(speed.SpeedSampler)
+    sampler.times = [0.0, 1.0, 2.0]
+    half = speed.REFERENCE_PROBE_S / 2
+    warmup = half * speed.WARMUP_ITERATIONS / (speed.PROBE_ITERATIONS / 2)
+    sampler.parts = [(warmup, half, half), (warmup, 1.1 * half, half), (2 * warmup, half, half)]
+    assert speed.workload_drag([sampler], [(0.0, 0.5)]) == pytest.approx(0.0)
+    assert speed.workload_drag([sampler], [(0.5, 1.5)]) == pytest.approx(0.1)
+    assert speed.cold_penalty([sampler], [(1.5, 2.5)]) == pytest.approx(warmup / (2 * half))
 
 
 def test_describe_prints_workloads_and_layer_map():
