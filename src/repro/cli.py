@@ -61,17 +61,15 @@ from .experiments.table2 import xc6000_conjecture
 from .fission import SequencingStrategy, compare_static_vs_rtr
 from .jpeg import build_dct_task_graph, static_design_delay
 from .partition import (
-    MULTILEVEL_INNER_CHOICES,
-    AnnealTemporalPartitioner,
-    IlpTemporalPartitioner,
-    LevelClusteringPartitioner,
-    ListTemporalPartitioner,
-    MultilevelPartitioner,
+    PARTITIONER_CHOICES,
+    IlpPartitionerReport,
+    MultilevelReport,
     PartitionProblem,
-    PortfolioPartitioner,
+    PortfolioReport,
+    SolverSpec,
     assert_valid,
     compute_metrics,
-    multilevel_inner,
+    make_partitioner,
 )
 from .runtime import EngineConfig, PartitionEngine, ct_sweep_jobs
 from .synth import DesignFlow, FlowEngine, FlowOptions, workload_flow_jobs
@@ -80,13 +78,6 @@ from .units import format_time
 
 #: Default target-system preset applied when none is chosen explicitly.
 DEFAULT_SYSTEM = "paper-xc4044"
-
-#: ``--partitioner`` values the CLI accepts; the ``multilevel:<inner>``
-#: spellings pick the engine the multilevel scheme runs on the coarse graph.
-PARTITIONER_CHOICES = [
-    "ilp", "list", "level", "anneal", "portfolio", "multilevel",
-    *[f"multilevel:{inner}" for inner in MULTILEVEL_INNER_CHOICES],
-]
 
 
 def _version() -> str:
@@ -155,37 +146,25 @@ def cmd_partition(args: argparse.Namespace) -> int:
     graph = _load_graph(args.taskgraph)
     system = _make_system(args)
     problem = PartitionProblem.from_system(graph, system)
-    inner = multilevel_inner(args.partitioner)
-    if inner is not None:
-        partitioner = MultilevelPartitioner(inner=inner, ilp_backend=args.backend)
-    elif args.partitioner == "ilp":
-        partitioner = IlpTemporalPartitioner(backend=args.backend)
-    elif args.partitioner == "list":
-        partitioner = ListTemporalPartitioner()
-    elif args.partitioner == "anneal":
-        partitioner = AnnealTemporalPartitioner()
-    elif args.partitioner == "portfolio":
-        partitioner = PortfolioPartitioner(ilp_backend=args.backend)
-    else:
-        partitioner = LevelClusteringPartitioner()
+    partitioner = make_partitioner(
+        SolverSpec(partitioner=args.partitioner, backend=args.backend)
+    )
     result = partitioner.partition(problem)
     assert_valid(problem, result)
     print(result.describe())
     metrics = compute_metrics(result, problem.resource_capacity)
     print(f"mean utilisation: {metrics.mean_utilisation * 100:.0f}%  "
           f"max boundary transfer: {metrics.max_boundary_words} words")
-    if args.partitioner == "ilp" and partitioner.last_report is not None:
-        report = partitioner.last_report
+    report = getattr(partitioner, "last_report", None)
+    if isinstance(report, IlpPartitionerReport):
         print(f"ILP: {report.model_variables} variables, {report.model_constraints} "
               f"constraints, solved in {report.solve_time:.2f} s "
               f"(bounds tried: {report.attempted_bounds})")
-    if args.partitioner == "portfolio" and partitioner.last_report is not None:
-        report = partitioner.last_report
+    elif isinstance(report, PortfolioReport):
         print(f"portfolio: winner={report.winner} certified={report.certified} "
               f"lower bound {report.lower_bound * 1e6:.2f} us "
               f"({report.total_time:.2f} s)")
-    if inner is not None and partitioner.last_report is not None:
-        report = partitioner.last_report
+    elif isinstance(report, MultilevelReport):
         levels = "->".join(str(count) for count in report.level_sizes)
         print(f"multilevel: inner={report.inner} levels {levels} "
               f"refine moves={report.refinement_moves} "

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ExplorationError
+from ..partition.registry import check_partitioner
 
 #: Version tag baked into every point/space fingerprint; bump when the
 #: canonical form (or the meaning of a stored record) changes.
@@ -178,10 +179,12 @@ class SearchSpace:
                 raise ExplorationError(
                     f"search-space axis {name!r} contains duplicate values"
                 )
-        # Sequencing is consumed deep inside objective evaluation (after the
-        # flow work is already done), so a bad value must be caught here.
+        # A bad partitioner or sequencing would only surface as failed
+        # records once the run is under way, so both are caught here.
         from ..fission.strategies import SequencingStrategy
 
+        for partitioner in self.partitioners:
+            check_partitioner(partitioner, ExplorationError)
         known = {strategy.value for strategy in SequencingStrategy}
         unknown = [value for value in self.sequencings if value not in known]
         if unknown:

@@ -20,8 +20,7 @@ Two interchangeable pivot engines implement the iteration loop:
   streak of degenerate pivots so termination stays guaranteed.
 * ``"reference"`` — the original pure-Python pivot loop with Bland's rule
   everywhere.  It is kept verbatim as the differential reference the
-  vectorised engine is tested against, and as a fallback
-  (``REPRO_SIMPLEX_ENGINE=reference``).
+  vectorised engine is tested against (``solve_lp(..., engine="reference")``).
 
 Both engines solve the same LP, so objective values agree to solver
 tolerance; the optimal *vertex* may legitimately differ on degenerate
@@ -30,7 +29,6 @@ models.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -50,21 +48,6 @@ ENGINES = ("vectorised", "reference")
 #: Consecutive degenerate pivots after which the vectorised engine drops
 #: from Dantzig pricing to Bland's rule (anti-cycling).
 BLAND_SWITCH_STREAK = 64
-
-#: Environment variable overriding the default engine (e.g. for A/B runs).
-ENGINE_ENV_VAR = "REPRO_SIMPLEX_ENGINE"
-
-
-def default_engine() -> str:
-    """The engine used when ``solve_lp`` is called without an explicit one."""
-    engine = os.environ.get(ENGINE_ENV_VAR, "vectorised")
-    if engine not in ENGINES:
-        raise SolverError(
-            f"unknown simplex engine {engine!r} in ${ENGINE_ENV_VAR}; "
-            f"choose from {ENGINES}"
-        )
-    return engine
-
 
 @dataclass
 class LpResult:
@@ -206,16 +189,13 @@ def _simplex_iterate(
 def solve_lp(
     form: MatrixForm,
     max_iterations: int = 20000,
-    engine: Optional[str] = None,
+    engine: str = "vectorised",
 ) -> LpResult:
     """Solve the LP relaxation of *form* with a two-phase dense simplex.
 
-    *engine* selects the pivot engine (one of :data:`ENGINES`); the default
-    is the vectorised engine unless ``REPRO_SIMPLEX_ENGINE`` says otherwise.
+    *engine* selects the pivot engine (one of :data:`ENGINES`).
     """
-    if engine is None:
-        engine = default_engine()
-    elif engine not in ENGINES:
+    if engine not in ENGINES:
         raise SolverError(f"unknown simplex engine {engine!r}; choose from {ENGINES}")
     vectorised = engine == "vectorised"
     pivot = _pivot_vectorised if vectorised else _pivot

@@ -14,17 +14,14 @@
 * :class:`MultilevelPartitioner` — criticality-driven multilevel clustering
   pre-partitioner for 10k-100k-node graphs (coarsen, solve with any inner
   engine, uncoarsen + refine);
+* :func:`make_partitioner` — the registry that turns a :class:`SolverSpec`
+  (partitioner name, backend, limits, seed) into one of the above;
 * validation and metrics shared by all of them.
 """
 
 from .anneal_partitioner import AnnealTemporalPartitioner
 from .greedy_partitioner import LevelClusteringPartitioner
-from .hierarchy import (
-    MULTILEVEL_INNER_CHOICES,
-    MultilevelPartitioner,
-    MultilevelReport,
-    multilevel_inner,
-)
+from .hierarchy import MultilevelPartitioner, MultilevelReport
 from .ilp_formulation import FormulationOptions, TemporalPartitioningFormulation
 from .ilp_partitioner import IlpPartitionerReport, IlpTemporalPartitioner
 from .list_partitioner import ListTemporalPartitioner
@@ -36,6 +33,15 @@ from .metrics import (
     partition_summary_rows,
 )
 from .portfolio import PortfolioPartitioner, PortfolioReport
+from .registry import (
+    MULTILEVEL_INNER_CHOICES,
+    PARTITIONER_CHOICES,
+    PARTITIONERS,
+    SolverSpec,
+    check_partitioner,
+    make_partitioner,
+    multilevel_inner,
+)
 from .result import PartitionInfo, TemporalPartitioning
 from .spec import PartitionProblem
 from .validate import ValidationReport, assert_valid, validate_partitioning
@@ -50,18 +56,23 @@ __all__ = [
     "MULTILEVEL_INNER_CHOICES",
     "MultilevelPartitioner",
     "MultilevelReport",
+    "PARTITIONERS",
+    "PARTITIONER_CHOICES",
     "PartitionInfo",
     "PartitionProblem",
     "PartitioningComparison",
     "PartitioningMetrics",
     "PortfolioPartitioner",
     "PortfolioReport",
+    "SolverSpec",
     "TemporalPartitioning",
     "TemporalPartitioningFormulation",
     "ValidationReport",
     "assert_valid",
+    "check_partitioner",
     "compare_partitionings",
     "compute_metrics",
+    "make_partitioner",
     "multilevel_inner",
     "partition_summary_rows",
     "validate_partitioning",

@@ -67,42 +67,16 @@ from ..errors import CycleError, PartitioningError
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.task import Task, TaskCost
 from ..ilp.solver import DEFAULT_BACKEND
-from .anneal_partitioner import AnnealTemporalPartitioner
-from .greedy_partitioner import LevelClusteringPartitioner
 from .ilp_formulation import FormulationOptions
-from .ilp_partitioner import IlpTemporalPartitioner
-from .list_partitioner import ListTemporalPartitioner
-from .portfolio import PortfolioPartitioner
+from .registry import (
+    DEFAULT_MULTILEVEL_INNER,
+    SolverSpec,
+    make_partitioner,
+    multilevel_inner,
+)
 from .result import TemporalPartitioning
 from .spec import PartitionProblem
 from .validate import validate_partitioning
-
-#: Inner engines the multilevel scheme can drive on the coarse graph.
-MULTILEVEL_INNER_CHOICES = ("portfolio", "ilp", "list", "level", "anneal")
-
-#: Inner engine used when none is named (``"multilevel"`` without a suffix).
-DEFAULT_MULTILEVEL_INNER = "portfolio"
-
-
-def multilevel_inner(partitioner: str) -> Optional[str]:
-    """The inner engine named by a ``multilevel[:inner]`` partitioner string.
-
-    Returns ``None`` when *partitioner* is not a multilevel name at all,
-    the default inner for the bare ``"multilevel"``, and raises
-    :class:`PartitioningError` for an unknown ``multilevel:<inner>`` suffix
-    — so callers validate the full spelling with one call.
-    """
-    if partitioner == "multilevel":
-        return DEFAULT_MULTILEVEL_INNER
-    if partitioner.startswith("multilevel:"):
-        inner = partitioner.split(":", 1)[1]
-        if inner not in MULTILEVEL_INNER_CHOICES:
-            raise PartitioningError(
-                f"unknown multilevel inner partitioner {inner!r}; "
-                f"choose from {MULTILEVEL_INNER_CHOICES}"
-            )
-        return inner
-    return None
 
 
 def _topological_order(
@@ -175,7 +149,7 @@ class MultilevelPartitioner:
     ----------
     inner:
         Inner engine run on the coarse graph (one of
-        :data:`MULTILEVEL_INNER_CHOICES`).
+        :data:`~repro.partition.registry.MULTILEVEL_INNER_CHOICES`).
     ilp_backend / seed / time_limit:
         Forwarded to the inner engine where applicable (``seed`` pins the
         annealer, ``time_limit`` the exact solver).
@@ -203,11 +177,7 @@ class MultilevelPartitioner:
         cluster_cap_fraction: float = 0.5,
         max_refine_moves: int = 4,
     ) -> None:
-        if inner not in MULTILEVEL_INNER_CHOICES:
-            raise PartitioningError(
-                f"unknown multilevel inner partitioner {inner!r}; "
-                f"choose from {MULTILEVEL_INNER_CHOICES}"
-            )
+        multilevel_inner(f"multilevel:{inner}")  # raises on an unknown inner
         if max_coarse_tasks < 1:
             raise PartitioningError("max_coarse_tasks must be at least 1")
         if not 0.0 < cluster_cap_fraction <= 1.0:
@@ -292,22 +262,13 @@ class MultilevelPartitioner:
         ilp_options = FormulationOptions(
             delay_form="auto", symmetry_breaking=builtin, cardinality_cuts=builtin
         )
-        if self.inner == "ilp":
-            kwargs = {} if self.ilp_backend is None else {"backend": self.ilp_backend}
-            return IlpTemporalPartitioner(
-                time_limit=self.time_limit, options=ilp_options, **kwargs
-            )
-        if self.inner == "list":
-            return ListTemporalPartitioner()
-        if self.inner == "level":
-            return LevelClusteringPartitioner()
-        if self.inner == "anneal":
-            return AnnealTemporalPartitioner(seed=self.seed)
-        return PortfolioPartitioner(
-            ilp_backend=self.ilp_backend,
-            anneal_seed=self.seed,
-            ilp_options=ilp_options,
+        spec = SolverSpec(
+            partitioner=self.inner,
+            backend=backend,
+            time_limit=self.time_limit,
+            seed=self.seed,
         )
+        return make_partitioner(spec, ilp_options=ilp_options)
 
     # ------------------------------------------------------------------
     # Coarsening

@@ -92,6 +92,9 @@ class PortfolioPartitioner:
         backend-dependent defaults).  The multilevel partitioner passes the
         ``"auto"`` delay form here so reconvergent coarse graphs fall back
         to the chain formulation instead of failing on the path limit.
+    time_limit:
+        Optional per-solve wall-clock limit (seconds) for the exact arm;
+        hitting it fails the run like it fails a plain ILP solve.
     """
 
     def __init__(
@@ -101,12 +104,14 @@ class PortfolioPartitioner:
         anneal_iterations: int = 2000,
         use_certificate: bool = True,
         ilp_options: Optional[FormulationOptions] = None,
+        time_limit: Optional[float] = None,
     ) -> None:
         self.ilp_backend = ilp_backend
         self.anneal_seed = anneal_seed
         self.anneal_iterations = anneal_iterations
         self.use_certificate = use_certificate
         self.ilp_options = ilp_options
+        self.time_limit = time_limit
         self.last_report: Optional[PortfolioReport] = None
 
     def partition(self, problem: PartitionProblem) -> TemporalPartitioning:
@@ -144,9 +149,9 @@ class PortfolioPartitioner:
         # No certificate: the exact arm decides, seeded with the best
         # heuristic candidate as its incumbent upper bound.
         ilp_kwargs = {} if self.ilp_backend is None else {"backend": self.ilp_backend}
-        if self.ilp_options is not None:
-            ilp_kwargs["options"] = self.ilp_options
-        ilp = IlpTemporalPartitioner(**ilp_kwargs)
+        ilp = IlpTemporalPartitioner(
+            options=self.ilp_options, time_limit=self.time_limit, **ilp_kwargs
+        )
         report.arms_run.append("ilp")
         result = ilp.partition(problem)
         report.ilp_report = ilp.last_report

@@ -7,9 +7,11 @@ work:
 
 * :mod:`repro.runtime.canonical` — content hashing of problems, graphs,
   devices and arbitrary stage payloads;
-* :mod:`repro.runtime.cache` — LRU + on-disk result caches;
-* :mod:`repro.runtime.artifacts` — the generic content-addressed stage
-  artifact store (per-stage version tags, shared cache-root layout);
+* :mod:`repro.runtime.artifacts` — the content-addressed artifact store,
+  the one memory + disk cache of every stage (per-stage version tags,
+  shared cache-root layout);
+* :mod:`repro.runtime.cache` — the LRU layer and the partition-outcome
+  codec over the store;
 * :mod:`repro.runtime.jobs` — job/outcome/report types;
 * :mod:`repro.runtime.worker` — the function worker processes run;
 * :mod:`repro.runtime.engine` — :class:`PartitionEngine` itself.
@@ -24,7 +26,7 @@ from .artifacts import (
     prune_cache_dir,
     scan_cache_dir,
 )
-from .cache import CacheStats, DiskCache, LruCache, ResultCache
+from .cache import CacheStats, LruCache, ResultCache
 from .canonical import (
     canonical_device_dict,
     canonical_fingerprint,
@@ -59,7 +61,6 @@ __all__ = [
     "BatchReport",
     "CacheAreaReport",
     "CacheStats",
-    "DiskCache",
     "EngineConfig",
     "EngineStats",
     "JobOutcome",

@@ -1,19 +1,22 @@
-"""The generic content-addressed artifact store for pipeline stages.
+"""The content-addressed artifact store: the one disk cache of every stage.
 
-Where :mod:`repro.runtime.cache` stores one kind of payload (partition-job
-outcomes keyed by problem fingerprint), this module stores *arbitrary stage
-artifacts*: every stage of the design-flow pipeline registers a name and a
-version tag, keys each artifact by a content digest of its inputs, and gets
+Every stage of the design-flow pipeline — including the partition stage,
+whose solved outcomes :class:`~repro.runtime.cache.ResultCache` stores here
+keyed by job fingerprint — registers a name and a version tag, keys each
+artifact by a content digest of its inputs, and gets
 
 * an in-process LRU per stage (any Python object),
 * an optional on-disk JSON layer per stage (only for stages that provide a
-  JSON-able payload), laid out as ``<root>/stages/<stage>/<digest>.json``,
+  JSON-able payload), laid out as ``<root>/stages/<stage>/<digest>.json``
+  and optionally bounded to the newest ``max_entries`` files per stage,
 * per-stage hit/miss/store accounting the engines surface in reports.
 
-Version tags are baked into every entry: a disk file written under an older
-stage version is treated as a miss and removed, so bumping a stage's
-``version`` invalidates its stale disk entries without touching the rest of
-the cache.
+Disk writes are atomic (temp file + rename), and a truncated, corrupt or
+undecodable entry is a logged miss that is removed so the next store
+repairs it.  Version tags are baked into every entry: a disk file written
+under an older stage version is treated as a miss and removed, so bumping
+a stage's ``version`` invalidates its stale disk entries without touching
+the rest of the cache.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Conventional shared disk-cache root used when no directory is chosen.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Subdirectory of a cache root holding the per-stage artifact directories
-#: (the root itself holds the partition engine's outcome files).
+#: Subdirectory of a cache root holding the per-stage artifact directories.
 STAGE_SUBDIR = "stages"
 
 
@@ -76,15 +78,23 @@ class ArtifactStore:
         memory-only.
     lru_capacity:
         Entries kept per stage in the in-process LRU.
+    max_entries:
+        Optional bound on every stage directory: after each disk write the
+        stage's oldest-mtime files beyond it are pruned (``None`` =
+        unbounded).
     """
 
     def __init__(
         self,
         cache_dir: Optional[Union[str, Path]] = None,
         lru_capacity: int = 256,
+        max_entries: Optional[int] = None,
     ) -> None:
+        if max_entries is not None and max_entries < 1:
+            raise ValueError("max_entries must be at least 1")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.lru_capacity = lru_capacity
+        self.max_entries = max_entries
         self._memory: Dict[str, LruCache] = {}
         self._stats: Dict[str, StageStats] = {}
 
@@ -147,6 +157,7 @@ class ArtifactStore:
                         "treating undecodable %s artifact %s as a miss (%s: %s)",
                         stage, path.name, type(error).__name__, error,
                     )
+                    self._unlink_quietly(path)
                 else:
                     stats.disk_hits += 1
                     memory.put(digest, value)
@@ -171,6 +182,9 @@ class ArtifactStore:
             # The disk layer is an optimisation; a full or read-only volume
             # must never fail the stage that already computed its artifact.
             stats.disk_write_errors += 1
+            return
+        if self.max_entries is not None:
+            stats.disk_pruned += _prune_oldest(path.parent, self.max_entries, keep=path.name)
 
     # ------------------------------------------------------------------
     # Disk layer
@@ -251,65 +265,67 @@ class CacheAreaReport:
 def scan_cache_dir(root: Union[str, Path]) -> list:
     """Describe every area of a shared cache root.
 
-    The root's top-level ``*.json`` files are the partition engine's outcome
-    cache; each ``stages/<stage>/`` subdirectory is one pipeline stage's
-    artifact cache.  Returns a :class:`CacheAreaReport` per area (always
-    including ``partition``, even when empty, so output is stable).
+    Each ``stages/<stage>/`` subdirectory is one stage's artifact cache
+    (``stage:partition`` holds the solved partition outcomes).  Returns a
+    :class:`CacheAreaReport` per area.
     """
-    root = Path(root)
+    stage_root = Path(root) / STAGE_SUBDIR
+    if not stage_root.is_dir():
+        return []
     areas = []
-    partition = CacheAreaReport(name="partition", directory=root)
-    if root.is_dir():
-        for path in sorted(root.glob("*.json")):
-            partition.files.append(path)
-            partition.entries += 1
+    for stage_dir in sorted(p for p in stage_root.iterdir() if p.is_dir()):
+        area = CacheAreaReport(name=f"stage:{stage_dir.name}", directory=stage_dir)
+        for path in sorted(stage_dir.glob("*.json")):
+            area.files.append(path)
+            area.entries += 1
             try:
-                partition.bytes += path.stat().st_size
+                area.bytes += path.stat().st_size
             except OSError:
                 continue
-    areas.append(partition)
-    stage_root = root / STAGE_SUBDIR
-    if stage_root.is_dir():
-        for stage_dir in sorted(p for p in stage_root.iterdir() if p.is_dir()):
-            area = CacheAreaReport(name=f"stage:{stage_dir.name}", directory=stage_dir)
-            for path in sorted(stage_dir.glob("*.json")):
-                area.files.append(path)
-                area.entries += 1
-                try:
-                    area.bytes += path.stat().st_size
-                except OSError:
-                    continue
-            areas.append(area)
+        areas.append(area)
     return areas
+
+
+def _prune_oldest(directory: Path, max_entries: int, keep: str = "") -> int:
+    """Remove the oldest-mtime ``*.json`` files of *directory* beyond *max_entries*.
+
+    The file named *keep* (the entry a store just wrote) counts towards the
+    bound but is never a candidate: on filesystems with coarse mtime
+    granularity the name tie-break could otherwise evict the entry whose
+    store triggered the prune.  Files removed concurrently by another
+    process are skipped.  Returns the number of files removed.
+    """
+    stamped = []
+    for path in directory.glob("*.json"):
+        if path.name == keep:
+            continue
+        try:
+            stamped.append((path.stat().st_mtime, path.name, path))
+        except OSError:
+            continue
+    excess = len(stamped) + (1 if keep else 0) - max_entries
+    removed = 0
+    for _mtime, _name, path in sorted(stamped)[: max(excess, 0)]:
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            pass
+    return removed
 
 
 def prune_cache_dir(root: Union[str, Path], max_entries: int) -> int:
     """Prune every cache area of *root* down to *max_entries* files each.
 
-    Oldest-mtime entries go first (the same policy as
-    :class:`~repro.runtime.cache.DiskCache`).  Returns the number of files
-    removed across all areas.
+    Oldest-mtime entries go first (the same policy as a bounded
+    :class:`ArtifactStore`).  Returns the number of files removed across
+    all areas.
     """
     if max_entries < 0:
         raise ValueError("max_entries must be non-negative")
-    removed = 0
-    for area in scan_cache_dir(root):
-        if area.entries <= max_entries:
-            continue
-        stamped = []
-        for path in area.files:
-            try:
-                stamped.append((path.stat().st_mtime, path.name, path))
-            except OSError:
-                continue
-        excess = len(stamped) - max_entries
-        for _mtime, _name, path in sorted(stamped)[:excess]:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed
+    return sum(
+        _prune_oldest(area.directory, max_entries) for area in scan_cache_dir(root)
+    )
 
 
 def clear_cache_dir(root: Union[str, Path]) -> int:

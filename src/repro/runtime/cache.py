@@ -1,173 +1,71 @@
-"""Result caches for the partitioning engine.
+"""Result caching for the partitioning engine.
 
-Two layers with one façade:
-
-* :class:`LruCache` — in-process, bounded, O(1) recency updates;
-* :class:`DiskCache` — one JSON file per fingerprint, shared across
-  processes and interpreter runs (atomic writes via rename);
-* :class:`ResultCache` — consults memory first, then disk (promoting disk
-  hits into memory), and keeps hit/miss/store counters the engine reports.
+* :class:`LruCache` — in-process, bounded, O(1) recency updates (the memory
+  layer of every :class:`~repro.runtime.artifacts.ArtifactStore` stage);
+* :class:`ResultCache` — the :class:`JobOutcome` codec over the store's
+  ``partition`` stage: memory first, then ``<root>/stages/partition/``
+  (promoting disk hits into memory), with the hit/miss/store counters the
+  engine reports.
 """
 
 from __future__ import annotations
 
-import json
-import logging
-import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from .jobs import JobOutcome
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .artifacts import ArtifactStore
+
+#: The artifact-store stage holding solved partition outcomes, keyed by
+#: :meth:`~repro.runtime.jobs.PartitionJob.fingerprint`.
+PARTITION_STAGE = "partition"
+
+#: Version tag of the partition stage, shared with the stage keys of
+#: :mod:`repro.synth.stages`.  A bump drops every stored outcome.
+#: v2: stronger preprocessing lower bound (cardinality), symmetry breaking
+#: and cardinality cuts for the built-in backend, and the anneal/portfolio
+#: partitioners — cached v1 partition results may differ in assignment.
+#: v3: the multilevel pre-partitioner family and the nonenumerative Eq. 7
+#: path generation (path constraints now enter the ILP in delay order, so
+#: solver traces — though not optima — can differ from v2).
+PARTITION_VERSION = 3
 
 
 class LruCache:
-    """A bounded least-recently-used mapping from fingerprint to outcome."""
+    """A bounded least-recently-used mapping from key to value."""
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("LRU capacity must be at least 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[str, JobOutcome]" = OrderedDict()
+        self._entries: "OrderedDict[str, object]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._entries
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries
 
-    def get(self, fingerprint: str) -> Optional[JobOutcome]:
-        """The cached outcome, refreshed to most-recently-used, or ``None``."""
-        outcome = self._entries.get(fingerprint)
-        if outcome is not None:
-            self._entries.move_to_end(fingerprint)
-        return outcome
+    def get(self, key: str) -> Optional[object]:
+        """The cached value, refreshed to most-recently-used, or ``None``."""
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
 
-    def put(self, fingerprint: str, outcome: JobOutcome) -> None:
+    def put(self, key: str, value: object) -> None:
         """Insert/refresh an entry, evicting the least recently used one."""
-        self._entries[fingerprint] = outcome
-        self._entries.move_to_end(fingerprint)
+        self._entries[key] = value
+        self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:
         """Drop every entry."""
         self._entries.clear()
-
-
-class DiskCache:
-    """A directory of ``<fingerprint>.json`` outcome files.
-
-    Truncated, corrupt or schema-mismatched files are treated as misses —
-    logged, removed when possible, and overwritten by the next store —
-    rather than propagating errors into the solve path: a half-written
-    entry (e.g. a process killed mid-write on a filesystem without atomic
-    rename) must never take a whole batch down.
-    """
-
-    def __init__(
-        self, directory: Union[str, Path], max_entries: Optional[int] = None
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("DiskCache max_entries must be at least 1")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_entries = max_entries
-        self.pruned = 0
-
-    def _path(self, fingerprint: str) -> Path:
-        return self.directory / f"{fingerprint}.json"
-
-    def get(self, fingerprint: str) -> Optional[JobOutcome]:
-        """Load one outcome, or ``None`` on miss/corruption."""
-        path = self._path(fingerprint)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                return JobOutcome.from_json_dict(json.load(handle))
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, TypeError) as error:
-            logger.warning(
-                "treating corrupt cache entry %s as a miss (%s: %s)",
-                path.name, type(error).__name__, error,
-            )
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def put(self, fingerprint: str, outcome: JobOutcome) -> None:
-        """Atomically persist one outcome."""
-        path = self._path(fingerprint)
-        handle = tempfile.NamedTemporaryFile(
-            "w",
-            encoding="utf-8",
-            dir=str(self.directory),
-            prefix=f".{fingerprint[:12]}-",
-            suffix=".tmp",
-            delete=False,
-        )
-        try:
-            with handle:
-                json.dump(outcome.to_json_dict(), handle)
-            os.replace(handle.name, path)
-        except OSError:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-        self._prune(keep=fingerprint)
-
-    def _prune(self, keep: str = "") -> int:
-        """Drop oldest-mtime entries beyond ``max_entries`` (0 when unbounded).
-
-        The entry named by *keep* (the one the caller just wrote) is never a
-        pruning candidate: on filesystems with coarse mtime granularity the
-        tie-break would otherwise be able to evict the entry whose store
-        triggered the prune.  The walk is O(entries) per store, which is
-        fine at the bounded sizes the option exists for; unbounded caches
-        never pay it.
-        """
-        if self.max_entries is None:
-            return 0
-        protected = f"{keep}.json" if keep else None
-        entries = []
-        for path in self.directory.glob("*.json"):
-            if path.name == protected:
-                continue
-            try:
-                entries.append((path.stat().st_mtime, path.name, path))
-            except OSError:
-                continue  # concurrently removed by another process
-        excess = len(entries) + (1 if protected else 0) - self.max_entries
-        if excess <= 0:
-            return 0
-        removed = 0
-        for _mtime, _name, path in sorted(entries)[:excess]:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self.pruned += removed
-        return removed
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
-
-    def clear(self) -> None:
-        """Remove every cached outcome file."""
-        for path in self.directory.glob("*.json"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
 
 @dataclass
@@ -193,36 +91,25 @@ class CacheStats:
 
 
 class ResultCache:
-    """Memory-over-disk cache façade with accounting."""
+    """Solved :class:`JobOutcome` records in the store's partition stage.
 
-    def __init__(
-        self,
-        lru_capacity: int = 256,
-        cache_dir: Optional[Union[str, Path]] = None,
-        max_disk_entries: Optional[int] = None,
-    ) -> None:
-        self.memory = LruCache(lru_capacity)
-        self.disk = (
-            DiskCache(cache_dir, max_entries=max_disk_entries)
-            if cache_dir is not None
-            else None
-        )
-        self.stats = CacheStats()
+    The counters are the stage's own (:attr:`stats` is the store's
+    ``partition`` :class:`~repro.runtime.artifacts.StageStats`).
+    """
+
+    def __init__(self, store: "ArtifactStore") -> None:
+        self.store = store
+        self.stats = store.stats_for(PARTITION_STAGE)
 
     def get(self, fingerprint: str) -> Optional[JobOutcome]:
         """Look up one fingerprint (memory first, then disk)."""
-        outcome = self.memory.get(fingerprint)
-        if outcome is not None:
-            self.stats.memory_hits += 1
-            return outcome
-        if self.disk is not None:
-            outcome = self.disk.get(fingerprint)
-            if outcome is not None:
-                self.stats.disk_hits += 1
-                self.memory.put(fingerprint, outcome)
-                return outcome
-        self.stats.misses += 1
-        return None
+        outcome, _source = self.store.get(
+            PARTITION_STAGE,
+            PARTITION_VERSION,
+            fingerprint,
+            decode=JobOutcome.from_json_dict,
+        )
+        return outcome
 
     def put(self, fingerprint: str, outcome: JobOutcome) -> None:
         """Store a successful outcome in every layer.
@@ -230,22 +117,11 @@ class ResultCache:
         Failures are never cached: a timeout under one limit or a crash is
         not a property of the problem.
         """
-        if not outcome.ok:
-            return
-        self.stats.stores += 1
-        self.memory.put(fingerprint, outcome)
-        if self.disk is not None:
-            try:
-                self.disk.put(fingerprint, outcome)
-            except OSError:
-                # The disk layer is an optimisation; a full or read-only
-                # volume must not lose a batch that already solved.
-                self.stats.disk_write_errors += 1
-            else:
-                self.stats.disk_pruned = self.disk.pruned
-
-    def clear(self) -> None:
-        """Drop both layers (counters are kept)."""
-        self.memory.clear()
-        if self.disk is not None:
-            self.disk.clear()
+        if outcome.ok:
+            self.store.put(
+                PARTITION_STAGE,
+                PARTITION_VERSION,
+                fingerprint,
+                outcome,
+                encode=JobOutcome.to_json_dict,
+            )

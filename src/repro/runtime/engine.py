@@ -7,8 +7,9 @@ blocking single call into a throughput-oriented service primitive:
   together, in input order;
 * **dedup** — jobs that canonicalise to the same fingerprint are solved once
   per batch, the copies served as ``batch-dedup`` hits;
-* **caching** — solved outcomes land in a bounded in-memory LRU and,
-  optionally, an on-disk JSON cache shared across processes and runs;
+* **caching** — solved outcomes land in the ``partition`` stage of an
+  :class:`~repro.runtime.artifacts.ArtifactStore`: a bounded in-memory LRU
+  and, optionally, an on-disk JSON layer shared across processes and runs;
 * **parallelism** — cache misses fan out across a ``ProcessPoolExecutor``
   with per-job solver selection, per-job wall-clock timeouts and structured
   crash reports (a dead worker marks its job ``crashed``, it does not take
@@ -31,6 +32,7 @@ from ..errors import PartitioningError, ReproError
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
 from ..taskgraph.graph import TaskGraph
+from .artifacts import ArtifactStore
 from .cache import CacheStats, ResultCache
 from .jobs import (
     JobOutcome,
@@ -63,13 +65,14 @@ class EngineConfig:
         each individual solve from inside the worker). Requires
         ``workers >= 2`` — in-process solves cannot be interrupted.
     lru_capacity:
-        Entries kept in the in-memory result cache.
+        Entries kept per stage in the in-memory artifact store.
     cache_dir:
-        Optional directory for the on-disk result cache; ``None`` disables
-        the disk layer.
+        Optional shared cache root: outcomes land under
+        ``<cache_dir>/stages/partition/`` (and a flow engine's stage
+        artifacts beside them); ``None`` disables the disk layer.
     max_disk_entries:
-        Optional bound on the on-disk cache; when exceeded, oldest-mtime
-        entries are pruned (``None`` = unbounded).
+        Optional bound on every stage directory of the cache root; when
+        exceeded, oldest-mtime entries are pruned (``None`` = unbounded).
     """
 
     workers: int = 0
@@ -185,11 +188,12 @@ class PartitionEngine:
         elif overrides:
             raise PartitioningError("pass either a config object or keyword overrides")
         self.config = config
-        self.cache = ResultCache(
+        self.store = ArtifactStore(
+            config.cache_dir,
             lru_capacity=config.lru_capacity,
-            cache_dir=config.cache_dir,
-            max_disk_entries=config.max_disk_entries,
+            max_entries=config.max_disk_entries,
         )
+        self.cache = ResultCache(self.store)
         self.stats = EngineStats(cache=self.cache.stats)
         self.last_batch: Optional[BatchReport] = None
 

@@ -1,7 +1,8 @@
 """Job and report types for the batched partitioning engine.
 
 A :class:`PartitionJob` pairs one problem with the solver configuration to
-use on it; a :class:`JobOutcome` is the flat, JSON-serialisable record a
+use on it (a :class:`~repro.partition.registry.SolverSpec`, re-exported
+here); a :class:`JobOutcome` is the flat, JSON-serialisable record a
 worker process sends back (and the unit the caches store); a
 :class:`JobReport` adds where the outcome came from (fresh solve, memory
 cache, disk cache, batch dedup) for accounting.
@@ -14,58 +15,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
 from ..errors import PartitioningError
-from ..partition.hierarchy import multilevel_inner
+from ..partition.registry import SolverSpec
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
 from .canonical import problem_fingerprint
-
-#: Partitioner algorithms the engine can dispatch.  ``"multilevel"`` also
-#: accepts a ``multilevel:<inner>`` suffix naming the engine to run on the
-#: coarse graph (validated by :func:`repro.partition.multilevel_inner`).
-PARTITIONERS = ("ilp", "list", "level", "anneal", "portfolio", "multilevel")
-
-
-@dataclass(frozen=True)
-class SolverSpec:
-    """How one job should be solved (algorithm, backend, limits)."""
-
-    partitioner: str = "ilp"
-    backend: str = "scipy"
-    time_limit: Optional[float] = None
-    explore_extra_partitions: int = 0
-    #: Random seed for the stochastic partitioners (``anneal``, and the
-    #: anneal arm inside ``portfolio``); ignored by the deterministic ones.
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if (
-            self.partitioner not in PARTITIONERS
-            and multilevel_inner(self.partitioner) is None
-        ):
-            raise PartitioningError(
-                f"unknown partitioner {self.partitioner!r}; choose from {PARTITIONERS}"
-            )
-
-    def cache_key_fields(self) -> Dict[str, object]:
-        """The fields that distinguish cached results.
-
-        ``time_limit`` is deliberately excluded: a completed solve is the
-        same result whatever limit it ran under.  The ``seed`` is included
-        only for the partitioners whose result depends on it, so changing
-        the seed never invalidates cached deterministic solves.
-        """
-        fields: Dict[str, object] = {
-            "partitioner": self.partitioner,
-            "backend": self.backend,
-            "explore_extra_partitions": self.explore_extra_partitions,
-        }
-        if self.partitioner in ("anneal", "portfolio") or self.partitioner.startswith(
-            "multilevel"
-        ):
-            # Multilevel's default/portfolio/anneal inners consume the seed,
-            # so every multilevel spelling is treated as seed-dependent.
-            fields["seed"] = self.seed
-        return fields
 
 
 @dataclass

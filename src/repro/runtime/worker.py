@@ -10,41 +10,10 @@ from __future__ import annotations
 import time
 
 from ..errors import ReproError
-from ..partition.anneal_partitioner import AnnealTemporalPartitioner
-from ..partition.greedy_partitioner import LevelClusteringPartitioner
-from ..partition.hierarchy import MultilevelPartitioner, multilevel_inner
-from ..partition.ilp_partitioner import IlpTemporalPartitioner
-from ..partition.list_partitioner import ListTemporalPartitioner
-from ..partition.portfolio import PortfolioPartitioner
+from ..partition.registry import make_partitioner
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
 from .jobs import JobOutcome, JobStatus, PartitionJob, SolverSpec
-
-
-def _build_partitioner(solver: SolverSpec):
-    inner = multilevel_inner(solver.partitioner)
-    if inner is not None:
-        return MultilevelPartitioner(
-            inner=inner,
-            ilp_backend=solver.backend,
-            seed=solver.seed,
-            time_limit=solver.time_limit,
-        )
-    if solver.partitioner == "ilp":
-        return IlpTemporalPartitioner(
-            backend=solver.backend,
-            explore_extra_partitions=solver.explore_extra_partitions,
-            time_limit=solver.time_limit,
-        )
-    if solver.partitioner == "list":
-        return ListTemporalPartitioner()
-    if solver.partitioner == "anneal":
-        return AnnealTemporalPartitioner(seed=solver.seed)
-    if solver.partitioner == "portfolio":
-        return PortfolioPartitioner(
-            ilp_backend=solver.backend, anneal_seed=solver.seed
-        )
-    return LevelClusteringPartitioner()
 
 
 def _solved_outcome(
@@ -82,7 +51,7 @@ def execute_job(job: PartitionJob) -> JobOutcome:
     fingerprint = job.fingerprint()
     start = time.perf_counter()
     try:
-        partitioner = _build_partitioner(job.solver)
+        partitioner = make_partitioner(job.solver)
         result = partitioner.partition(job.problem)
         attempted = None
         last_report = getattr(partitioner, "last_report", None)

@@ -64,9 +64,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import ReproError
-from ..partition.hierarchy import multilevel_inner
+from ..partition.registry import check_partitioner
 from ..runtime.canonical import canonical_fingerprint
-from ..runtime.jobs import PARTITIONERS
 
 #: Version of the request/response schema; part of every request key, so a
 #: schema change never aliases onto results produced under the old one.
@@ -158,14 +157,8 @@ class JobSpec:
                 raise ProtocolError("'ct_ms' must be a number or null")
             if self.ct_ms <= 0:
                 raise ProtocolError("'ct_ms' must be positive")
-        if self.partitioner is not None and (
-            self.partitioner not in PARTITIONERS
-            and multilevel_inner(self.partitioner) is None
-        ):
-            raise ProtocolError(
-                f"unknown partitioner {self.partitioner!r}; "
-                f"choose from {PARTITIONERS}"
-            )
+        if self.partitioner is not None:
+            check_partitioner(self.partitioner, ProtocolError)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ProtocolError("'seed' must be an integer")
         if not isinstance(self.priority, int) or isinstance(self.priority, bool):

@@ -1,6 +1,7 @@
 """End-to-end synthesis flow (Figure 2), stage pipeline and batch service."""
 
-from .flow import PARTITIONERS, DesignFlow, FlowOptions
+from ..partition.registry import PARTITIONERS
+from .flow import DesignFlow, FlowOptions
 from .flow_engine import (
     FlowBatchReport,
     FlowEngine,

@@ -32,12 +32,7 @@ from ..hls.estimator import TaskEstimator, merge_dfgs
 from ..hls.library import library_for_family
 from ..hls.rtl import RtlDesign
 from ..memmap.mapper import build_memory_map
-from ..partition.anneal_partitioner import AnnealTemporalPartitioner
-from ..partition.greedy_partitioner import LevelClusteringPartitioner
-from ..partition.hierarchy import MultilevelPartitioner, multilevel_inner
-from ..partition.ilp_partitioner import IlpTemporalPartitioner
-from ..partition.list_partitioner import ListTemporalPartitioner
-from ..partition.portfolio import PortfolioPartitioner
+from ..partition.registry import SolverSpec, check_partitioner, make_partitioner
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
 from ..partition.validate import assert_valid
@@ -45,10 +40,6 @@ from ..taskgraph.graph import TaskGraph
 from ..units import ns
 from . import stages
 from .rtr_design import RtrDesign
-
-#: Registered partitioner names.  ``"multilevel"`` additionally accepts a
-#: ``multilevel:<inner>`` suffix selecting the coarse-graph engine.
-PARTITIONERS = ("ilp", "list", "level", "anneal", "portfolio", "multilevel")
 
 
 @dataclass
@@ -66,15 +57,18 @@ class FlowOptions:
     estimate_missing_costs: bool = True
 
     def __post_init__(self) -> None:
-        if (
-            self.partitioner not in PARTITIONERS
-            and multilevel_inner(self.partitioner) is None
-        ):
-            raise SynthesisError(
-                f"unknown partitioner {self.partitioner!r}; choose from {PARTITIONERS}"
-            )
+        check_partitioner(self.partitioner, SynthesisError)
         if self.max_clock_period <= 0:
             raise SynthesisError("max_clock_period must be positive")
+
+    def solver_spec(self, explore_extra_partitions: int = 0) -> SolverSpec:
+        """The partitioner configuration these options select."""
+        return SolverSpec(
+            partitioner=self.partitioner,
+            backend=self.ilp_backend,
+            explore_extra_partitions=explore_extra_partitions,
+            seed=self.partitioner_seed,
+        )
 
 
 class DesignFlow:
@@ -99,29 +93,7 @@ class DesignFlow:
     def partition(self, graph: TaskGraph) -> TemporalPartitioning:
         """Temporal-partitioning stage (ILP or a heuristic baseline)."""
         problem = PartitionProblem.from_system(graph, self.system)
-        inner = multilevel_inner(self.options.partitioner)
-        if inner is not None:
-            partitioner = MultilevelPartitioner(
-                inner=inner,
-                ilp_backend=self.options.ilp_backend,
-                seed=self.options.partitioner_seed,
-            )
-        elif self.options.partitioner == "ilp":
-            partitioner = IlpTemporalPartitioner(backend=self.options.ilp_backend)
-        elif self.options.partitioner == "list":
-            partitioner = ListTemporalPartitioner()
-        elif self.options.partitioner == "anneal":
-            partitioner = AnnealTemporalPartitioner(
-                seed=self.options.partitioner_seed
-            )
-        elif self.options.partitioner == "portfolio":
-            partitioner = PortfolioPartitioner(
-                ilp_backend=self.options.ilp_backend,
-                anneal_seed=self.options.partitioner_seed,
-            )
-        else:
-            partitioner = LevelClusteringPartitioner()
-        result = partitioner.partition(problem)
+        result = make_partitioner(self.options.solver_spec()).partition(problem)
         assert_valid(problem, result)
         return result
 

@@ -11,9 +11,9 @@ reduced to a DAG of content-addressed stage keys
   optional disk) whenever any previous job shared the graph and device;
 * the dominant **partition** stage is routed through the caching/parallel
   :class:`~repro.runtime.engine.PartitionEngine` (canonical-hash dedup,
-  LRU + disk caches, process-pool fan-out), with CT-invariant solver
-  configurations normalised so the whole reconfiguration-time axis shares
-  one solve;
+  the same artifact store's partition stage, process-pool fan-out), with
+  CT-invariant solver configurations normalised so the whole
+  reconfiguration-time axis shares one solve;
 * the **memory-map / fission / timing** stages are shared through the
   in-memory artifact cache.
 
@@ -260,15 +260,15 @@ class FlowEngine:
     system, solver) jobs dedup, repeats hit the LRU/disk caches, and misses
     fan out across the worker pool; estimation and the downstream stages are
     served from the content-addressed artifact store whenever any earlier
-    job shared their stage keys.  When the partition engine has a disk cache
-    directory, stage artifacts share the same root (under ``stages/``).
+    job shared their stage keys.  The pipeline runs on the partition
+    engine's own :class:`~repro.runtime.artifacts.ArtifactStore`, so one
+    store (and one cache root) holds every stage.
     """
 
     def __init__(
         self,
         engine: Optional[PartitionEngine] = None,
         config: Optional[EngineConfig] = None,
-        pipeline: Optional[StagePipeline] = None,
         **overrides,
     ) -> None:
         if engine is not None and (config is not None or overrides):
@@ -278,9 +278,7 @@ class FlowEngine:
         if engine is None:
             engine = PartitionEngine(config or EngineConfig(**overrides))
         self.engine = engine
-        self.pipeline = pipeline or StagePipeline(
-            cache_dir=engine.config.cache_dir
-        )
+        self.pipeline = StagePipeline(engine.store)
 
     @property
     def stats(self):

@@ -7,10 +7,11 @@
 * the **estimate** stage is cached in memory and on disk (its artifact —
   every task's cost — is plain JSON), so an explore neighbour that shares
   the graph and device pays zero HLS estimations;
-* the **partition** stage keeps its cache in the
-  :class:`~repro.runtime.engine.PartitionEngine` (dedup, LRU + disk,
-  process-pool fan-out) — the pipeline contributes the CT-normalisation
-  that collapses the reconfiguration-time axis onto one solve;
+* the **partition** stage is solved and cached by the
+  :class:`~repro.runtime.engine.PartitionEngine` (dedup, process-pool
+  fan-out) in the same store — the pipeline contributes the
+  CT-normalisation that collapses the reconfiguration-time axis onto one
+  solve;
 * the **memory-map / fission / timing** stages are cached in memory; their
   artifacts are cheap to compute but free to share, and sharing keeps a
   warm neighbourhood evaluation down to rehydration plus objectives.
@@ -22,7 +23,7 @@ rows, run-store records and CLI summaries.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from ..arch.board import RtrSystem
 from ..runtime.artifacts import ArtifactStore
@@ -37,14 +38,8 @@ COMPUTED = "computed"
 class StagePipeline:
     """Runs stage transforms through the content-addressed artifact store."""
 
-    def __init__(
-        self,
-        store: Optional[ArtifactStore] = None,
-        cache_dir: Optional[Union[str, object]] = None,
-    ) -> None:
-        if store is not None and cache_dir is not None:
-            raise ValueError("pass either an ArtifactStore or a cache_dir, not both")
-        self.store = store if store is not None else ArtifactStore(cache_dir)
+    def __init__(self, store: ArtifactStore) -> None:
+        self.store = store
 
     # ------------------------------------------------------------------
     # Accounting

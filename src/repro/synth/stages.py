@@ -42,8 +42,10 @@ from ..fission.analysis import FissionAnalysis, analyse_fission
 from ..fission.throughput import rtr_timing_spec
 from ..hls.estimator import TaskEstimator
 from ..memmap.mapper import MemoryMap, build_memory_map
+from ..partition.registry import ct_invariant_solver
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
+from ..runtime.cache import PARTITION_STAGE, PARTITION_VERSION
 from ..runtime.canonical import (
     canonical_device_dict,
     canonical_fingerprint,
@@ -56,7 +58,7 @@ from ..taskgraph.task import TaskCost
 #: Stage names, in flow order (the values of
 #: :class:`~repro.synth.flow_engine.FlowStage` for the cached stages).
 ESTIMATE = "estimate"
-PARTITION = "partition"
+PARTITION = PARTITION_STAGE
 MEMORY_MAP = "memory-map"
 FISSION = "fission"
 TIMING = "timing"
@@ -69,13 +71,9 @@ PIPELINE_STAGES: Tuple[str, ...] = (ESTIMATE, PARTITION, MEMORY_MAP, FISSION, TI
 #: leaving the rest of the disk cache valid.
 STAGE_VERSIONS: Dict[str, int] = {
     ESTIMATE: 1,
-    # v2: stronger preprocessing lower bound (cardinality), symmetry breaking
-    # and cardinality cuts for the built-in backend, and the anneal/portfolio
-    # partitioners — cached v1 partition results may differ in assignment.
-    # v3: the multilevel pre-partitioner family and the nonenumerative Eq. 7
-    # path generation (path constraints now enter the ILP in delay order, so
-    # solver traces — though not optima — can differ from v2).
-    PARTITION: 3,
+    # The stored partition outcomes carry the same tag (its history is at
+    # repro.runtime.cache.PARTITION_VERSION).
+    PARTITION: PARTITION_VERSION,
     MEMORY_MAP: 1,
     FISSION: 1,
     TIMING: 1,
@@ -130,29 +128,6 @@ def _stage_digest(stage: str, version: int, payload: Dict[str, object]) -> str:
     )
 
 
-def ct_invariant_solver(partitioner: str, explore_extra_partitions: int = 0) -> bool:
-    """Whether the partition assignment is independent of ``CT``.
-
-    True for the greedy heuristics (they never read ``CT``) and for the
-    default ILP relax-N loop (it stops at the first feasible bound;
-    ``N*CT`` is a constant per bound).  False for ``explore_extra_partitions
-    > 0`` (the bound *selection* compares ``N*CT + sum_p d_p`` across
-    bounds), for ``anneal`` (move acceptance scores include ``N*CT`` with
-    the partition count varying as partitions empty), and for ``portfolio``
-    (the certificate compares latencies against a CT-dependent bound and
-    one arm is the annealer).
-    """
-    if partitioner in ("anneal", "portfolio"):
-        return False
-    if partitioner.startswith("multilevel"):
-        # The coarse solve runs a CT-reading inner engine (portfolio by
-        # default) and refinement accepts moves on latency deltas.
-        return False
-    if partitioner != "ilp":
-        return True
-    return explore_extra_partitions == 0
-
-
 # ---------------------------------------------------------------------------
 # Stage keys
 # ---------------------------------------------------------------------------
@@ -197,24 +172,6 @@ def estimate_stage_key(
     return StageKey(ESTIMATE, version, digest)
 
 
-def _solver_key_fields(options, explore_extra_partitions: int) -> Dict[str, object]:
-    """Solver fields of the partition-stage digest.
-
-    Mirrors :meth:`repro.runtime.jobs.SolverSpec.cache_key_fields`: the seed
-    enters the key only for the partitioners whose result depends on it.
-    """
-    fields: Dict[str, object] = {
-        "partitioner": options.partitioner,
-        "backend": options.ilp_backend,
-        "explore_extra_partitions": int(explore_extra_partitions),
-    }
-    if options.partitioner in ("anneal", "portfolio") or options.partitioner.startswith(
-        "multilevel"
-    ):
-        fields["seed"] = int(getattr(options, "partitioner_seed", 0))
-    return fields
-
-
 def partition_stage_key(
     estimate_key: StageKey,
     system: RtrSystem,
@@ -239,7 +196,7 @@ def partition_stage_key(
                 for kind, amount in sorted(system.resource_capacity.as_dict().items())
             },
             "memory_words": int(system.memory_capacity_words),
-            "solver": _solver_key_fields(options, explore_extra_partitions),
+            "solver": options.solver_spec(explore_extra_partitions).cache_key_fields(),
             "ct": None if invariant else float(system.reconfiguration_time),
         },
     )

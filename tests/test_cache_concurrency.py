@@ -1,10 +1,11 @@
-"""Multiprocess stress tests for the shared disk caches.
+"""Multiprocess stress tests for the shared disk cache.
 
-Two writer processes hammer the *same* key of :class:`DiskCache` (partition
-outcomes) and :class:`ArtifactStore` (stage artifacts) while the parent
-reads concurrently.  The writes are atomic (temp file + ``os.replace``), so
-every read must observe either a miss or one complete, valid payload —
-never a torn mixture — and no temporary files may survive a clean finish.
+Two writer processes hammer the *same* key of the :class:`ArtifactStore`,
+both through :class:`ResultCache` (partition outcomes) and as raw stage
+artifacts, while the parent reads concurrently.  The writes are atomic
+(temp file + ``os.replace``), so every read must observe either a miss or
+one complete, valid payload — never a torn mixture — and no temporary files
+may survive a clean finish.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 import pytest
 
 from repro.runtime.artifacts import ArtifactStore
-from repro.runtime.cache import DiskCache
+from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import JobOutcome, JobStatus
 
 FINGERPRINT = "f" * 64
@@ -40,8 +41,21 @@ def _outcome(writer: int, iteration: int) -> JobOutcome:
     )
 
 
+def _outcome_cache(root, max_entries=None) -> ResultCache:
+    """A partition-outcome cache over a fresh store.
+
+    A fresh store per read defeats the in-process LRU, so every lookup
+    actually exercises the shared disk layer.
+    """
+    return ResultCache(ArtifactStore(cache_dir=root, max_entries=max_entries))
+
+
+def _partition_dir(root):
+    return root / "stages" / "partition"
+
+
 def _hammer_disk_cache(directory: str, writer: int) -> None:
-    cache = DiskCache(directory)
+    cache = _outcome_cache(directory)
     for iteration in range(WRITES_PER_PROCESS):
         cache.put(FINGERPRINT, _outcome(writer, iteration))
 
@@ -63,7 +77,7 @@ def _prune_key(writer: int, iteration: int) -> str:
 
 
 def _hammer_pruning_cache(directory: str, writer: int) -> None:
-    cache = DiskCache(directory, max_entries=PRUNE_MAX_ENTRIES)
+    cache = _outcome_cache(directory, max_entries=PRUNE_MAX_ENTRIES)
     for iteration in range(PRUNE_WRITES_PER_PROCESS):
         cache.put(_prune_key(writer, iteration), _outcome(writer, iteration))
 
@@ -85,8 +99,9 @@ def _join_all(writers):
 
 
 class TestDiskCacheConcurrentWriters:
+    """Partition outcomes on disk, written through :class:`ResultCache`."""
+
     def test_same_key_writers_never_produce_a_torn_read(self, tmp_path):
-        cache = DiskCache(tmp_path)
         writers = _run_writers(
             _hammer_disk_cache, lambda writer: (str(tmp_path), writer)
         )
@@ -95,11 +110,11 @@ class TestDiskCacheConcurrentWriters:
             # Wait out the spawn start-up so the read loop genuinely races
             # the writers instead of finishing before the first write lands.
             deadline = time.monotonic() + 60
-            while cache.get(FINGERPRINT) is None:
+            while _outcome_cache(tmp_path).get(FINGERPRINT) is None:
                 assert time.monotonic() < deadline, "writers never wrote"
                 time.sleep(0.01)
             for _ in range(READS):
-                outcome = cache.get(FINGERPRINT)
+                outcome = _outcome_cache(tmp_path).get(FINGERPRINT)
                 if outcome is None:
                     continue  # transiently treated-as-corrupt: a miss, never an error
                 observed += 1
@@ -113,18 +128,21 @@ class TestDiskCacheConcurrentWriters:
         finally:
             _join_all(writers)
         assert observed > 0, "the read loop never raced a completed write"
-        final = cache.get(FINGERPRINT)
+        final = _outcome_cache(tmp_path).get(FINGERPRINT)
         assert final is not None and final.partition_count in (1, 2)
-        assert not list(tmp_path.glob("*.tmp")), "temporary write files leaked"
+        assert not list(_partition_dir(tmp_path).glob("*.tmp")), (
+            "temporary write files leaked"
+        )
 
     def test_corrupt_entry_is_a_miss_not_an_error(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.put(FINGERPRINT, _outcome(0, 0))
-        (tmp_path / f"{FINGERPRINT}.json").write_text("{ torn", encoding="utf-8")
-        assert cache.get(FINGERPRINT) is None
+        _outcome_cache(tmp_path).put(FINGERPRINT, _outcome(0, 0))
+        (_partition_dir(tmp_path) / f"{FINGERPRINT}.json").write_text(
+            "{ torn", encoding="utf-8"
+        )
+        assert _outcome_cache(tmp_path).get(FINGERPRINT) is None
         # The next write repairs the entry.
-        cache.put(FINGERPRINT, _outcome(1, 1))
-        assert cache.get(FINGERPRINT).partition_count == 2
+        _outcome_cache(tmp_path).put(FINGERPRINT, _outcome(1, 1))
+        assert _outcome_cache(tmp_path).get(FINGERPRINT).partition_count == 2
 
 
 class TestDiskCachePruningUnderConcurrency:
@@ -138,22 +156,22 @@ class TestDiskCachePruningUnderConcurrency:
     """
 
     def test_pruning_while_reading_is_a_miss_never_an_error(self, tmp_path):
-        reader = DiskCache(tmp_path, max_entries=PRUNE_MAX_ENTRIES)
+        directory = _partition_dir(tmp_path)
         writers = _run_writers(
             _hammer_pruning_cache, lambda writer: (str(tmp_path), writer)
         )
         hits = 0
         try:
             deadline = time.monotonic() + 60
-            while not list(tmp_path.glob("*.json")):
+            while not list(directory.glob("*.json")):
                 assert time.monotonic() < deadline, "writers never wrote"
                 time.sleep(0.01)
             for _ in range(READS):
                 # Read whatever is present *right now*: by the time the
                 # read happens the pruner may already have deleted it,
                 # which is exactly the race under test.
-                for path in list(tmp_path.glob("*.json"))[:4]:
-                    outcome = reader.get(path.stem)
+                for path in list(directory.glob("*.json"))[:4]:
+                    outcome = _outcome_cache(tmp_path).get(path.stem)
                     if outcome is None:
                         continue  # pruned (or repruned) between list and read
                     hits += 1
@@ -166,19 +184,23 @@ class TestDiskCachePruningUnderConcurrency:
         assert hits > 0, "the read loop never overlapped a live entry"
         # One more bounded store re-establishes the invariant regardless of
         # how the two pruners' final removals interleaved.
-        reader.put(_prune_key(9, 0), _outcome(0, 0))
-        remaining = list(tmp_path.glob("*.json"))
+        _outcome_cache(tmp_path, max_entries=PRUNE_MAX_ENTRIES).put(
+            _prune_key(9, 0), _outcome(0, 0)
+        )
+        remaining = list(directory.glob("*.json"))
         assert len(remaining) <= PRUNE_MAX_ENTRIES
-        assert not list(tmp_path.glob("*.tmp")), "temporary write files leaked"
+        assert not list(directory.glob("*.tmp")), "temporary write files leaked"
 
     def test_prune_never_evicts_the_entry_just_written(self, tmp_path):
-        cache = DiskCache(tmp_path, max_entries=2)
+        cache = _outcome_cache(tmp_path, max_entries=2)
         for iteration in range(10):
             key = _prune_key(0, iteration)
             cache.put(key, _outcome(0, iteration))
-            assert cache.get(key) is not None, "prune evicted its own store"
-        assert len(list(tmp_path.glob("*.json"))) <= 2
-        assert cache.pruned >= 8
+            assert _outcome_cache(tmp_path).get(key) is not None, (
+                "prune evicted its own store"
+            )
+        assert len(list(_partition_dir(tmp_path).glob("*.json"))) <= 2
+        assert cache.stats.disk_pruned >= 8
 
 
 class TestArtifactStoreConcurrentWriters:
@@ -224,7 +246,7 @@ class TestArtifactStoreConcurrentWriters:
 
 @pytest.mark.parametrize("writers", [2, 3])
 def test_interleaved_disk_and_artifact_writers(tmp_path, writers):
-    """Both cache layers under one root, several writers each, no cross-talk."""
+    """Two stages under one root, several writers each, no cross-talk."""
     context = multiprocessing.get_context("spawn")
     processes = []
     for writer in range(writers):
@@ -237,7 +259,7 @@ def test_interleaved_disk_and_artifact_writers(tmp_path, writers):
     for process in processes:
         process.start()
     _join_all(processes)
-    outcome = DiskCache(tmp_path).get(FINGERPRINT)
+    outcome = _outcome_cache(tmp_path).get(FINGERPRINT)
     assert outcome is not None
     assert outcome.assignment["b"] == outcome.partition_count
     value, source = ArtifactStore(cache_dir=tmp_path).get(

@@ -228,6 +228,27 @@ class TestCommands:
         assert "unknown objective" in capsys.readouterr().err
         assert not (tmp_path / "r.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["explore", "schedule"])
+    def test_unknown_partitioner_rejected_before_any_store(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        import repro.serve
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("the coordinator started on a bad space")
+
+        monkeypatch.setattr(repro.serve, "FlowServer", no_server)
+        store = tmp_path / "x.jsonl"
+        code = main([
+            command, "--workload", "fir_filterbank", "--partitioners", "list,bogus",
+            "--budget", "4", "--store", str(store),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "unknown partitioner 'bogus'" in err
+        assert not store.exists()
+        assert not list(tmp_path.iterdir())
+
     def test_flow_with_unknown_workload_exits_cleanly(self, capsys):
         assert main(["flow", "--workload", "no_such_workload"]) == 2
         err = capsys.readouterr().err

@@ -26,7 +26,7 @@ from repro.cli import main as cli_main
 from repro.explore import OBJECTIVES, DesignPoint, ExploreConfig, Explorer, SearchSpace
 from repro.explore.objectives import evaluate_report
 from repro.runtime import ArtifactStore, EngineConfig, PartitionEngine
-from repro.synth import FlowEngine, StagePipeline, workload_flow_jobs
+from repro.synth import FlowEngine, workload_flow_jobs
 from repro.synth import stages
 from repro.units import ms
 from repro.workloads import get_workload, workload_names
@@ -472,9 +472,30 @@ class TestCacheCli:
 # ---------------------------------------------------------------------------
 
 class TestPipelinePlumbing:
-    def test_pipeline_store_and_cache_dir_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            StagePipeline(store=ArtifactStore(), cache_dir="/tmp/x")
+    def test_flow_engine_shares_the_partition_engine_store(self, tmp_path):
+        """One store holds every stage: partition outcomes sit beside the
+        estimate artifacts, and nothing is written at the cache root."""
+        flow_engine = FlowEngine(config=EngineConfig(cache_dir=tmp_path))
+        assert flow_engine.pipeline.store is flow_engine.engine.store
+        assert flow_engine.run_batch(workload_flow_jobs(names=["matmul_pipeline"])).ok
+        assert sorted(p.name for p in (tmp_path / "stages").iterdir()) == [
+            "estimate", "partition",
+        ]
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_max_disk_entries_bounds_every_stage_directory(self, tmp_path):
+        flow_engine = FlowEngine(
+            config=EngineConfig(cache_dir=tmp_path, max_disk_entries=2)
+        )
+        jobs = workload_flow_jobs(
+            names=["fir_filterbank", "matmul_pipeline", "verify_chain", "wavelet_pyramid"]
+        )
+        assert flow_engine.run_batch(jobs).ok
+        for stage in (stages.ESTIMATE, stages.PARTITION):
+            files = list((tmp_path / "stages" / stage).glob("*.json"))
+            assert 1 <= len(files) <= 2, stage
+            assert flow_engine.stage_stats[stage]["disk_pruned"] == 2
+        assert flow_engine.stats.snapshot()["cache_disk_pruned"] == 2
 
     def test_estimate_artifact_round_trip_is_bit_exact(self):
         workload = get_workload("fir_filterbank")

@@ -13,12 +13,13 @@ import pytest
 from repro.errors import PartitioningError
 from repro.partition import IlpTemporalPartitioner, PartitionProblem
 from repro.runtime import (
-    DiskCache,
+    ArtifactStore,
     EngineConfig,
     JobOutcome,
     JobStatus,
     LruCache,
     PartitionEngine,
+    ResultCache,
     ResultSource,
     SolverSpec,
     configure_shared_engine,
@@ -26,6 +27,8 @@ from repro.runtime import (
     problem_fingerprint,
     shared_engine,
 )
+from repro.runtime.artifacts import _prune_oldest
+from repro.runtime.cache import PARTITION_VERSION
 from repro.runtime.jobs import PartitionJob
 from repro.taskgraph import Task, TaskGraph, clb_cost, linear_pipeline
 from repro.units import ms, ns
@@ -152,6 +155,19 @@ def _outcome(fingerprint="f" * 64):
     )
 
 
+def _result_cache(root, max_entries=None):
+    """A partition-outcome cache over a fresh store (empty memory layer)."""
+    return ResultCache(ArtifactStore(root, max_entries=max_entries))
+
+
+def _entry(root, fingerprint):
+    return root / "stages" / "partition" / f"{fingerprint}.json"
+
+
+def _entries(root):
+    return list((root / "stages" / "partition").glob("*.json"))
+
+
 class TestCaches:
     def test_lru_evicts_least_recently_used(self):
         cache = LruCache(capacity=2)
@@ -162,38 +178,46 @@ class TestCaches:
         assert "a" in cache and "c" in cache and "b" not in cache
 
     def test_disk_roundtrip(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.put("k" * 64, _outcome("k" * 64))
-        loaded = cache.get("k" * 64)
+        _result_cache(tmp_path).put("k" * 64, _outcome("k" * 64))
+        loaded = _result_cache(tmp_path).get("k" * 64)
         assert loaded is not None
         assert loaded.assignment == {"a": 1}
         assert loaded.status is JobStatus.SOLVED
 
     def test_disk_corrupt_file_is_a_miss(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        (tmp_path / ("c" * 64 + ".json")).write_text("not json", encoding="utf-8")
-        assert cache.get("c" * 64) is None
-        assert not (tmp_path / ("c" * 64 + ".json")).exists()
+        path = _entry(tmp_path, "c" * 64)
+        path.parent.mkdir(parents=True)
+        path.write_text("not json", encoding="utf-8")
+        assert _result_cache(tmp_path).get("c" * 64) is None
+        assert not path.exists()
 
     def test_disk_truncated_entry_is_a_logged_miss(self, tmp_path, caplog):
         """A half-written JSON file (killed mid-write) is a miss, not a crash."""
-        cache = DiskCache(tmp_path)
         fingerprint = "t" * 64
-        cache.put(fingerprint, _outcome(fingerprint))
-        path = tmp_path / f"{fingerprint}.json"
+        _result_cache(tmp_path).put(fingerprint, _outcome(fingerprint))
+        path = _entry(tmp_path, fingerprint)
         path.write_text(path.read_text(encoding="utf-8")[:20], encoding="utf-8")
-        with caplog.at_level("WARNING", logger="repro.runtime.cache"):
-            assert cache.get(fingerprint) is None
-        assert any("corrupt cache entry" in record.message for record in caplog.records)
+        with caplog.at_level("WARNING", logger="repro.runtime.artifacts"):
+            assert _result_cache(tmp_path).get(fingerprint) is None
+        assert any(
+            "corrupt partition artifact" in record.message for record in caplog.records
+        )
         assert not path.exists()
 
     def test_disk_schema_mismatch_is_a_miss(self, tmp_path):
         """Valid JSON with the wrong shape must also be treated as a miss."""
-        cache = DiskCache(tmp_path)
         fingerprint = "s" * 64
-        path = tmp_path / f"{fingerprint}.json"
-        path.write_text('{"status": "solved", "unexpected": 1}', encoding="utf-8")
-        assert cache.get(fingerprint) is None
+        path = _entry(tmp_path, fingerprint)
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            json.dumps({
+                "stage": "partition",
+                "version": PARTITION_VERSION,
+                "payload": {"status": "solved", "unexpected": 1},
+            }),
+            encoding="utf-8",
+        )
+        assert _result_cache(tmp_path).get(fingerprint) is None
         assert not path.exists()
 
     def test_engine_overwrites_corrupt_disk_entry(self, tmp_path):
@@ -203,7 +227,7 @@ class TestCaches:
         first = engine.solve_batch([problem])
         assert first.ok
         fingerprint = engine.make_job(problem).fingerprint()
-        path = tmp_path / f"{fingerprint}.json"
+        path = _entry(tmp_path, fingerprint)
         path.write_text("{truncated", encoding="utf-8")
 
         fresh = PartitionEngine(EngineConfig(cache_dir=tmp_path))
@@ -212,48 +236,50 @@ class TestCaches:
         assert second[0].source is ResultSource.SOLVE
         assert fresh.stats.cache.misses == 1
         # The overwritten entry round-trips again.
-        assert DiskCache(tmp_path).get(fingerprint) is not None
+        assert _result_cache(tmp_path).get(fingerprint) is not None
 
     def test_disk_cache_bounded_prunes_oldest(self, tmp_path):
         """max_entries prunes oldest-mtime entries and counts the prunes."""
-        cache = DiskCache(tmp_path, max_entries=2)
+        cache = _result_cache(tmp_path, max_entries=2)
         fingerprints = [letter * 64 for letter in "abcd"]
         for index, fingerprint in enumerate(fingerprints):
             cache.put(fingerprint, _outcome(fingerprint))
             # Distinct mtimes even on coarse-grained filesystems.
-            os.utime(tmp_path / f"{fingerprint}.json", (index, index))
-        assert len(cache) == 2
-        assert cache.pruned == 2
-        assert cache.get(fingerprints[0]) is None
-        assert cache.get(fingerprints[1]) is None
-        assert cache.get(fingerprints[3]) is not None
+            os.utime(_entry(tmp_path, fingerprint), (index, index))
+        assert len(_entries(tmp_path)) == 2
+        assert cache.stats.disk_pruned == 2
+        reader = _result_cache(tmp_path)
+        assert reader.get(fingerprints[0]) is None
+        assert reader.get(fingerprints[1]) is None
+        assert reader.get(fingerprints[3]) is not None
 
     def test_disk_cache_prune_never_evicts_the_fresh_entry(self, tmp_path):
         """With identical mtimes (coarse-grained filesystems) the name
         tie-break must not evict the entry whose put triggered the prune."""
-        cache = DiskCache(tmp_path, max_entries=2)
+        cache = _result_cache(tmp_path, max_entries=2)
         for letter in "yz":
             cache.put(letter * 64, _outcome(letter * 64))
-        for path in tmp_path.glob("*.json"):
+        for path in _entries(tmp_path):
             os.utime(path, (1000, 1000))
         # "a" sorts before "y"/"z"; force the same mtime race by pruning
         # again with every mtime equal.
         cache.put("a" * 64, _outcome("a" * 64))
-        os.utime(tmp_path / ("a" * 64 + ".json"), (1000, 1000))
-        cache._prune(keep="a" * 64)
-        assert cache.get("a" * 64) is not None
-        assert len(cache) == 2
+        fresh = _entry(tmp_path, "a" * 64)
+        os.utime(fresh, (1000, 1000))
+        _prune_oldest(fresh.parent, 2, keep=fresh.name)
+        assert _result_cache(tmp_path).get("a" * 64) is not None
+        assert len(_entries(tmp_path)) == 2
 
     def test_disk_cache_unbounded_never_prunes(self, tmp_path):
-        cache = DiskCache(tmp_path)
+        cache = _result_cache(tmp_path)
         for letter in "abcd":
             cache.put(letter * 64, _outcome(letter * 64))
-        assert len(cache) == 4
-        assert cache.pruned == 0
+        assert len(_entries(tmp_path)) == 4
+        assert cache.stats.disk_pruned == 0
 
     def test_disk_cache_bad_max_entries_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            DiskCache(tmp_path, max_entries=0)
+            ArtifactStore(tmp_path, max_entries=0)
 
     def test_engine_bounded_disk_cache_stat(self, tmp_path):
         """The engine surfaces disk prunes in its stats snapshot."""
@@ -266,7 +292,7 @@ class TestCaches:
         batch = engine.solve_batch(problems)
         assert batch.ok
         assert engine.stats.snapshot()["cache_disk_pruned"] == 2
-        assert len(engine.cache.disk) == 1
+        assert len(_entries(tmp_path)) == 1
 
     def test_outcome_json_roundtrip(self):
         outcome = _outcome()
@@ -406,10 +432,10 @@ class TestEngine:
     def test_disk_write_failure_does_not_lose_the_batch(self, tmp_path, monkeypatch):
         engine = PartitionEngine(EngineConfig(cache_dir=tmp_path))
 
-        def broken_put(fingerprint, outcome):
+        def broken_write(path, stage, version, payload):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(engine.cache.disk, "put", broken_put)
+        monkeypatch.setattr(engine.store, "_write_disk", broken_write)
         batch = engine.solve_batch([_pipeline_problem()])
         assert batch.ok
         assert engine.stats.cache.disk_write_errors == 1

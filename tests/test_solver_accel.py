@@ -21,7 +21,7 @@ from repro.arch import generic_system
 from repro.errors import SolverError
 from repro.ilp import Model, SolveStatus, linear_sum, solve
 from repro.ilp.branch_and_bound import incumbent_vector
-from repro.ilp.simplex import ENGINE_ENV_VAR, ENGINES, default_engine, solve_lp
+from repro.ilp.simplex import ENGINES, solve_lp
 from repro.partition import (
     AnnealTemporalPartitioner,
     FormulationOptions,
@@ -98,20 +98,10 @@ def test_vectorised_simplex_matches_reference(seed):
     )
 
 
-def test_simplex_engine_selection(monkeypatch):
+def test_simplex_engine_selection():
     form = _random_lp(0).to_matrix_form()
     with pytest.raises(SolverError, match="unknown simplex engine"):
         solve_lp(form, engine="quantum")
-
-    monkeypatch.setenv(ENGINE_ENV_VAR, "reference")
-    assert default_engine() == "reference"
-    monkeypatch.setenv(ENGINE_ENV_VAR, "vectorised")
-    assert default_engine() == "vectorised"
-    monkeypatch.setenv(ENGINE_ENV_VAR, "nonsense")
-    with pytest.raises(SolverError):
-        default_engine()
-    monkeypatch.delenv(ENGINE_ENV_VAR)
-    assert default_engine() in ENGINES
 
 
 @pytest.mark.parametrize("engine", ENGINES)
