@@ -1,16 +1,23 @@
 """E3 — ILP temporal partitioning: the DCT case study and solver hot path.
 
-Three measurements:
+Four measurements:
 
 * the complete scipy-backed partitioner run on the 32-task DCT graph
   (preprocessing lower bound, model build, MILP solve, extraction), with the
   paper's reported result asserted (3 partitions, 8,440 ns);
 * the same instance through the library's own branch-and-bound backend;
+* the scipy-backed run on the HLS-estimated DCT (every task re-costed by
+  the estimator; N = 6), the instance whose proof of optimality the
+  delay-bound row cut from 25-33 s to ~1 s on a 2-vCPU container, with
+  its objective asserted;
 * the accelerated built-in solver stack (portfolio: heuristic ladder +
   optimality certificate + warm-started, symmetry-broken, cardinality-cut
-  branch-and-bound) against the pre-acceleration reference configuration
-  (plain formulation, cold start) over the whole builtin workload set, with
-  objectives asserted identical and the cold-solve speedup recorded.
+  branch-and-bound) against the reference configuration (plain
+  formulation, cold start, resource-sum bound only) over the whole builtin
+  workload set, with objectives asserted identical and the cold-solve
+  speedup recorded.  The plain formulation includes the always-on
+  ``sum_p d_p >= delay_lower_bound`` row, which no option removes, so the
+  reference is no longer the exact pre-acceleration stack.
 
 Run standalone (``python benchmarks/bench_ilp_partitioning.py [--smoke]``)
 or under pytest.  Environment knobs:
@@ -27,8 +34,10 @@ import os
 import sys
 import time
 
+import pytest
 from bench_utils import benchmark_seconds, record
 
+from repro.jpeg import build_dct_task_graph
 from repro.partition import (
     FormulationOptions,
     IlpTemporalPartitioner,
@@ -95,6 +104,36 @@ def test_ilp_partitioning_branch_and_bound_backend(benchmark, dct_problem):
     )
 
 
+@pytest.fixture(scope="module")
+def estimated_dct_problem(paper_system):
+    """The case-study DCT with every task re-costed by the HLS estimator."""
+    import scipy.optimize  # noqa: F401  (keep the import out of the timed solve)
+
+    graph = build_dct_task_graph(attach_dfgs=True)
+    for name in graph.task_names():
+        graph.task(name).cost = None
+    estimated = DesignFlow(paper_system).estimate(graph)
+    return PartitionProblem.from_system(estimated, paper_system)
+
+
+def test_ilp_partitioning_estimated_dct(benchmark, estimated_dct_problem):
+    """The HLS-estimated DCT at N = 6: the optimum is 6 * CT + 2106 ns."""
+
+    def run():
+        return IlpTemporalPartitioner().partition(estimated_dct_problem)
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert_valid(estimated_dct_problem, result)
+    assert result.partition_count == 6
+    assert abs(result.total_latency - 0.600002106) < 1e-15
+
+    record(
+        "ilp_partitioning",
+        estimated_dct_scipy_seconds=benchmark_seconds(benchmark),
+        estimated_dct_solve_seconds=result.solve_time,
+    )
+
+
 def _builtin_problems():
     problems = []
     for name in BUILTIN_WORKLOADS:
@@ -121,11 +160,11 @@ class _PreAccelerationProblem(PartitionProblem):
 
 
 def _reference_partitioner():
-    """The pre-acceleration built-in configuration.
+    """The reference built-in configuration.
 
     Plain formulation (no symmetry breaking, no cardinality cuts), no
-    heuristic incumbent — each bound is solved cold, exactly as the solver
-    ran before the hot-path work.
+    heuristic incumbent — each bound is solved cold, as the solver ran
+    before the hot-path work except for the always-on delay-bound row.
     """
     return IlpTemporalPartitioner(
         backend="branch-and-bound",

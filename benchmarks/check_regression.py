@@ -54,6 +54,11 @@ GATES: Dict[str, List[Gate]] = {
         Gate("accel_speedup_vs_reference", "min", RATIO_TOLERANCE),
         # Absolute cold-solve throughput of the accelerated stack.
         Gate("accel_jobs_per_sec", "min", ABSOLUTE_TOLERANCE),
+        # Absolute scipy solve time of the HLS-estimated DCT.  Without the
+        # delay-bound row HiGHS needs tens of seconds to prove its optimum,
+        # so losing the row fails this gate by more than an order of
+        # magnitude.
+        Gate("estimated_dct_scipy_seconds", "max", ABSOLUTE_TOLERANCE),
     ],
     "engine_scaling": [
         # Warm batches must stay a small fraction of cold ones.  The warm

@@ -159,7 +159,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     if isinstance(report, IlpPartitionerReport):
         print(f"ILP: {report.model_variables} variables, {report.model_constraints} "
               f"constraints, solved in {report.solve_time:.2f} s "
-              f"(bounds tried: {report.attempted_bounds})")
+              f"(bounds tried: {report.attempted_bounds}, "
+              f"delay bound {report.delay_bound * 1e9:.0f} ns)")
     elif isinstance(report, PortfolioReport):
         print(f"portfolio: winner={report.winner} certified={report.certified} "
               f"lower bound {report.lower_bound * 1e6:.2f} us "

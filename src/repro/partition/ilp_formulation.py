@@ -19,6 +19,10 @@ and the constraints:
 * **path delay** (Eq. 7): for every root-to-leaf path and every partition,
   the summed delay of the path's tasks mapped to that partition is at most
   ``d[p]``;
+* **delay bound**: ``sum_p d[p]`` is at least
+  :meth:`PartitionProblem.delay_lower_bound` — implied by the constraints
+  above on integral points, but it lifts the LP relaxation far above the
+  critical path;
 * **objective** (Eq. 8): minimise ``N*CT + sum_p d[p]``.
 
 Two formulation choices are configurable (and benchmarked as ablations):
@@ -118,6 +122,9 @@ class TemporalPartitioningFormulation:
         self.y: Dict[Tuple[str, int], Variable] = {}
         self.w: Dict[Tuple[int, str, str], Variable] = {}
         self.d: Dict[int, Variable] = {}
+        #: :meth:`PartitionProblem.delay_lower_bound` in seconds (the
+        #: right-hand side of the delay-bound row, before scaling).
+        self.delay_bound = 0.0
         #: Interchangeability classes the symmetry-breaking constraints cover
         #: (empty when the option is off or no class has two members).
         self.symmetry_classes: List[List[str]] = []
@@ -142,6 +149,7 @@ class TemporalPartitioningFormulation:
             self._add_path_delay_constraints()
         else:
             self._add_chain_delay_constraints()
+        self._add_delay_bound_constraint()
         if self.options.cardinality_cuts:
             self._add_cardinality_cuts()
         if self.options.symmetry_breaking and n > 1:
@@ -344,6 +352,23 @@ class TemporalPartitioningFormulation:
                 self.model.add_constraint(
                     self.d[p] >= a_var, name=f"chain_bound[{task_name},{p}]"
                 )
+
+    def _add_delay_bound_constraint(self) -> None:
+        """``sum_p d[p] >= delay_lower_bound`` (always on, every delay form).
+
+        Every feasible assignment satisfies it, so the optimum is unchanged;
+        the ``d[p]`` are continuous, so even a bound rounded a few ulps high
+        excludes no assignment.  Without the row the LP relaxation bounds
+        ``sum_p d[p]`` only by the critical path, and HiGHS can take
+        thousands of nodes to prove an optimum it found at the root.
+        """
+        self.delay_bound = self.problem.delay_lower_bound()
+        if self.delay_bound > 0:
+            self.model.add_constraint(
+                linear_sum([self.d[p] for p in range(1, self.partition_bound + 1)])
+                >= self.delay_bound * MODEL_TIME_SCALE,
+                name="delay_bound",
+            )
 
     def _add_cardinality_cuts(self) -> None:
         """Per-partition cardinality cut ``sum_t y[t,p] <= k``.

@@ -40,6 +40,10 @@ class IlpPartitionerReport:
     #: one bound, and the incumbent's partition count if one was found.
     warm_started: bool = False
     incumbent_partitions: Optional[int] = None
+    #: :meth:`PartitionProblem.delay_lower_bound` (seconds): the floor the
+    #: model puts under ``sum_p d_p``, for comparison with the optimum's
+    #: computation latency.
+    delay_bound: float = 0.0
 
 
 class IlpTemporalPartitioner:
@@ -161,6 +165,7 @@ class IlpTemporalPartitioner:
         stats = formulation.statistics()
         report.model_variables = stats["variables"]
         report.model_constraints = stats["constraints"]
+        report.delay_bound = formulation.delay_bound
         incumbent = None
         if (
             incumbent_assignment is not None

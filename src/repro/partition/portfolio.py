@@ -7,11 +7,12 @@ cheap arm can prove its candidate:
 1. the greedy heuristics (list scheduling under two priority rules, level
    clustering) and the seeded annealer, all cheap and deterministic;
 2. an optimality certificate: any feasible partitioning costs at least
-   ``N_min * CT + CP`` where ``N_min`` is the preprocessing lower bound on
-   the partition count and ``CP`` the graph's critical-path delay (every
-   root-to-leaf path's delay is split across the ``d_p`` terms, so
-   ``sum_p d_p >= CP``).  A heuristic candidate that meets this bound is
-   optimal — no ILP needed;
+   ``N_min * CT + max(CP, DLB)`` where ``N_min`` is the preprocessing lower
+   bound on the partition count, ``CP`` the graph's critical-path delay
+   (every root-to-leaf path's delay is split across the ``d_p`` terms, so
+   ``sum_p d_p >= CP``) and ``DLB`` the delay-level bound of
+   :meth:`PartitionProblem.delay_lower_bound`.  A heuristic candidate that
+   meets this bound is optimal — no ILP needed;
 3. the exact ILP (:class:`IlpTemporalPartitioner`), warm-started with the
    best heuristic candidate as its incumbent.
 
@@ -60,7 +61,8 @@ class PortfolioReport:
     #: Whether the lower-bound certificate proved a heuristic optimal
     #: (when True, no ILP solve happened).
     certified: bool = False
-    #: The certificate lower bound ``N_min * CT + CP`` in seconds.
+    #: The certificate lower bound ``N_min * CT + max(CP, DLB)`` in seconds
+    #: (see :meth:`PortfolioPartitioner.objective_lower_bound`).
     lower_bound: float = 0.0
     #: The ILP partitioner's report when the ILP arm ran.
     ilp_report: Optional[IlpPartitionerReport] = None
@@ -187,16 +189,19 @@ class PortfolioPartitioner:
 
     @staticmethod
     def objective_lower_bound(problem: PartitionProblem) -> float:
-        """``N_min * CT + CP``: a latency bound no feasible solution beats.
+        """``N_min * CT + max(CP, DLB)``: a latency bound no feasible solution beats.
 
-        ``N >= N_min`` by the preprocessing bounds, and ``sum_p d_p >= CP``
-        because the critical path's delay is distributed over the partitions
-        it crosses (each segment is a dependency chain inside one partition,
-        hence a lower bound on that partition's ``d_p``).
+        ``N >= N_min`` by the preprocessing bounds.  ``sum_p d_p`` is bounded
+        twice: by ``CP``, because the critical path's delay is distributed
+        over the partitions it crosses (each segment is a dependency chain
+        inside one partition, hence a lower bound on that partition's
+        ``d_p``); and by ``DLB`` (:meth:`PartitionProblem.delay_lower_bound`),
+        because the tasks of each delay level need enough partitions to hold
+        them, each with ``d_p`` at least that delay.
         """
         _, cp_delay = critical_path(problem.graph)
-        return (
-            problem.minimum_partitions() * problem.reconfiguration_time + cp_delay
+        return problem.minimum_partitions() * problem.reconfiguration_time + max(
+            cp_delay, problem.delay_lower_bound()
         )
 
     @staticmethod

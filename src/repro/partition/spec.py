@@ -78,6 +78,40 @@ class PartitionProblem:
             cardinality_lower_bound(self.graph, self.resource_capacity),
         )
 
+    def delay_lower_bound(self) -> float:
+        """A lower bound on ``sum_p d_p`` (seconds) over feasible partitionings.
+
+        A partition holding a task ``t`` has ``d_p >= D(t)``.  For each
+        distinct positive task delay ``theta``, the tasks with
+        ``D(t) >= theta`` need at least ``LB(theta)`` partitions (the two
+        preprocessing bounds of :meth:`minimum_partitions` over that
+        subset), so at least ``LB(theta)`` partitions have
+        ``d_p >= theta``.  With the distinct delays ``theta_1 < ... <
+        theta_m`` and ``theta_0 = 0``::
+
+            sum_p d_p >= sum_i (theta_i - theta_{i-1}) * LB(theta_i)
+
+        ``LB`` is a running max from the largest delay down, since every
+        task of a subset also belongs to each larger one.  Zero-delay tasks
+        sort last and never close a level, so they add nothing.
+        """
+        tasks = sorted(self.graph.tasks(), key=lambda task: task.delay, reverse=True)
+        names = [task.name for task in tasks]
+        bound = 0.0
+        needed = 0
+        for index, task in enumerate(tasks):
+            below = tasks[index + 1].delay if index + 1 < len(tasks) else 0.0
+            if below == task.delay:
+                continue  # the level closes at its last task
+            subset = names[: index + 1]
+            needed = max(
+                needed,
+                partition_lower_bound(self.graph, self.resource_capacity, subset),
+                cardinality_lower_bound(self.graph, self.resource_capacity, subset),
+            )
+            bound += (task.delay - below) * needed
+        return bound
+
     def partition_cap(self) -> int:
         """Largest partition count the relax-N loop may try."""
         cap = self.max_partitions if self.max_partitions is not None else self.task_count

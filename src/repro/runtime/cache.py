@@ -31,7 +31,10 @@ PARTITION_STAGE = "partition"
 #: v3: the multilevel pre-partitioner family and the nonenumerative Eq. 7
 #: path generation (path constraints now enter the ILP in delay order, so
 #: solver traces — though not optima — can differ from v2).
-PARTITION_VERSION = 3
+#: v4: the always-on delay-bound row (``sum_p d_p >= delay_lower_bound``)
+#: and the stronger portfolio certificate — the ILP may return a different
+#: optimum with the same objective, and more portfolio runs certify.
+PARTITION_VERSION = 4
 
 
 class LruCache:

@@ -120,15 +120,22 @@ def tasks_by_level(graph: TaskGraph) -> List[List[str]]:
     return grouped
 
 
-def partition_lower_bound(graph: TaskGraph, capacity: ResourceVector) -> int:
+def partition_lower_bound(
+    graph: TaskGraph,
+    capacity: ResourceVector,
+    tasks: Optional[Sequence[str]] = None,
+) -> int:
     """Paper preprocessing step: minimum number of partitions by resources.
 
     ``ceil( sum_t R(t) / R_max )`` taken over every resource type, with a
     floor of 1.  A single task larger than the FPGA makes the instance
     infeasible, which is reported by raising :class:`GraphError` here rather
-    than deep inside the solver.
+    than deep inside the solver.  *tasks* restricts the bound to a subset
+    of task names (default: every task): the partitions holding those tasks
+    number at least the returned value.
     """
-    totals = graph.total_resources()
+    selected = list(graph.tasks()) if tasks is None else [graph.task(n) for n in tasks]
+    totals = sum((task.resources for task in selected), ResourceVector({}))
     bound = 1
     for name in totals.names():
         available = capacity[name]
@@ -141,7 +148,7 @@ def partition_lower_bound(graph: TaskGraph, capacity: ResourceVector) -> int:
                 "device provides none"
             )
         bound = max(bound, math.ceil(needed / available))
-    for task in graph.tasks():
+    for task in selected:
         if not task.resources.fits_within(capacity):
             raise GraphError(
                 f"task {task.name!r} does not fit on the device by itself; "
@@ -150,7 +157,11 @@ def partition_lower_bound(graph: TaskGraph, capacity: ResourceVector) -> int:
     return bound
 
 
-def max_tasks_per_partition(graph: TaskGraph, capacity: ResourceVector) -> int:
+def max_tasks_per_partition(
+    graph: TaskGraph,
+    capacity: ResourceVector,
+    tasks: Optional[Sequence[str]] = None,
+) -> int:
     """Largest number of tasks any single partition can hold, by resources.
 
     For each resource type, sort the per-task usages ascending and count how
@@ -159,9 +170,10 @@ def max_tasks_per_partition(graph: TaskGraph, capacity: ResourceVector) -> int:
     every feasible partition's cardinality: if even the ``k+1`` cheapest
     tasks overflow some resource, no partition anywhere can hold ``k+1``
     tasks.  Returns at least 1 (single-task feasibility is checked by
-    :func:`partition_lower_bound`).
+    :func:`partition_lower_bound`).  *tasks* restricts the count to a
+    subset of task names (default: every task).
     """
-    names = graph.task_names()
+    names = graph.task_names() if tasks is None else list(tasks)
     best = max(len(names), 1)
     for resource in capacity.names():
         available = capacity[resource]
@@ -183,7 +195,11 @@ def max_tasks_per_partition(graph: TaskGraph, capacity: ResourceVector) -> int:
     return max(best, 1)
 
 
-def cardinality_lower_bound(graph: TaskGraph, capacity: ResourceVector) -> int:
+def cardinality_lower_bound(
+    graph: TaskGraph,
+    capacity: ResourceVector,
+    tasks: Optional[Sequence[str]] = None,
+) -> int:
     """Lower bound on the partition count from per-partition cardinality.
 
     With at most ``k`` tasks per partition (:func:`max_tasks_per_partition`),
@@ -191,11 +207,13 @@ def cardinality_lower_bound(graph: TaskGraph, capacity: ResourceVector) -> int:
     bin-packing style bound is incomparable with the resource-sum bound of
     :func:`partition_lower_bound` — e.g. many same-sized tasks that pack
     poorly push this bound higher — so the preprocessing step takes the max
-    of both.
+    of both.  *tasks* restricts the bound to a subset of task names, as in
+    :func:`partition_lower_bound`.
     """
-    if len(graph) == 0:
+    names = graph.task_names() if tasks is None else list(tasks)
+    if not names:
         return 1
-    return math.ceil(len(graph) / max_tasks_per_partition(graph, capacity))
+    return math.ceil(len(names) / max_tasks_per_partition(graph, capacity, names))
 
 
 def transitive_reduction(graph: TaskGraph) -> TaskGraph:

@@ -22,6 +22,7 @@ from repro.errors import SolverError
 from repro.ilp import Model, SolveStatus, linear_sum, solve
 from repro.ilp.branch_and_bound import incumbent_vector
 from repro.ilp.simplex import ENGINES, solve_lp
+from repro.jpeg import build_dct_task_graph
 from repro.partition import (
     AnnealTemporalPartitioner,
     FormulationOptions,
@@ -31,13 +32,21 @@ from repro.partition import (
     validate_partitioning,
 )
 from repro.partition.ilp_formulation import canonical_assignment
+from repro.partition.portfolio import CERTIFICATE_RTOL
+from repro.synth import DesignFlow
 from repro.taskgraph import (
+    Task,
+    TaskGraph,
     cardinality_lower_bound,
+    clb_cost,
+    critical_path,
     interchangeable_task_classes,
     max_tasks_per_partition,
     partition_lower_bound,
 )
+from repro.units import ns
 from repro.verify.scenarios import FAMILIES, build_family_graph
+from repro.workloads import get_workload
 
 SLOW = settings(
     max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -269,6 +278,109 @@ def test_minimum_partitions_never_cuts_off_the_optimum(graph):
     problem = _problem(graph)
     result = IlpTemporalPartitioner().partition(problem)
     assert result.partition_count >= problem.minimum_partitions()
+
+
+# ---------------------------------------------------------------------------
+# Delay-level bound on sum_p d_p
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def estimated_dct_problem(paper_system):
+    """The case-study DCT with every task re-costed by the HLS estimator."""
+    graph = build_dct_task_graph(attach_dfgs=True)
+    for name in graph.task_names():
+        graph.task(name).cost = None
+    estimated = DesignFlow(paper_system).estimate(graph)
+    return PartitionProblem.from_system(estimated, paper_system)
+
+
+def test_delay_bound_meets_the_estimated_dct_optimum(estimated_dct_problem):
+    # 6 partitions hold a >= 243 ns task, 4 a >= 360 ns one, 1 the 540 ns one.
+    assert estimated_dct_problem.delay_lower_bound() == pytest.approx(
+        2.106e-6, rel=1e-12
+    )
+
+
+def test_delay_bound_meets_the_paper_dct_optimum(dct_graph, paper_system):
+    problem = PartitionProblem.from_system(dct_graph, paper_system)
+    assert problem.delay_lower_bound() == pytest.approx(8.44e-6, rel=1e-12)
+
+
+def test_delay_bound_ignores_zero_delay_tasks():
+    # The two 600-CLB tasks force a second partition, but it costs no delay.
+    graph = TaskGraph("zero-delay")
+    graph.add_task(Task("a", cost=clb_cost(600, 0.0)))
+    graph.add_task(Task("b", cost=clb_cost(600, 0.0)))
+    graph.add_task(Task("c", cost=clb_cost(100, ns(50))))
+    problem = _problem(graph, clb_capacity=1000)
+    assert problem.minimum_partitions() == 2
+    assert problem.delay_lower_bound() == pytest.approx(ns(50), rel=1e-12)
+    result = IlpTemporalPartitioner().partition(problem)
+    assert result.computation_latency == pytest.approx(ns(50), rel=1e-12)
+
+
+def test_delay_bound_carries_a_level_bound_down():
+    # The three 51-CLB tasks need 3 partitions, but with the ten CLB-free
+    # tasks added the subset bound drops to 2: each partition of the three
+    # still has d_p >= 20 ns, so the lower level must keep the 3.
+    graph = TaskGraph("levels")
+    for index in range(3):
+        graph.add_task(Task(f"big{index}", cost=clb_cost(51, ns(20))))
+    for index in range(10):
+        graph.add_task(Task(f"free{index}", cost=clb_cost(0, ns(10))))
+    problem = _problem(graph, clb_capacity=100)
+    assert problem.minimum_partitions() == 2
+    assert problem.delay_lower_bound() == pytest.approx(ns(60), rel=1e-12)
+    result = IlpTemporalPartitioner().partition(problem)
+    assert result.computation_latency == pytest.approx(ns(60), rel=1e-12)
+
+
+def test_delay_bound_of_one_task_is_its_delay():
+    graph = TaskGraph("single")
+    graph.add_task(Task("only", cost=clb_cost(100, ns(70))))
+    assert _problem(graph).delay_lower_bound() == ns(70)
+
+
+@given(strat.task_graphs(families=FAMILIES, min_tasks=2, max_tasks=9))
+@settings(max_examples=15, deadline=None)
+def test_delay_bound_never_exceeds_the_optimum(graph):
+    problem = _problem(graph)
+    result = IlpTemporalPartitioner().partition(problem)
+    bound = problem.delay_lower_bound()
+    assert 0.0 < bound <= result.computation_latency * (1.0 + CERTIFICATE_RTOL)
+
+
+def test_estimated_dct_is_solved_within_a_time_limit(estimated_dct_problem):
+    """Without the delay-bound row HiGHS needs tens of seconds (2701 nodes)
+    to prove this optimum; with it the proof is one node."""
+    partitioner = IlpTemporalPartitioner(time_limit=15)
+    result = partitioner.partition(estimated_dct_problem)
+    assert result.total_latency == pytest.approx(0.600002106, rel=1e-12)
+    assert partitioner.last_report.delay_bound == pytest.approx(
+        result.computation_latency, rel=1e-12
+    )
+
+
+def test_delay_bound_certifies_the_portfolio():
+    """The critical path (2989 ns) cannot certify fir_filterbank[channels=4];
+    the delay bound (4210 ns) meets the best heuristic and skips the ILP."""
+    workload = get_workload("fir_filterbank")
+    system = workload.default_system()
+    graph = DesignFlow(system, workload.flow_options()).estimate(
+        workload.build_graph(channels=4)
+    )
+    problem = PartitionProblem.from_system(graph, system)
+    portfolio = PortfolioPartitioner()
+    portfolio.partition(problem)
+    report = portfolio.last_report
+    _, cp_delay = critical_path(graph)
+    assert problem.delay_lower_bound() > cp_delay
+    assert report.lower_bound == (
+        problem.minimum_partitions() * problem.reconfiguration_time
+        + problem.delay_lower_bound()
+    )
+    assert report.certified and report.ilp_report is None
 
 
 # ---------------------------------------------------------------------------
