@@ -12,7 +12,9 @@ The script drives the full two-machine CLI workflow on one machine:
    until it holds a lease, and SIGKILL it — the canonical lost machine;
 3. start two healthy workers (``repro explore --scheduler``) that drain
    the schedule, re-running the dead worker's range after its lease is
-   reclaimed;
+   reclaimed.  Each may run at most 7 of the 8 ranges (``--max-ranges``),
+   so neither can finish the schedule alone: both reach the daemon before
+   it exits, and both complete at least one range;
 4. compare the daemon's merged frontier byte-for-byte against a plain
    unsharded ``repro explore`` of the same space.
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import filecmp
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -36,6 +39,8 @@ from pathlib import Path
 from repro.serve import FlowServiceClient, ServeClientError
 
 PORT = int(os.environ.get("REPRO_CHAOS_PORT", "8790"))
+
+RANGES = 8
 
 SPACE_ARGV = [
     "--workload", "matmul_pipeline", "--strategy", "grid", "--budget", "12",
@@ -57,9 +62,9 @@ def main() -> int:
         sched_out = base / "sched.json"
         solo_out = base / "solo.json"
 
-        print(f"starting scheduler daemon on {url} (8 ranges, 2 s leases)")
+        print(f"starting scheduler daemon on {url} ({RANGES} ranges, 2 s leases)")
         daemon = _repro(
-            "schedule", *SPACE_ARGV, "--ranges", "8", "--lease-timeout", "2",
+            "schedule", *SPACE_ARGV, "--ranges", str(RANGES), "--lease-timeout", "2",
             "--port", str(PORT), "--store", str(base / "run.jsonl"),
             "--timeout", "300", "--format", "json", "--output",
             str(sched_out),
@@ -89,13 +94,19 @@ def main() -> int:
             workers = [
                 _repro(
                     "explore", "--scheduler", url, "--worker-id", f"healthy{i}",
-                    cwd=tmp,
+                    "--max-ranges", str(RANGES - 1),
+                    cwd=tmp, stderr=subprocess.PIPE, text=True,
                 )
                 for i in range(2)
             ]
             for worker in workers:
-                if worker.wait(timeout=300) != 0:
+                _, summary = worker.communicate(timeout=300)
+                sys.stderr.write(summary)
+                if worker.returncode != 0:
                     raise SystemExit("a healthy worker failed")
+                completed = re.search(r"(\d+) range\(s\) completed", summary)
+                if completed is None or int(completed.group(1)) < 1:
+                    raise SystemExit("a healthy worker completed no range")
             daemon_code = daemon.wait(timeout=300)
             if daemon_code != 0:
                 raise SystemExit(f"scheduler daemon exited {daemon_code}")

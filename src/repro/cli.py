@@ -42,6 +42,7 @@ entry points) for details.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -174,30 +175,53 @@ def cmd_partition(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_batch_rows(rows: List[dict], fmt: str, stream) -> None:
-    """Write batch rows as an aligned table, JSON, or CSV."""
-    if fmt == "json":
-        json.dump(rows, stream, indent=2)
-        stream.write("\n")
-        return
-    if fmt == "csv":
-        writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-        return
-    from .experiments.report import format_table
+#: Table columns of ``repro partition-batch`` rows.
+BATCH_COLUMNS = [
+    "tag", "status", "source", "partitioner", "backend",
+    "partitions", "total_latency_s", "solve_time_s", "error",
+]
 
-    stream.write(
-        format_table(
-            rows,
-            columns=[
-                "tag", "status", "source", "partitioner", "backend",
-                "partitions", "total_latency_s", "solve_time_s", "error",
-            ],
-            title="Batched temporal partitioning",
-        )
-    )
-    stream.write("\n")
+#: Table columns of ``repro flow --batch`` rows.
+FLOW_COLUMNS = [
+    "tag", "workload", "status", "partition_source", "partitions",
+    "k", "block_delay_ns", "total_latency_s", "error",
+]
+
+
+def _write_rows(
+    rows: List[dict],
+    fmt: str,
+    output: Optional[str],
+    title: str,
+    columns: Optional[List[str]] = None,
+    empty: Optional[str] = None,
+) -> None:
+    """Write *rows* as an aligned table, JSON, or CSV to *output* (or stdout).
+
+    JSON and CSV carry every key of the rows.  The table shows *columns*
+    (default: the first row's keys) under *title*; with no rows it prints
+    *empty* when given.
+    """
+    with (
+        open(output, "w", encoding="utf-8", newline="")
+        if output
+        else contextlib.nullcontext(sys.stdout)
+    ) as stream:
+        if fmt == "json":
+            json.dump(rows, stream, indent=2)
+            stream.write("\n")
+        elif fmt == "csv":
+            if rows:
+                writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
+                writer.writeheader()
+                writer.writerows(rows)
+        elif not rows and empty is not None:
+            stream.write(f"{empty}\n")
+        else:
+            from .experiments.report import format_table
+
+            stream.write(format_table(rows, columns=columns, title=title))
+            stream.write("\n")
 
 
 def cmd_partition_batch(args: argparse.Namespace) -> int:
@@ -218,12 +242,8 @@ def cmd_partition_batch(args: argparse.Namespace) -> int:
     jobs = jobs * max(args.repeat, 1)
     batch = engine.solve_batch(jobs)
 
-    rows = batch.rows()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as stream:
-            _format_batch_rows(rows, args.format, stream)
-    else:
-        _format_batch_rows(rows, args.format, sys.stdout)
+    _write_rows(batch.rows(), args.format, args.output,
+                "Batched temporal partitioning", columns=BATCH_COLUMNS)
     print(batch.describe(), file=sys.stderr)
     stats = engine.stats.snapshot()
     print(
@@ -309,12 +329,8 @@ def _flow_batch(args: argparse.Namespace) -> int:
         print("no flow jobs to run (is the workload catalog empty?)", file=sys.stderr)
         return 0
     batch = flow_engine.run_batch(jobs)
-    rows = batch.rows()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as stream:
-            _format_flow_rows(rows, args.format, stream)
-    else:
-        _format_flow_rows(rows, args.format, sys.stdout)
+    _write_rows(batch.rows(), args.format, args.output, "Batched design flows",
+                columns=FLOW_COLUMNS)
     print(batch.describe(), file=sys.stderr)
     stage_seconds = batch.stage_seconds_total()
     if stage_seconds:
@@ -336,34 +352,6 @@ def _flow_batch(args: argparse.Namespace) -> int:
     return 0 if batch.ok else 1
 
 
-def _format_flow_rows(rows: List[dict], fmt: str, stream) -> None:
-    """Write flow-batch rows as an aligned table, JSON, or CSV."""
-    if fmt == "json":
-        json.dump(rows, stream, indent=2)
-        stream.write("\n")
-        return
-    if fmt == "csv":
-        if not rows:
-            return
-        writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-        return
-    from .experiments.report import format_table
-
-    stream.write(
-        format_table(
-            rows,
-            columns=[
-                "tag", "workload", "status", "partition_source", "partitions",
-                "k", "block_delay_ns", "total_latency_s", "error",
-            ],
-            title="Batched design flows",
-        )
-    )
-    stream.write("\n")
-
-
 def _flow_single_rows(args: argparse.Namespace, graph, system, options,
                       workload: str) -> int:
     """``repro flow --format json|csv`` without ``--batch``.
@@ -380,12 +368,8 @@ def _flow_single_rows(args: argparse.Namespace, graph, system, options,
         FlowJob(graph=graph, system=system, options=options,
                 tag=graph.name, workload=workload)
     ])
-    rows = batch.rows()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as stream:
-            _format_flow_rows(rows, args.format, stream)
-    else:
-        _format_flow_rows(rows, args.format, sys.stdout)
+    _write_rows(batch.rows(), args.format, args.output, "Batched design flows",
+                columns=FLOW_COLUMNS)
     print(batch.describe(failures_only=True), file=sys.stderr)
     return 0 if batch.ok else 1
 
@@ -556,12 +540,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
             ),
             file=sys.stderr,
         )
-    rows = result.front.rows()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as stream:
-            _format_explore_rows(rows, args.format, stream)
-    else:
-        _format_explore_rows(rows, args.format, sys.stdout)
+    _write_rows(result.front.rows(), args.format, args.output, "Pareto front",
+                empty="(empty Pareto front)")
     print(space.describe(), file=sys.stderr)
     print(result.describe(), file=sys.stderr)
     print(
@@ -605,12 +585,8 @@ def _explore_sharded(args: argparse.Namespace, space, config, store_base) -> int
         resume=args.resume,
         objectives=config.objectives,
     )
-    rows = result.front.rows()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as stream:
-            _format_explore_rows(rows, args.format, stream)
-    else:
-        _format_explore_rows(rows, args.format, sys.stdout)
+    _write_rows(result.front.rows(), args.format, args.output, "Pareto front",
+                empty="(empty Pareto front)")
     print(space.describe(), file=sys.stderr)
     for shard in result.shards:
         print(
@@ -699,43 +675,12 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         for index in range(plan.range_count)
     ]
     merged = merge_stores(paths, objectives=config.objectives)
-    rows = merged.front.rows()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as stream:
-            _format_explore_rows(rows, args.format, stream)
-    else:
-        _format_explore_rows(rows, args.format, sys.stdout)
+    _write_rows(merged.front.rows(), args.format, args.output, "Pareto front",
+                empty="(empty Pareto front)")
     print(space.describe(), file=sys.stderr)
     print(state.scheduler.describe(), file=sys.stderr)
     print(merged.describe(), file=sys.stderr)
     return 0 if len(merged.front) else 1
-
-
-def _format_rows(rows: List[dict], fmt: str, stream, title: str, empty: str) -> None:
-    """Write all-column rows as an aligned table, JSON, or CSV."""
-    if fmt == "json":
-        json.dump(rows, stream, indent=2)
-        stream.write("\n")
-        return
-    if fmt == "csv":
-        if not rows:
-            return
-        writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-        return
-    from .experiments.report import format_table
-
-    if not rows:
-        stream.write(f"{empty}\n")
-        return
-    stream.write(format_table(rows, columns=list(rows[0].keys()), title=title))
-    stream.write("\n")
-
-
-def _format_explore_rows(rows: List[dict], fmt: str, stream) -> None:
-    """Write Pareto-front rows as an aligned table, JSON, or CSV."""
-    _format_rows(rows, fmt, stream, "Pareto front", "(empty Pareto front)")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -758,12 +703,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     report = Verifier(config).run()
 
-    rows = report.rows()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as stream:
-            _format_verify_rows(rows, args.format, stream)
-    else:
-        _format_verify_rows(rows, args.format, sys.stdout)
+    _write_rows(report.rows(), args.format, args.output,
+                "Differential verification", empty="(no scenarios verified)")
     print(report.describe(), file=sys.stderr)
     if args.store:
         print(f"verdicts recorded to {args.store}", file=sys.stderr)
@@ -776,13 +717,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     return 0 if report.ok else 1
-
-
-def _format_verify_rows(rows: List[dict], fmt: str, stream) -> None:
-    """Write per-scenario verdict rows as an aligned table, JSON, or CSV."""
-    _format_rows(
-        rows, fmt, stream, "Differential verification", "(no scenarios verified)"
-    )
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -878,7 +812,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
             failures += 1
         rows.append(row)
     if rows:
-        _format_rows(rows, args.format, sys.stdout, "Submitted jobs", "(no jobs)")
+        _write_rows(rows, args.format, None, "Submitted jobs", empty="(no jobs)")
     return 1 if failures else 0
 
 
@@ -949,12 +883,8 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         objectives = tuple(_parse_csv_list(args.objectives, "objectives"))
         resolve_objectives(objectives)
         result = merge_stores(args.store, objectives=objectives)
-        rows = result.front.rows()
-        if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as stream:
-                _format_explore_rows(rows, args.format, stream)
-        else:
-            _format_explore_rows(rows, args.format, sys.stdout)
+        _write_rows(result.front.rows(), args.format, args.output,
+                    "Pareto front", empty="(empty Pareto front)")
         print(result.describe(), file=sys.stderr)
         return 0 if len(result.front) else 1
 

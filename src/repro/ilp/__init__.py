@@ -1,9 +1,9 @@
 """ILP modelling and solving layer (the library's substitute for CPLEX).
 
 Provides a small modelling API (variables, linear expressions, constraints,
-models), linearisation helpers for products of binaries, and three solver
-backends: scipy HiGHS (``milp``), a branch-and-bound over LP relaxations, and
-a pure-Python two-phase simplex for LPs.
+models), linearisation helpers for products of binaries, and two MILP
+backends: scipy HiGHS (``milp``) and a branch-and-bound whose node LP
+relaxations run on HiGHS ``linprog``.
 """
 
 from .branch_and_bound import solve_branch_and_bound
@@ -16,8 +16,8 @@ from .linearize import (
     product_linearization,
 )
 from .model import MatrixForm, Model
-from .simplex import LpResult, solve_lp
-from .solution import Solution, SolveStatus, assignment_from_names
+from .scipy_backend import LpResult
+from .solution import Solution, SolveStatus
 from .solver import BACKENDS, DEFAULT_BACKEND, solve, solve_lp_relaxation
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "SolveStatus",
     "VarType",
     "Variable",
-    "assignment_from_names",
     "at_most_one",
     "ensure_constraint",
     "exactly_one",
@@ -42,6 +41,5 @@ __all__ = [
     "product_linearization",
     "solve",
     "solve_branch_and_bound",
-    "solve_lp",
     "solve_lp_relaxation",
 ]

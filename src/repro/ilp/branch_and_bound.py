@@ -3,7 +3,7 @@
 This is the library's own exact 0-1/integer solver.  It follows the textbook
 recipe:
 
-1. solve the LP relaxation of the node (scipy HiGHS or the built-in simplex);
+1. solve the LP relaxation of the node with scipy's HiGHS ``linprog``;
 2. prune if infeasible or if the relaxation bound cannot beat the incumbent;
 3. if the relaxation is integral, update the incumbent;
 4. otherwise pick the most fractional integer variable and branch on
@@ -29,14 +29,14 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..errors import SolverError
 from .expr import Variable
 from .model import MatrixForm, Model
-from .simplex import LpResult, solve_lp
+from .scipy_backend import solve_lp_scipy
 from .solution import Solution, SolveStatus
 
 #: Tolerance below which a value counts as integral.
@@ -55,19 +55,6 @@ class _Node:
     lower: np.ndarray = field(compare=False)
     upper: np.ndarray = field(compare=False)
     depth: int = field(compare=False, default=0)
-
-
-LpSolver = Callable[[MatrixForm, int], LpResult]
-
-
-def _default_lp_solver(form: MatrixForm, max_iterations: int) -> LpResult:
-    """Prefer scipy's HiGHS linprog; fall back to the built-in simplex."""
-    try:
-        from .scipy_backend import solve_lp_scipy
-
-        return solve_lp_scipy(form, max_iterations=max_iterations)
-    except ImportError:  # pragma: no cover - scipy is a declared dependency
-        return solve_lp(form, max_iterations=max_iterations)
 
 
 def incumbent_vector(
@@ -108,7 +95,6 @@ def incumbent_vector(
 
 def solve_branch_and_bound(
     model: Model,
-    lp_solver: Optional[LpSolver] = None,
     max_nodes: int = 200000,
     time_limit: Optional[float] = None,
     lp_iterations: int = 100000,
@@ -120,9 +106,6 @@ def solve_branch_and_bound(
     ----------
     model:
         The model to solve.  Maximisation models are handled transparently.
-    lp_solver:
-        Callable used for node relaxations; defaults to scipy HiGHS with a
-        fallback to the built-in simplex.
     max_nodes:
         Safety cap on explored nodes; exceeding it returns the best incumbent
         with status ``ITERATION_LIMIT``.
@@ -135,7 +118,6 @@ def solve_branch_and_bound(
         given) the search runs cold.  The seeded solution is returned when
         nothing in the tree beats it.
     """
-    solver = lp_solver or _default_lp_solver
     form = model.to_matrix_form()
     start = time.perf_counter()
 
@@ -188,7 +170,7 @@ def solve_branch_and_bound(
             variables=form.variables,
             objective_constant=form.objective_constant,
         )
-        relaxation = solver(node_form, lp_iterations)
+        relaxation = solve_lp_scipy(node_form, lp_iterations)
         if relaxation.status is SolveStatus.INFEASIBLE:
             continue
         if relaxation.status is SolveStatus.UNBOUNDED:

@@ -76,8 +76,7 @@ class Constraint:
     def as_le_pair(self):
         """This constraint as a list of equivalent ``<=`` constraints.
 
-        ``>=`` is negated; ``==`` becomes a ``<=`` / ``>=`` pair.  Used by the
-        simplex backend, which standardises on ``<=`` rows plus equalities.
+        ``>=`` is negated; ``==`` becomes a ``<=`` / ``>=`` pair.
         """
         if self.sense is Sense.LE:
             return [self]

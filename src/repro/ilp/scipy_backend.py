@@ -1,23 +1,34 @@
 """scipy-based LP/MILP backends (HiGHS).
 
-These are the fast backends: `scipy.optimize.linprog` for LP relaxations and
-`scipy.optimize.milp` for complete mixed-integer solves.  They are optional in
-the sense that the rest of the library also works with the pure-Python
-simplex/branch-and-bound backends, but scipy is a declared dependency so they
-are normally available.
+`scipy.optimize.linprog` solves LP relaxations (every branch-and-bound node
+and :func:`~repro.ilp.solver.solve_lp_relaxation`); `scipy.optimize.milp`
+solves complete mixed-integer models.  scipy is a declared dependency;
+``scipy.optimize`` is imported inside the solve functions so that importing
+the library does not pay for it.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..errors import SolverError
 from .model import MatrixForm, Model
-from .simplex import LpResult
 from .solution import Solution, SolveStatus
+
+
+@dataclass
+class LpResult:
+    """Raw result of an LP solve in matrix space (values indexed by column)."""
+
+    status: SolveStatus
+    objective: Optional[float]
+    x: Optional[np.ndarray]
+    iterations: int
+    solve_time: float
 
 
 def _status_from_linprog(status_code: int) -> SolveStatus:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from ..errors import ModelError
 from .expr import Variable
@@ -36,7 +36,7 @@ class Solution:
     backend:
         Name of the solver backend that produced the solution.
     iterations:
-        Backend-specific work counter (simplex pivots or B&B nodes).
+        Backend-specific work counter (HiGHS LP iterations or B&B nodes).
     solve_time:
         Wall-clock seconds spent in the backend.
     """
@@ -93,13 +93,3 @@ class Solution:
     def as_name_dict(self) -> Dict[str, float]:
         """Name-keyed copy of the assignment."""
         return {var.name: val for var, val in self.values.items()}
-
-
-def assignment_from_names(
-    variables: Mapping[str, Variable], values: Mapping[str, float]
-) -> Dict[Variable, float]:
-    """Build a Variable-keyed assignment from name-keyed values (test helper)."""
-    missing = set(values) - set(variables)
-    if missing:
-        raise ModelError(f"unknown variable names in assignment: {sorted(missing)}")
-    return {variables[name]: float(value) for name, value in values.items()}

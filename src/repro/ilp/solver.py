@@ -1,13 +1,12 @@
-"""Solver dispatch: one entry point, three interchangeable backends.
+"""Solver dispatch: one entry point, two interchangeable MILP backends.
 
 * ``"scipy"`` — scipy's HiGHS ``milp`` (default, fastest);
-* ``"branch-and-bound"`` — the library's own branch-and-bound over LP
-  relaxations (scipy ``linprog`` or the built-in simplex per node);
-* ``"simplex"`` — pure LP solve; only valid for models with no integer
-  variables (used directly for relaxation studies and tests).
+* ``"branch-and-bound"`` — the library's own branch-and-bound, which solves
+  each node's LP relaxation with scipy's HiGHS ``linprog``.
 
-All backends return the same :class:`~repro.ilp.solution.Solution` type, so
+Both backends return the same :class:`~repro.ilp.solution.Solution` type, so
 callers (the temporal partitioner in particular) never care which one ran.
+:func:`solve_lp_relaxation` solves a model with integrality dropped.
 """
 
 from __future__ import annotations
@@ -19,11 +18,11 @@ from ..errors import SolverError
 from .branch_and_bound import solve_branch_and_bound
 from .expr import Variable
 from .model import Model
-from .simplex import solve_lp
+from .scipy_backend import solve_lp_scipy, solve_milp_scipy
 from .solution import Solution, SolveStatus
 
 #: Names of the available backends, in default-preference order.
-BACKENDS = ("scipy", "branch-and-bound", "simplex")
+BACKENDS = ("scipy", "branch-and-bound")
 
 DEFAULT_BACKEND = "scipy"
 
@@ -33,7 +32,6 @@ def solve(
     backend: str = DEFAULT_BACKEND,
     time_limit: Optional[float] = None,
     max_nodes: int = 200000,
-    use_builtin_lp: bool = False,
     incumbent: Optional[Mapping[Variable, float]] = None,
 ) -> Solution:
     """Solve *model* with the chosen *backend*.
@@ -45,97 +43,42 @@ def solve(
     backend:
         One of :data:`BACKENDS`.
     time_limit:
-        Optional wall-clock limit in seconds (scipy and branch-and-bound).
+        Optional wall-clock limit in seconds.
     max_nodes:
         Node cap for the branch-and-bound backend.
-    use_builtin_lp:
-        When solving with branch-and-bound, force the built-in simplex for
-        node relaxations instead of scipy's ``linprog``.
     incumbent:
         Optional known-feasible warm-start assignment (variable -> value).
         The branch-and-bound backend seeds its upper bound with it; scipy's
-        ``milp`` has no MIP-start hook, so the other backends ignore it.
+        ``milp`` has no MIP-start hook, so it ignores it.
     """
     if backend not in BACKENDS:
         raise SolverError(f"unknown backend {backend!r}; choose from {BACKENDS}")
 
     if backend == "scipy":
-        from .scipy_backend import solve_milp_scipy
-
         return solve_milp_scipy(model, time_limit=time_limit)
 
-    if backend == "branch-and-bound":
-        lp_solver = None
-        if use_builtin_lp:
-            def lp_solver(form, iterations):
-                return solve_lp(form, max_iterations=iterations)
-        return solve_branch_and_bound(
-            model,
-            lp_solver=lp_solver,
-            max_nodes=max_nodes,
-            time_limit=time_limit,
-            incumbent=incumbent,
-        )
-
-    # backend == "simplex": LP only.
-    if model.num_integer_variables:
-        raise SolverError(
-            "the 'simplex' backend solves pure LPs; the model has "
-            f"{model.num_integer_variables} integer variables — use 'scipy' or "
-            "'branch-and-bound'"
-        )
-    start = time.perf_counter()
-    form = model.to_matrix_form()
-    result = solve_lp(form)
-    elapsed = time.perf_counter() - start
-    if result.status is not SolveStatus.OPTIMAL or result.x is None:
-        return Solution(
-            status=result.status,
-            backend="simplex",
-            iterations=result.iterations,
-            solve_time=elapsed,
-        )
-    values = {
-        variable: float(result.x[variable.index]) for variable in form.variables
-    }
-    objective = result.objective
-    if objective is not None and not model.is_minimization:
-        objective = -objective
-    return Solution(
-        status=SolveStatus.OPTIMAL,
-        objective=objective,
-        values=values,
-        backend="simplex",
-        iterations=result.iterations,
-        solve_time=elapsed,
+    return solve_branch_and_bound(
+        model,
+        max_nodes=max_nodes,
+        time_limit=time_limit,
+        incumbent=incumbent,
     )
 
 
-def solve_lp_relaxation(model: Model, use_builtin: bool = False) -> Solution:
-    """Solve the LP relaxation of *model* (integrality dropped).
+def solve_lp_relaxation(model: Model) -> Solution:
+    """Solve the LP relaxation of *model* (integrality dropped) with HiGHS.
 
     Useful for computing lower bounds on the partitioning latency and for
     studying the tightness of the formulation.
     """
     form = model.to_matrix_form()
     start = time.perf_counter()
-    if use_builtin:
-        result = solve_lp(form)
-        backend = "simplex"
-    else:
-        try:
-            from .scipy_backend import solve_lp_scipy
-
-            result = solve_lp_scipy(form)
-            backend = "scipy-linprog"
-        except ImportError:  # pragma: no cover - scipy is a declared dependency
-            result = solve_lp(form)
-            backend = "simplex"
+    result = solve_lp_scipy(form)
     elapsed = time.perf_counter() - start
     if result.status is not SolveStatus.OPTIMAL or result.x is None:
         return Solution(
             status=result.status,
-            backend=backend,
+            backend="scipy-linprog",
             iterations=result.iterations,
             solve_time=elapsed,
         )
@@ -149,7 +92,7 @@ def solve_lp_relaxation(model: Model, use_builtin: bool = False) -> Solution:
         status=SolveStatus.OPTIMAL,
         objective=objective,
         values=values,
-        backend=backend,
+        backend="scipy-linprog",
         iterations=result.iterations,
         solve_time=elapsed,
     )

@@ -66,9 +66,6 @@ class IlpTemporalPartitioner:
         the incumbent upper bound.  ``None`` (default) enables it exactly for
         the ``"branch-and-bound"`` backend — scipy's ``milp`` has no MIP-start
         hook, so warming it would only cost the heuristic run.
-    use_builtin_lp:
-        Force the built-in vectorised simplex for branch-and-bound node
-        relaxations (no scipy in the loop at all).
     """
 
     def __init__(
@@ -78,7 +75,6 @@ class IlpTemporalPartitioner:
         explore_extra_partitions: int = 0,
         time_limit: Optional[float] = None,
         warm_start: Optional[bool] = None,
-        use_builtin_lp: bool = False,
     ) -> None:
         if explore_extra_partitions < 0:
             raise PartitioningError("explore_extra_partitions must be non-negative")
@@ -97,7 +93,6 @@ class IlpTemporalPartitioner:
         if warm_start is None:
             warm_start = backend == "branch-and-bound"
         self.warm_start = warm_start
-        self.use_builtin_lp = use_builtin_lp
         self.last_report: Optional[IlpPartitionerReport] = None
 
     def partition(self, problem: PartitionProblem) -> TemporalPartitioning:
@@ -177,7 +172,6 @@ class IlpTemporalPartitioner:
             formulation.model,
             backend=self.backend,
             time_limit=self.time_limit,
-            use_builtin_lp=self.use_builtin_lp,
             incumbent=incumbent,
         )
         report.solve_time += solution.solve_time

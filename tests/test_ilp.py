@@ -16,7 +16,6 @@ from repro.ilp import (
     product_linearization,
     solve,
     solve_branch_and_bound,
-    solve_lp,
     solve_lp_relaxation,
 )
 
@@ -190,34 +189,25 @@ class TestBackends:
             solution = solve(model, backend=backend)
             assert solution.objective == pytest.approx(30.0)
 
-    def test_simplex_backend_pure_lp(self):
+    def test_pure_lp_relaxation_optimum(self):
         model = Model()
         x = model.add_continuous("x", 0, 10)
         y = model.add_continuous("y", 0, 10)
         model.add_constraint(x + y >= 4)
         model.minimize(2 * x + y)
-        solution = solve(model, backend="simplex")
+        solution = solve_lp_relaxation(model)
         assert solution.is_optimal
         assert solution.objective == pytest.approx(4.0)
         assert solution.value(y) == pytest.approx(4.0)
 
-    def test_simplex_backend_rejects_integers(self):
-        model, _ = knapsack_model()
-        with pytest.raises(SolverError):
-            solve(model, backend="simplex")
-
     def test_unknown_backend(self):
         model, _ = knapsack_model()
-        with pytest.raises(SolverError):
-            solve(model, backend="cplex")
+        for backend in ("cplex", "simplex"):
+            with pytest.raises(SolverError, match="'scipy', 'branch-and-bound'"):
+                solve(model, backend=backend)
 
     def test_backends_constant_registered(self):
-        assert set(BACKENDS) == {"scipy", "branch-and-bound", "simplex"}
-
-    def test_branch_and_bound_with_builtin_lp(self):
-        model, _ = knapsack_model()
-        solution = solve(model, backend="branch-and-bound", use_builtin_lp=True)
-        assert solution.objective == pytest.approx(16.0)
+        assert BACKENDS == ("scipy", "branch-and-bound")
 
     def test_equality_constraints(self):
         model = Model()
@@ -237,35 +227,23 @@ class TestBackends:
         # Relaxation of a maximisation is an upper bound.
         assert relaxed.objective >= exact.objective - 1e-9
 
-    def test_builtin_simplex_agrees_with_scipy_relaxation(self):
-        model = Model()
-        x = model.add_continuous("x", 0, 4)
-        y = model.add_continuous("y", 0, 4)
-        model.add_constraint(2 * x + y <= 6)
-        model.add_constraint(x + 3 * y <= 9)
-        model.maximize(3 * x + 4 * y)
-        builtin = solve_lp_relaxation(model, use_builtin=True)
-        scipy_result = solve_lp_relaxation(model, use_builtin=False)
-        assert builtin.objective == pytest.approx(scipy_result.objective, rel=1e-6)
-
-    def test_simplex_detects_infeasible_lp(self):
+    def test_lp_relaxation_detects_infeasible_lp(self):
         model = Model()
         x = model.add_continuous("x", 0, 1)
         model.add_constraint(x >= 2)
         model.minimize(x)
-        form = model.to_matrix_form()
-        assert solve_lp(form).status is SolveStatus.INFEASIBLE
+        assert solve_lp_relaxation(model).status is SolveStatus.INFEASIBLE
 
-    def test_simplex_handles_equalities(self):
+    def test_lp_relaxation_handles_equalities(self):
         model = Model()
         x = model.add_continuous("x", 0, 10)
         y = model.add_continuous("y", 0, 10)
         model.add_constraint(x + y == 5)
         model.minimize(x)
-        form = model.to_matrix_form()
-        result = solve_lp(form)
+        result = solve_lp_relaxation(model)
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(0.0)
+        assert result.value(y) == pytest.approx(5.0)
 
     def test_branch_and_bound_node_limit_reports_limit(self):
         model = Model()

@@ -17,7 +17,7 @@ from repro.errors import (
 )
 from repro.fission import SequencerPlan, SequencingStrategy
 from repro.hls import TaskEstimator, minimal_allocation, xc4000_library
-from repro.ilp import Model, SolveStatus, solve, solve_lp
+from repro.ilp import Model, SolveStatus, solve, solve_lp_relaxation
 from repro.simulate import SimulationEvent, EventKind
 from repro.units import ns
 
@@ -53,12 +53,11 @@ class TestErrorHierarchy:
 
 
 class TestIlpEdgeCases:
-    def test_unbounded_lp_detected_by_simplex(self):
+    def test_unbounded_lp_detected_by_relaxation(self):
         model = Model()
         x = model.add_continuous("x", 0, float("inf"))
         model.maximize(x)
-        form = model.to_matrix_form()
-        assert solve_lp(form).status is SolveStatus.UNBOUNDED
+        assert solve_lp_relaxation(model).status is SolveStatus.UNBOUNDED
 
     def test_unbounded_milp_detected(self):
         model = Model()

@@ -1,27 +1,24 @@
 """Differential properties of the solver hot-path acceleration.
 
-Every acceleration layer added to the solver stack — the vectorised simplex
-engine, the warm-started branch and bound, the symmetry/cardinality
-formulation tightening and the portfolio partitioner — is required to be
-*observationally identical* to the slow reference it replaced: same
-objectives, same statuses, byte-identical assignments across reruns.  These
-tests pin that contract on the same seeded scenario families the
-differential-verification harness fuzzes (see ``tests/strategies.py``).
+Every acceleration layer added to the solver stack — the warm-started
+branch and bound, the symmetry/cardinality formulation tightening and the
+portfolio partitioner — is required to be *observationally identical* to
+the slow reference it replaced: same objectives, same statuses,
+byte-identical assignments across reruns.  These tests pin that contract on
+the same seeded scenario families the differential-verification harness
+fuzzes (see ``tests/strategies.py``).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import strategies as strat
 from repro.arch import generic_system
-from repro.errors import SolverError
-from repro.ilp import Model, SolveStatus, linear_sum, solve
+from repro.ilp import Model, linear_sum, solve
 from repro.ilp.branch_and_bound import incumbent_vector
-from repro.ilp.simplex import ENGINES, solve_lp
 from repro.jpeg import build_dct_task_graph
 from repro.partition import (
     AnnealTemporalPartitioner,
@@ -60,76 +57,6 @@ def _problem(graph, clb_capacity=700, memory_words=8192, ct=0.01):
         reconfiguration_time=ct,
     )
     return PartitionProblem.from_system(graph, system)
-
-
-# ---------------------------------------------------------------------------
-# Simplex engines: vectorised vs. pure-python reference
-# ---------------------------------------------------------------------------
-
-
-def _random_lp(seed: int, variables: int = 6, constraints: int = 5) -> Model:
-    rng = np.random.default_rng(seed)
-    model = Model(f"lp-{seed}")
-    xs = [
-        model.add_continuous(f"x{i}", 0.0, float(rng.uniform(1.0, 10.0)))
-        for i in range(variables)
-    ]
-    for row in range(constraints):
-        coefficients = rng.uniform(0.0, 5.0, size=variables)
-        model.add_constraint(
-            linear_sum(float(c) * x for c, x in zip(coefficients, xs))
-            <= float(rng.uniform(1.0, 20.0)),
-            name=f"c{row}",
-        )
-    model.minimize(
-        linear_sum(
-            float(c) * x for c, x in zip(rng.uniform(-5.0, 5.0, size=variables), xs)
-        )
-    )
-    return model
-
-
-@given(st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=40, deadline=None)
-def test_vectorised_simplex_matches_reference(seed):
-    form = _random_lp(seed).to_matrix_form()
-    vectorised = solve_lp(form, engine="vectorised")
-    reference = solve_lp(form, engine="reference")
-    assert vectorised.status is SolveStatus.OPTIMAL
-    if reference.status is SolveStatus.ITERATION_LIMIT:
-        # The reference engine may cycle out of budget on degenerate ties the
-        # vectorised engine's exact pivot-column rewrite avoids; that is the
-        # one tolerated divergence.
-        return
-    assert reference.status is SolveStatus.OPTIMAL
-    assert vectorised.objective == pytest.approx(
-        reference.objective, rel=1e-9, abs=1e-9
-    )
-
-
-def test_simplex_engine_selection():
-    form = _random_lp(0).to_matrix_form()
-    with pytest.raises(SolverError, match="unknown simplex engine"):
-        solve_lp(form, engine="quantum")
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_simplex_engines_agree_on_infeasible(engine):
-    model = Model("infeasible")
-    x = model.add_continuous("x", 0.0, 1.0)
-    model.add_constraint(x >= 2.0)
-    model.minimize(x)
-    result = solve_lp(model.to_matrix_form(), engine=engine)
-    assert result.status is SolveStatus.INFEASIBLE
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_simplex_engines_agree_on_unbounded(engine):
-    model = Model("unbounded")
-    x = model.add_continuous("x")
-    model.minimize(-1.0 * x)
-    result = solve_lp(model.to_matrix_form(), engine=engine)
-    assert result.status is SolveStatus.UNBOUNDED
 
 
 # ---------------------------------------------------------------------------
