@@ -200,6 +200,12 @@ class TestBackends:
         assert solution.objective == pytest.approx(4.0)
         assert solution.value(y) == pytest.approx(4.0)
 
+    def test_simplex_backend_rejects_integers(self):
+        model, _ = knapsack_model()
+        retired = "simplex"
+        with pytest.raises(SolverError, match="unknown backend 'simplex'"):
+            solve(model, backend=retired)
+
     def test_unknown_backend(self):
         model, _ = knapsack_model()
         for backend in ("cplex", "simplex"):
