@@ -1,6 +1,6 @@
 """E3 — ILP temporal partitioning: the DCT case study and solver hot path.
 
-Four measurements:
+Five measurements:
 
 * the complete scipy-backed partitioner run on the 32-task DCT graph
   (preprocessing lower bound, model build, MILP solve, extraction), with the
@@ -17,7 +17,10 @@ Four measurements:
   workload set, with objectives asserted identical and the cold-solve
   speedup recorded.  The plain formulation includes the always-on
   ``sum_p d_p >= delay_lower_bound`` row, which no option removes, so the
-  reference is no longer the exact pre-acceleration stack.
+  reference is no longer the exact pre-acceleration stack;
+* the seeded annealer alone over the same workload set (seed 0, 2000
+  moves each, median of 3 repeats), which times its incremental move
+  checks and one-pass scoring.
 
 Run standalone (``python benchmarks/bench_ilp_partitioning.py [--smoke]``)
 or under pytest.  Environment knobs:
@@ -31,6 +34,7 @@ or under pytest.  Environment knobs:
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 
@@ -39,6 +43,7 @@ from bench_utils import benchmark_seconds, record
 
 from repro.jpeg import build_dct_task_graph
 from repro.partition import (
+    AnnealTemporalPartitioner,
     FormulationOptions,
     IlpTemporalPartitioner,
     PartitionProblem,
@@ -244,6 +249,22 @@ def test_accelerated_stack_vs_reference():
             f"accelerated stack is only {speedup:.2f}x faster than the "
             "reference configuration; the hot-path acceptance floor is 3x"
         )
+
+
+def test_anneal_over_builtin_workloads():
+    """The annealer over the builtin set: 5 x 2000 proposed moves per repeat."""
+    problems = _builtin_problems()
+    repeats = []
+    for _ in range(3):
+        start = time.perf_counter()
+        for _, problem in problems:
+            result = AnnealTemporalPartitioner(seed=0, iterations=2000).partition(problem)
+            assert_valid(problem, result)
+        repeats.append(time.perf_counter() - start)
+    anneal_seconds = statistics.median(repeats)
+    print()
+    print(f"annealer over {len(problems)} builtin workloads: {anneal_seconds:.3f} s")
+    record("ilp_partitioning", anneal_seconds=anneal_seconds)
 
 
 def main(argv=None) -> int:

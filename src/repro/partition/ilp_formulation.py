@@ -56,6 +56,7 @@ from ..taskgraph.analysis import (
 )
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.kpaths import root_to_leaf_paths_by_delay
+from .result import in_partition_chain_delays
 from .spec import PartitionProblem
 
 #: Time scale used inside the ILP: delays are expressed in nanoseconds rather
@@ -447,7 +448,7 @@ class TemporalPartitioningFormulation:
         for (p, producer, consumer), variable in self.w.items():
             straddles = assignment[producer] <= p < assignment[consumer]
             values[variable] = 1.0 if straddles else 0.0
-        chain_delays = _in_partition_chain_delays(graph, assignment)
+        chain_delays = in_partition_chain_delays(graph, assignment)
         for p in range(1, n + 1):
             members = [name for name, where in assignment.items() if where == p]
             partition_delay = max(
@@ -488,25 +489,6 @@ class TemporalPartitioningFormulation:
     def statistics(self) -> Dict[str, int]:
         """Model-size statistics (variables/constraints) for reporting."""
         return self.model.statistics()
-
-
-def _in_partition_chain_delays(
-    graph: TaskGraph, assignment: Mapping[str, int]
-) -> Dict[str, float]:
-    """Longest same-partition dependency chain ending at each task (seconds).
-
-    The per-partition maximum of these is exactly the Eq. 7 delay ``d_p`` the
-    result layer recomputes (:meth:`TemporalPartitioning._partition_delay`).
-    """
-    longest: Dict[str, float] = {}
-    for name in graph.topological_order():
-        partition = assignment[name]
-        best_pred = 0.0
-        for pred in graph.predecessors(name):
-            if assignment[pred] == partition:
-                best_pred = max(best_pred, longest[pred])
-        longest[name] = best_pred + graph.task(name).delay
-    return longest
 
 
 def canonical_assignment(

@@ -9,7 +9,7 @@ metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from ..arch.device import ResourceVector
 from ..errors import PartitioningError
@@ -78,37 +78,35 @@ class TemporalPartitioning:
     # ------------------------------------------------------------------
 
     def _build_partition_infos(self) -> List[PartitionInfo]:
+        """Every partition's tasks, delay and resources.
+
+        A partition's delay is the longest dependency chain inside it (the
+        paper's Eq. 7), recomputed from the assignment rather than trusted
+        from the solver's ``d_p`` values, so every partitioner (ILP, list,
+        greedy) is measured with exactly the same rule.  Chains never cross
+        partitions, so one walk over one topological order gives every
+        partition's delay.
+        """
+        members: List[List[str]] = [[] for _ in range(self.partition_count)]
+        for name in self.graph.task_names():
+            members[self.assignment[name] - 1].append(name)
+        chains: List[List[float]] = [[] for _ in range(self.partition_count)]
+        for name, chain in in_partition_chain_delays(self.graph, self.assignment).items():
+            chains[self.assignment[name] - 1].append(chain)
         infos: List[PartitionInfo] = []
-        for index in range(1, self.partition_count + 1):
-            tasks = self.tasks_in_partition(index)
-            delay = self._partition_delay(tasks)
+        for slot, tasks in enumerate(members):
             resources = ResourceVector({})
             for name in tasks:
                 resources = resources + self.graph.task(name).resources
             infos.append(
-                PartitionInfo(index=index, tasks=tasks, delay=delay, resources=resources)
+                PartitionInfo(
+                    index=slot + 1,
+                    tasks=tasks,
+                    delay=max(chains[slot], default=0.0),
+                    resources=resources,
+                )
             )
         return infos
-
-    def _partition_delay(self, tasks: Sequence[str]) -> float:
-        """Delay of a partition: the longest dependency chain inside it.
-
-        This recomputes the paper's Eq. 7 semantics from the assignment rather
-        than trusting the solver's ``d_p`` values, so every partitioner
-        (ILP, list, greedy) is measured with exactly the same rule.
-        """
-        members = set(tasks)
-        longest: Dict[str, float] = {}
-        for name in self.graph.topological_order():
-            if name not in members:
-                continue
-            delay = self.graph.task(name).delay
-            best_pred = 0.0
-            for pred in self.graph.predecessors(name):
-                if pred in members:
-                    best_pred = max(best_pred, longest[pred])
-            longest[name] = best_pred + delay
-        return max(longest.values(), default=0.0)
 
     # ------------------------------------------------------------------
     # Queries
@@ -205,3 +203,22 @@ class TemporalPartitioning:
                 f"{info.delay * 1e9:.0f} ns"
             )
         return "\n".join(lines)
+
+
+def in_partition_chain_delays(
+    graph: TaskGraph, assignment: Mapping[str, int]
+) -> Dict[str, float]:
+    """Longest same-partition dependency chain ending at each task (seconds),
+    keyed in topological order.
+
+    The per-partition maximum of these is the partition's Eq. 7 delay ``d_p``.
+    """
+    longest: Dict[str, float] = {}
+    for name in graph.topological_order():
+        partition = assignment[name]
+        best_pred = 0.0
+        for pred in graph.predecessors(name):
+            if assignment[pred] == partition:
+                best_pred = max(best_pred, longest[pred])
+        longest[name] = best_pred + graph.task(name).delay
+    return longest

@@ -1,0 +1,237 @@
+"""The annealer's incremental move checks and the one-pass partition build.
+
+:class:`AnnealTemporalPartitioner` checks and scores each proposed move
+from incrementally kept state, and :class:`TemporalPartitioning` builds
+every partition's info in one topological pass.  Both must be
+bit-identical to the from-scratch reference implementations in
+``anneal_reference.py``: same assignment items in the same order, same
+partition count, method and latency bits, or the same error.  The golden
+digest pins the outcomes on the whole small catalog.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import strategies as strat
+from anneal_reference import ReferenceAnnealPartitioner, reference_partition_infos
+from repro.arch import ResourceVector
+from repro.errors import PartitioningError
+from repro.partition import (
+    AnnealTemporalPartitioner,
+    ListTemporalPartitioner,
+    PartitionProblem,
+    PortfolioPartitioner,
+    TemporalPartitioning,
+    validate_partitioning,
+)
+from repro.partition.anneal_partitioner import _MoveState
+from repro.synth import DesignFlow
+from repro.taskgraph import Task, TaskCost, TaskGraph
+from repro.units import ms, ns
+from repro.verify.scenarios import FAMILIES
+from repro.workloads import get_workload, workload_names
+
+#: sha256 over every (variant, CT, seed, assignment items, method, latency
+#: bits) of the annealer (seeds 0 and 7) and of the certified portfolio runs
+#: (seed ``None``) on every non-huge catalog variant at CT 1, 5 and 20 ms.
+GOLDEN_OUTCOMES = "3b308def8d86be5497dc4a4e675d767483b137ea6844b24b8b6ea0b83bad7b82"
+
+
+def _outcome(result: TemporalPartitioning):
+    return (
+        list(result.assignment.items()),
+        result.partition_count,
+        result.method,
+        result.total_latency.hex(),
+    )
+
+
+def _outcome_or_error(partitioner, problem):
+    try:
+        return _outcome(partitioner.partition(problem))
+    except PartitioningError as error:
+        return ("error", str(error))
+
+
+def _assert_matches_reference(problem, **params):
+    incremental = _outcome_or_error(AnnealTemporalPartitioner(**params), problem)
+    reference = _outcome_or_error(ReferenceAnnealPartitioner(**params), problem)
+    assert incremental == reference
+
+
+#: Memory budgets small enough to reject moves: the families' edges carry
+#: 1-48 words each.
+BINDING_SYSTEMS = strat.systems(min_clbs=300, min_memory=8, max_memory=512)
+
+
+@given(
+    strat.task_graphs(families=FAMILIES, max_tasks=24),
+    BINDING_SYSTEMS,
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=0, max_value=2000),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_incremental_annealer_matches_reference(graph, system, seed, iterations):
+    problem = PartitionProblem.from_system(graph, system)
+    _assert_matches_reference(problem, seed=seed, iterations=iterations)
+
+
+@given(
+    strat.task_graphs(families=FAMILIES, max_tasks=24),
+    BINDING_SYSTEMS,
+    st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_move_state_tracks_the_reference_checks(graph, system, seed):
+    """Every proposed move is checked and scored as the from-scratch
+    reference would, and the kept usage and crossing words stay equal to a
+    recount after accepted and rejected moves alike."""
+    problem = PartitionProblem.from_system(graph, system)
+    try:
+        start = ListTemporalPartitioner().partition(problem)
+    except PartitioningError:
+        return
+    bound = start.partition_count
+    state = _MoveState(problem, start.assignment, bound)
+    names = graph.task_names()
+    assignment = dict(start.assignment)
+    rng = random.Random(seed)
+    for _ in range(200):
+        task = rng.randrange(len(names))
+        name, target = names[task], rng.randint(1, bound)
+        if target == assignment[name]:
+            continue
+        boundary_words = state.check_move(task, target)
+        feasible = ReferenceAnnealPartitioner._move_is_feasible(
+            problem, assignment, name, target
+        )
+        assert (boundary_words is not None) == feasible
+        if not feasible:
+            continue
+        previous = assignment[name]
+        state.assignment[task] = assignment[name] = target
+        score = ReferenceAnnealPartitioner._score(problem, assignment)
+        assert state.score().hex() == score.hex()
+        if rng.random() < 0.5:
+            state.commit_move(task, previous, boundary_words)
+        else:
+            state.assignment[task] = assignment[name] = previous
+    recount = TemporalPartitioning(graph, assignment, bound, problem.reconfiguration_time)
+    assert state.crossing[1:bound] == [recount.boundary_words(b) for b in range(1, bound)]
+    for info in recount.partitions:
+        assert state.usage[info.index] == [
+            info.resources[kind] for kind in sorted(graph.total_resources().amounts)
+        ]
+
+
+def _two_kind_graph() -> TaskGraph:
+    """Two crossing chains of ten tasks; CLBs would fit them all in one
+    partition, DSP blocks (5 per partition) would not."""
+    graph = TaskGraph("two-kinds")
+    dsp = [1, 3, 2, 1, 2, 3, 1, 2, 2, 1]
+    for index in range(10):
+        resources = ResourceVector({"clb": 40 + 5 * index, "dsp": dsp[index]})
+        delay = ns(100 + 37 * (index * 7 % 10))
+        graph.add_task(Task(f"t{index}", cost=TaskCost(resources, delay)))
+    graph.add_edges([
+        ("t0", "t2", 64), ("t1", "t3", 32), ("t2", "t4", 48), ("t3", "t5", 16),
+        ("t4", "t6", 64), ("t5", "t7", 8), ("t6", "t8", 32), ("t7", "t9", 24),
+        ("t1", "t4", 12),
+    ])
+    return graph
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("memory_words", [96, 4096])
+def test_second_resource_kind_binds(seed, memory_words):
+    graph = _two_kind_graph()
+    capacity = ResourceVector({"clb": 1000, "dsp": 5})
+    problem = PartitionProblem(graph, capacity, memory_words, ns(50))
+    _assert_matches_reference(problem, seed=seed)
+    result = AnnealTemporalPartitioner(seed=seed).partition(problem)
+    assert validate_partitioning(problem, result).is_valid
+    assert graph.total_resources()["clb"] <= capacity["clb"]
+    assert result.partition_count > 1
+    assert max(info.resources["dsp"] for info in result.partitions) == capacity["dsp"]
+
+
+@st.composite
+def _assignments(draw):
+    graph = draw(strat.task_graphs(families=FAMILIES, max_tasks=24))
+    count = draw(st.integers(min_value=1, max_value=6))
+    assignment = {
+        name: draw(st.integers(min_value=1, max_value=count))
+        for name in graph.task_names()
+    }
+    return graph, assignment, count
+
+
+@given(_assignments())
+@settings(max_examples=80, deadline=None)
+def test_partition_infos_match_the_per_partition_walk(case):
+    """Arbitrary assignments, empty partitions and broken precedence included."""
+    graph, assignment, count = case
+    result = TemporalPartitioning(graph, assignment, count, ms(1))
+    expected = reference_partition_infos(result)
+    assert [info.index for info in result.partitions] == [info.index for info in expected]
+    for info, reference in zip(result.partitions, expected):
+        assert info.tasks == reference.tasks
+        assert info.delay.hex() == reference.delay.hex()
+        assert list(info.resources.amounts.items()) == list(
+            reference.resources.amounts.items()
+        )
+
+
+def test_zero_temperature_rejects_worsening_moves():
+    """At cooling 0.5 the temperature underflows to 0.0 after ~1,060 moves;
+    a worsening move after that is rejected instead of dividing by zero."""
+    workload = get_workload("jpeg_dct")
+    problem = PartitionProblem.from_system(workload.build_graph(), workload.default_system())
+    first = AnnealTemporalPartitioner(cooling=0.5).partition(problem)
+    second = AnnealTemporalPartitioner(cooling=0.5).partition(problem)
+    assert validate_partitioning(problem, first).is_valid
+    assert repr(_outcome(first)).encode() == repr(_outcome(second)).encode()
+
+
+def _catalog_problems():
+    """Every non-huge catalog variant, HLS-estimated, at CT 1, 5 and 20 ms."""
+    for name in workload_names(exclude_tags=("huge",)):
+        workload = get_workload(name)
+        system = workload.default_system()
+        flow = DesignFlow(system, workload.flow_options())
+        for variant in workload.variants():
+            graph = flow.estimate(workload.build_graph(**variant.params))
+            for ct in (1, 5, 20):
+                target = system.with_reconfiguration_time(ms(ct))
+                yield variant.name, ct, PartitionProblem.from_system(graph, target)
+
+
+def test_catalog_outcomes_match_the_pinned_digest():
+    """Annealer and certified portfolio outcomes are byte-identical to the
+    pinned ones.  Uncertified portfolio runs end in a HiGHS solve, whose
+    choice among equal optima may change with the HiGHS version, so they
+    stay out of the digest."""
+    digest = hashlib.sha256()
+
+    def update(variant, ct, seed, result):
+        row = [
+            variant, ct, seed, list(result.assignment.items()), result.method,
+            result.total_latency.hex(),
+        ]
+        digest.update(json.dumps(row).encode())
+
+    for variant, ct, problem in _catalog_problems():
+        for seed in (0, 7):
+            update(variant, ct, seed, AnnealTemporalPartitioner(seed).partition(problem))
+        portfolio = PortfolioPartitioner()
+        result = portfolio.partition(problem)
+        if portfolio.last_report.certified:
+            update(variant, ct, None, result)
+    assert digest.hexdigest() == GOLDEN_OUTCOMES
