@@ -7,7 +7,8 @@ times the flat list scheduler against the multilevel partitioner on the
 largest flat-solvable tier and asserts the multilevel side wins by at least
 10x.  Every flow is built twice and the two designs must be bit-identical
 (same :func:`~repro.verify.oracles.design_fingerprint`): determinism at
-scale is part of the claim, not an afterthought.
+scale is part of the claim, not an afterthought.  It also times
+``TaskGraph.copy()`` on the largest tier's graph, which must stay linear.
 
 Environment knobs for constrained CI runners:
 
@@ -28,6 +29,7 @@ runs (2000 tasks >> the 48-task coarse target).
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 
@@ -115,6 +117,20 @@ def test_huge_tier_full_flow_throughput():
         largest_tier=largest,
         largest_tier_nodes_per_sec=nodes_per_sec[largest],
     )
+
+
+def test_largest_tier_graph_copy():
+    """``TaskGraph.copy()`` of the largest tier's graph, median of 3 runs."""
+    graph = _tier_graph(max(TIERS))
+    repeats = []
+    for _ in range(3):
+        start = time.perf_counter()
+        graph.copy()
+        repeats.append(time.perf_counter() - start)
+    copy_seconds = statistics.median(repeats)
+    print()
+    print(f"  {len(graph):>7,} nodes: TaskGraph.copy() {copy_seconds * 1e3:.2f} ms")
+    record("huge_graphs", copy_seconds=copy_seconds)
 
 
 def test_multilevel_vs_flat_speedup():

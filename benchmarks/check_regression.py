@@ -135,6 +135,11 @@ GATES: Dict[str, List[Gate]] = {
         Gate("multilevel_speedup_vs_flat", "min", 0.50),
         # Absolute full-flow throughput of the largest smoke tier.
         Gate("largest_tier_nodes_per_sec", "min", ABSOLUTE_TOLERANCE),
+        # TaskGraph.copy() of the largest smoke tier's graph takes a few
+        # milliseconds, so it gets the 10x ceiling of the sub-millisecond
+        # gates.  A copy that re-checks acyclicity per edge is quadratic:
+        # seconds, more than 100x past the ceiling.
+        Gate("copy_seconds", "max", 9.0),
     ],
 }
 

@@ -10,20 +10,26 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-import networkx as nx
-
+from .. import dag
 from ..errors import CycleError, GraphError
 from .operations import OpKind, Operation
 
 
 class DataFlowGraph:
-    """A directed acyclic graph of operations describing one task's behaviour."""
+    """A directed acyclic graph of operations describing one task's behaviour.
+
+    Operations and both adjacency maps are insertion-ordered dicts (each
+    node's neighbours a dict used as an ordered set), so every query returns
+    a deterministic order (see :mod:`repro.dag`).
+    """
 
     def __init__(self, name: str = "dfg") -> None:
         if not name:
             raise GraphError("data-flow graph name must not be empty")
         self.name = name
-        self._graph = nx.DiGraph()
+        self._operations: Dict[str, Operation] = {}
+        self._succ: Dict[str, Dict[str, None]] = {}
+        self._pred: Dict[str, Dict[str, None]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -31,29 +37,38 @@ class DataFlowGraph:
 
     def add_operation(self, operation: Operation) -> Operation:
         """Add an operation node.  Names must be unique within the graph."""
-        if operation.name in self._graph:
+        if operation.name in self._operations:
             raise GraphError(
                 f"duplicate operation name {operation.name!r} in DFG {self.name!r}"
             )
-        self._graph.add_node(operation.name, operation=operation)
+        self._operations[operation.name] = operation
+        self._succ[operation.name] = {}
+        self._pred[operation.name] = {}
         return operation
 
     def add_dependency(self, producer: str, consumer: str) -> None:
-        """Add a data dependency edge from *producer* to *consumer*."""
+        """Add a data dependency edge from *producer* to *consumer*.
+
+        Adding an existing edge is a no-op that keeps its position.  An
+        edge that would close a cycle raises :class:`CycleError` and leaves
+        the graph unchanged.
+        """
         for node in (producer, consumer):
-            if node not in self._graph:
+            if node not in self._operations:
                 raise GraphError(
                     f"unknown operation {node!r} in DFG {self.name!r}"
                 )
         if producer == consumer:
             raise GraphError(f"self dependency on operation {producer!r}")
-        self._graph.add_edge(producer, consumer)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(producer, consumer)
+        if consumer in self._succ[producer]:
+            return
+        if producer in dag.reachable(self._succ.__getitem__, consumer):
             raise CycleError(
                 f"adding edge {producer!r} -> {consumer!r} creates a cycle in "
                 f"DFG {self.name!r}"
             )
+        self._succ[producer][consumer] = None
+        self._pred[consumer][producer] = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -62,38 +77,42 @@ class DataFlowGraph:
     def operation(self, name: str) -> Operation:
         """The :class:`Operation` stored under *name*."""
         try:
-            return self._graph.nodes[name]["operation"]
+            return self._operations[name]
         except KeyError:
             raise GraphError(f"unknown operation {name!r} in DFG {self.name!r}")
 
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._operations
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._operations)
 
     def operations(self) -> Iterator[Operation]:
         """Iterate over all operations in insertion order."""
-        for name in self._graph.nodes:
-            yield self._graph.nodes[name]["operation"]
+        return iter(self._operations.values())
 
     def operation_names(self) -> List[str]:
         """Names of all operations in insertion order."""
-        return list(self._graph.nodes)
+        return list(self._operations)
 
     def edges(self) -> List[Tuple[str, str]]:
-        """All dependency edges as (producer, consumer) name pairs."""
-        return list(self._graph.edges)
+        """All dependency edges as (producer, consumer) name pairs:
+        producers in operation order, each one's consumers in edge order."""
+        return [
+            (producer, consumer)
+            for producer, consumers in self._succ.items()
+            for consumer in consumers
+        ]
 
     def predecessors(self, name: str) -> List[str]:
-        """Names of operations feeding *name*."""
+        """Names of operations feeding *name*, in edge insertion order."""
         self.operation(name)
-        return list(self._graph.predecessors(name))
+        return list(self._pred[name])
 
     def successors(self, name: str) -> List[str]:
-        """Names of operations consuming *name*'s result."""
+        """Names of operations consuming *name*'s result, in edge insertion order."""
         self.operation(name)
-        return list(self._graph.successors(name))
+        return list(self._succ[name])
 
     def inputs(self) -> List[Operation]:
         """All :attr:`OpKind.INPUT` operations."""
@@ -123,8 +142,8 @@ class DataFlowGraph:
     # ------------------------------------------------------------------
 
     def topological_order(self) -> List[str]:
-        """Operation names in a topological order."""
-        return list(nx.topological_sort(self._graph))
+        """Operation names in generation order (see :func:`repro.dag.topological_order`)."""
+        return dag.topological_order(self._succ, self._pred)
 
     def validate(self) -> None:
         """Check structural invariants, raising :class:`GraphError` on failure.
@@ -134,7 +153,7 @@ class DataFlowGraph:
         * OUTPUT nodes have no successors and exactly one predecessor;
         * every non-source operation has at least one predecessor.
         """
-        if not nx.is_directed_acyclic_graph(self._graph):
+        if len(self.topological_order()) != len(self):
             raise CycleError(f"DFG {self.name!r} contains a cycle")
         for op in self.operations():
             preds = self.predecessors(op.name)
@@ -175,24 +194,20 @@ class DataFlowGraph:
         """A new DFG containing only the named operations and induced edges."""
         selected = set(names)
         result = DataFlowGraph(name or f"{self.name}-sub")
-        for node in self._graph.nodes:
-            if node in selected:
-                result.add_operation(self.operation(node))
-        for producer, consumer in self._graph.edges:
-            if producer in selected and consumer in selected:
-                result.add_dependency(producer, consumer)
+        result._operations = {
+            node: operation
+            for node, operation in self._operations.items()
+            if node in selected
+        }
+        result._succ, result._pred = dag.induced(self._succ, selected)
         return result
 
     def copy(self, name: Optional[str] = None) -> "DataFlowGraph":
         """A shallow copy (operations are immutable, so sharing is safe)."""
-        return self.subgraph_copy(self._graph.nodes, name or self.name)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying :class:`networkx.DiGraph`."""
-        return self._graph.copy()
+        return self.subgraph_copy(self._operations, name or self.name)
 
     def __repr__(self) -> str:
         return (
             f"DataFlowGraph(name={self.name!r}, operations={len(self)}, "
-            f"edges={self._graph.number_of_edges()})"
+            f"edges={sum(len(consumers) for consumers in self._succ.values())})"
         )

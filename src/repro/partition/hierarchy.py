@@ -38,10 +38,10 @@ pass's topological fold doubles as a cycle check regardless, and the
 final coarse graph is validated once when it is materialised.
 
 Coarsening runs on plain adjacency dicts, not :class:`TaskGraph`
-instances: ``TaskGraph.add_edge`` re-checks acyclicity per edge, which is
-``O(V + E)`` *per edge* and made per-pass graph reconstruction the
-dominant cost on 10k+ node graphs.  Only the final coarse level (at most
-``max_coarse_tasks`` clusters) becomes a real :class:`TaskGraph`.
+instances, so a pass builds no :class:`Task` objects and checks no edge on
+its own.  Only the final coarse level (at most ``max_coarse_tasks``
+clusters) becomes a real :class:`TaskGraph`, through one bulk
+``add_edges`` call whose single topological sort is that level's check.
 
 Because clusters are convex, a coarse-feasible partitioning uncoarsens to
 a valid flat one with *exactly* the same partition resources and boundary
@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..arch.device import ResourceVector
+from ..dag import topological_order
 from ..errors import CycleError, PartitioningError
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.task import Task, TaskCost
@@ -77,25 +78,6 @@ from .registry import (
 from .result import TemporalPartitioning
 from .spec import PartitionProblem
 from .validate import validate_partitioning
-
-
-def _topological_order(
-    succ: Dict[str, List[str]], pred: Dict[str, List[str]]
-) -> List[str]:
-    """Kahn's algorithm over plain adjacency dicts; raises on a cycle."""
-    indegree = {name: len(pred[name]) for name in pred}
-    ready = [name for name in pred if not indegree[name]]
-    order: List[str] = []
-    while ready:
-        name = ready.pop()
-        order.append(name)
-        for successor in succ[name]:
-            indegree[successor] -= 1
-            if not indegree[successor]:
-                ready.append(successor)
-    if len(order) != len(pred):
-        raise CycleError("coarse graph contains a cycle")
-    return order
 
 
 def _fits(a: Dict[str, int], b: Dict[str, int], cap: Dict[str, int]) -> bool:
@@ -387,7 +369,9 @@ class MultilevelPartitioner:
         per-pass cycle check: it raises if a merge bug ever broke the
         acyclicity invariant.
         """
-        order = _topological_order(succ, pred)
+        order = topological_order(succ, pred)
+        if len(order) != len(pred):
+            raise CycleError("coarse graph contains a cycle")
         up: Dict[str, float] = {}
         level: Dict[str, int] = {}
         for name in order:
@@ -475,9 +459,10 @@ class MultilevelPartitioner:
                     env_input_words=env_in[name],
                     env_output_words=env_out[name],
                 )
-        for (producer, consumer), volume in sorted(words.items()):
-            coarse.add_edge(producer, consumer, volume)
-        coarse.validate()
+        coarse.add_edges(
+            (producer, consumer, volume)
+            for (producer, consumer), volume in sorted(words.items())
+        )
         return coarse
 
     # ------------------------------------------------------------------

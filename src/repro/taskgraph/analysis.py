@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..arch.device import ResourceVector
+from ..dag import reachable
 from ..errors import GraphError
 from .graph import TaskGraph
 
@@ -30,7 +29,9 @@ def root_to_leaf_paths(
 ) -> List[Tuple[str, ...]]:
     """All simple paths from a root task to a leaf task (the paper's ``P_rl``).
 
-    Isolated tasks (both root and leaf) yield a single one-task path.  When
+    Paths come per root in :meth:`TaskGraph.roots` order, each root's
+    depth-first with successors in edge order.  Isolated tasks (both root
+    and leaf) yield a single one-task path.  When
     *limit* is given and the graph has more paths than the limit, a
     :class:`GraphError` is raised so the caller can switch to the fallback
     delay formulation instead of silently dropping constraints.  The count
@@ -44,15 +45,24 @@ def root_to_leaf_paths(
             f"task graph {graph.name!r} has more than {limit} "
             "root-to-leaf paths; use the prefix-delay formulation"
         )
-    nx_graph = graph.to_networkx()
     paths: List[Tuple[str, ...]] = []
     leaves = set(graph.leaves())
     for root in graph.roots():
         if root in leaves:
             paths.append((root,))
             continue
-        for path in nx.all_simple_paths(nx_graph, root, leaves):
-            paths.append(tuple(path))
+        path = [root]
+        branches = [iter(graph.successors(root))]
+        while branches:
+            task = next(branches[-1], None)
+            if task is None:
+                branches.pop()
+                path.pop()
+            elif task in leaves:
+                paths.append((*path, task))
+            else:
+                path.append(task)
+                branches.append(iter(graph.successors(task)))
     return paths
 
 
@@ -222,11 +232,24 @@ def transitive_reduction(graph: TaskGraph) -> TaskGraph:
     Data volumes on removed edges are **not** discarded silently — removing an
     edge would change the memory constraint — so this helper refuses to drop
     edges that carry data and is intended for purely structural analyses
-    (e.g. drawing, path counting).
+    (e.g. drawing, path counting).  An edge ``u -> v`` is redundant when
+    ``v`` is reachable from another successor of ``u``; the kept edges stay
+    in :meth:`TaskGraph.edges` order.
     """
     graph.validate()
-    nx_graph = graph.to_networkx()
-    reduced = nx.transitive_reduction(nx_graph)
+    kept: List[Tuple[str, str, int]] = []
+    for producer in graph.task_names():
+        consumers = graph.successors(producer)
+        implied = set().union(*(reachable(graph.successors, c) for c in consumers))
+        for consumer in consumers:
+            words = graph.edge_words(producer, consumer)
+            if consumer not in implied:
+                kept.append((producer, consumer, words))
+            elif words > 0:
+                raise GraphError(
+                    f"cannot reduce edge {producer!r} -> {consumer!r}: it carries "
+                    f"{words} words of data"
+                )
     result = TaskGraph(f"{graph.name}-tr")
     for name in graph.task_names():
         result.add_task(
@@ -234,27 +257,18 @@ def transitive_reduction(graph: TaskGraph) -> TaskGraph:
             env_input_words=graph.env_input_words(name),
             env_output_words=graph.env_output_words(name),
         )
-    for producer, consumer in graph.edges():
-        if reduced.has_edge(producer, consumer):
-            result.add_edge(producer, consumer, graph.edge_words(producer, consumer))
-        elif graph.edge_words(producer, consumer) > 0:
-            raise GraphError(
-                f"cannot reduce edge {producer!r} -> {consumer!r}: it carries "
-                f"{graph.edge_words(producer, consumer)} words of data"
-            )
+    result.add_edges(kept)
     return result
 
 
 def downstream_tasks(graph: TaskGraph, task_name: str) -> List[str]:
     """All tasks reachable from *task_name* (excluding itself)."""
-    nx_graph = graph.to_networkx()
-    return sorted(nx.descendants(nx_graph, task_name))
+    return sorted(reachable(graph.successors, task_name))
 
 
 def upstream_tasks(graph: TaskGraph, task_name: str) -> List[str]:
     """All tasks from which *task_name* is reachable (excluding itself)."""
-    nx_graph = graph.to_networkx()
-    return sorted(nx.ancestors(nx_graph, task_name))
+    return sorted(reachable(graph.predecessors, task_name))
 
 
 def interchangeable_task_classes(graph: TaskGraph) -> List[List[str]]:
@@ -297,11 +311,10 @@ def interchangeable_task_classes(graph: TaskGraph) -> List[List[str]]:
 def independent_task_pairs(graph: TaskGraph) -> List[Tuple[str, str]]:
     """Unordered pairs of tasks with no path between them in either direction."""
     names = graph.task_names()
-    nx_graph = graph.to_networkx()
-    reachable = {name: nx.descendants(nx_graph, name) for name in names}
+    downstream = {name: reachable(graph.successors, name) for name in names}
     pairs: List[Tuple[str, str]] = []
     for index, first in enumerate(names):
         for second in names[index + 1:]:
-            if second not in reachable[first] and first not in reachable[second]:
+            if second not in downstream[first] and first not in downstream[second]:
                 pairs.append((first, second))
     return pairs

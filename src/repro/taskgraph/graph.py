@@ -13,23 +13,32 @@ restructures.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-import networkx as nx
-
+from .. import dag
 from ..arch.device import ResourceVector
 from ..errors import CycleError, GraphError, UnknownTaskError
 from .task import Task, TaskCost
 
 
 class TaskGraph:
-    """A DAG of tasks with data-volume annotations on edges and environment I/O."""
+    """A DAG of tasks with data-volume annotations on edges and environment I/O.
+
+    Tasks, environment volumes and both adjacency maps are insertion-ordered
+    dicts, so every query returns a deterministic order (see :mod:`repro.dag`).
+    """
 
     def __init__(self, name: str = "taskgraph") -> None:
         if not name:
             raise GraphError("task graph name must not be empty")
         self.name = name
-        self._graph = nx.DiGraph()
+        self._tasks: Dict[str, Task] = {}
+        self._env_input: Dict[str, int] = {}
+        self._env_output: Dict[str, int] = {}
+        #: ``_succ[producer][consumer]`` and ``_pred[consumer][producer]``
+        #: both hold ``B(producer, consumer)``.
+        self._succ: Dict[str, Dict[str, int]] = {}
+        self._pred: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -46,70 +55,67 @@ class TaskGraph:
         ``env_input_words`` and ``env_output_words`` are the environment data
         volumes ``B(env, t)`` and ``B(t, env)`` in memory words.
         """
-        if task.name in self._graph:
+        if task.name in self._tasks:
             raise GraphError(f"duplicate task name {task.name!r} in {self.name!r}")
         if env_input_words < 0 or env_output_words < 0:
             raise GraphError("environment data volumes must be non-negative")
-        self._graph.add_node(
-            task.name,
-            task=task,
-            env_input_words=env_input_words,
-            env_output_words=env_output_words,
-        )
+        self._tasks[task.name] = task
+        self._env_input[task.name] = env_input_words
+        self._env_output[task.name] = env_output_words
+        self._succ[task.name] = {}
+        self._pred[task.name] = {}
         return task
 
-    def add_edge(self, producer: str, consumer: str, words: int = 1) -> None:
-        """Add a data dependency ``producer -> consumer`` carrying *words* words."""
+    def _check_new_edge(self, producer: str, consumer: str, words: int) -> None:
         self._require(producer)
         self._require(consumer)
         if producer == consumer:
             raise GraphError(f"self edge on task {producer!r}")
         if words < 0:
             raise GraphError(f"edge data volume must be non-negative, got {words}")
-        if self._graph.has_edge(producer, consumer):
+        if consumer in self._succ[producer]:
             raise GraphError(f"duplicate edge {producer!r} -> {consumer!r}")
-        self._graph.add_edge(producer, consumer, words=words)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(producer, consumer)
+
+    def add_edge(self, producer: str, consumer: str, words: int = 1) -> None:
+        """Add a data dependency ``producer -> consumer`` carrying *words* words.
+
+        Raises :class:`CycleError`, leaving the graph unchanged, when
+        *producer* is already reachable from *consumer*.
+        """
+        self._check_new_edge(producer, consumer, words)
+        if producer in dag.reachable(self._succ.__getitem__, consumer):
             raise CycleError(
                 f"edge {producer!r} -> {consumer!r} creates a cycle in task "
                 f"graph {self.name!r}"
             )
+        self._succ[producer][consumer] = words
+        self._pred[consumer][producer] = words
 
     def add_edges(self, edges: Iterable[Tuple[str, str, int]]) -> None:
         """Bulk-add ``(producer, consumer, words)`` dependencies.
 
-        Equivalent to calling :meth:`add_edge` per triple, except the
-        acyclicity check runs once after all insertions rather than per
-        edge — :meth:`add_edge` re-checks the whole graph on every call,
-        which is ``O(V + E)`` *per edge* and makes 10k+-node graph
-        construction quadratic.  On any failure every edge added by this
-        call is rolled back.
+        Equivalent to calling :meth:`add_edge` per triple, except that
+        acyclicity is checked once, by one topological sort after all
+        insertions, rather than by one reachability search per edge, so
+        10k+-node graph construction stays linear.  On any failure every
+        edge added by this call is rolled back.
         """
         added: List[Tuple[str, str]] = []
         try:
             for producer, consumer, words in edges:
-                self._require(producer)
-                self._require(consumer)
-                if producer == consumer:
-                    raise GraphError(f"self edge on task {producer!r}")
-                if words < 0:
-                    raise GraphError(
-                        f"edge data volume must be non-negative, got {words}"
-                    )
-                if self._graph.has_edge(producer, consumer):
-                    raise GraphError(
-                        f"duplicate edge {producer!r} -> {consumer!r}"
-                    )
-                self._graph.add_edge(producer, consumer, words=words)
+                self._check_new_edge(producer, consumer, words)
+                self._succ[producer][consumer] = words
+                self._pred[consumer][producer] = words
                 added.append((producer, consumer))
-            if not nx.is_directed_acyclic_graph(self._graph):
+            if len(dag.topological_order(self._succ, self._pred)) != len(self):
                 raise CycleError(
                     f"bulk edge insertion creates a cycle in task graph "
                     f"{self.name!r}"
                 )
         except Exception:
-            self._graph.remove_edges_from(added)
+            for producer, consumer in added:
+                del self._succ[producer][consumer]
+                del self._pred[consumer][producer]
             raise
 
     def set_env_io(
@@ -120,27 +126,25 @@ class TaskGraph:
     ) -> None:
         """Update the environment I/O volumes of an existing task."""
         self._require(task_name)
-        node = self._graph.nodes[task_name]
         if env_input_words is not None:
             if env_input_words < 0:
                 raise GraphError("env_input_words must be non-negative")
-            node["env_input_words"] = env_input_words
+            self._env_input[task_name] = env_input_words
         if env_output_words is not None:
             if env_output_words < 0:
                 raise GraphError("env_output_words must be non-negative")
-            node["env_output_words"] = env_output_words
+            self._env_output[task_name] = env_output_words
 
     def set_cost(self, task_name: str, cost: TaskCost) -> None:
         """Attach a synthesis cost to an existing task (post-estimation)."""
-        task = self.task(task_name)
-        self._graph.nodes[task_name]["task"] = task.with_cost(cost)
+        self._tasks[task_name] = self.task(task_name).with_cost(cost)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
     def _require(self, task_name: str) -> None:
-        if task_name not in self._graph:
+        if task_name not in self._tasks:
             raise UnknownTaskError(
                 f"unknown task {task_name!r} in task graph {self.name!r}"
             )
@@ -148,71 +152,75 @@ class TaskGraph:
     def task(self, name: str) -> Task:
         """The :class:`Task` stored under *name*."""
         self._require(name)
-        return self._graph.nodes[name]["task"]
+        return self._tasks[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._tasks
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._tasks)
 
     def tasks(self) -> Iterator[Task]:
         """Iterate over all tasks in insertion order."""
-        for name in self._graph.nodes:
-            yield self._graph.nodes[name]["task"]
+        return iter(self._tasks.values())
 
     def task_names(self) -> List[str]:
         """All task names in insertion order."""
-        return list(self._graph.nodes)
+        return list(self._tasks)
 
     def edges(self) -> List[Tuple[str, str]]:
-        """All edges as (producer, consumer) pairs."""
-        return list(self._graph.edges)
+        """All edges as (producer, consumer) pairs: producers in task order,
+        each producer's consumers in edge insertion order."""
+        return [
+            (producer, consumer)
+            for producer, consumers in self._succ.items()
+            for consumer in consumers
+        ]
 
     def edge_count(self) -> int:
         """Number of dependency edges."""
-        return self._graph.number_of_edges()
+        return sum(len(consumers) for consumers in self._succ.values())
 
     def edge_words(self, producer: str, consumer: str) -> int:
         """``B(producer, consumer)`` in memory words."""
         self._require(producer)
         self._require(consumer)
         try:
-            return self._graph.edges[producer, consumer]["words"]
+            return self._succ[producer][consumer]
         except KeyError:
             raise GraphError(f"no edge {producer!r} -> {consumer!r}")
 
     def env_input_words(self, task_name: str) -> int:
         """``B(env, task)`` in memory words."""
         self._require(task_name)
-        return self._graph.nodes[task_name]["env_input_words"]
+        return self._env_input[task_name]
 
     def env_output_words(self, task_name: str) -> int:
         """``B(task, env)`` in memory words."""
         self._require(task_name)
-        return self._graph.nodes[task_name]["env_output_words"]
+        return self._env_output[task_name]
 
     def predecessors(self, task_name: str) -> List[str]:
-        """Tasks that *task_name* directly depends on."""
+        """Tasks that *task_name* directly depends on, in edge insertion order."""
         self._require(task_name)
-        return list(self._graph.predecessors(task_name))
+        return list(self._pred[task_name])
 
     def successors(self, task_name: str) -> List[str]:
-        """Tasks that directly depend on *task_name*."""
+        """Tasks that directly depend on *task_name*, in edge insertion order."""
         self._require(task_name)
-        return list(self._graph.successors(task_name))
+        return list(self._succ[task_name])
 
     def roots(self) -> List[str]:
         """Tasks with no predecessors (the paper's ``T_r``)."""
-        return [n for n in self._graph.nodes if self._graph.in_degree(n) == 0]
+        return [name for name, producers in self._pred.items() if not producers]
 
     def leaves(self) -> List[str]:
         """Tasks with no successors (the paper's ``T_l``)."""
-        return [n for n in self._graph.nodes if self._graph.out_degree(n) == 0]
+        return [name for name, consumers in self._succ.items() if not consumers]
 
     def has_edge(self, producer: str, consumer: str) -> bool:
         """Whether the edge ``producer -> consumer`` exists."""
-        return self._graph.has_edge(producer, consumer)
+        return consumer in self._succ.get(producer, ())
 
     # ------------------------------------------------------------------
     # Aggregates used by the partitioner
@@ -235,25 +243,25 @@ class TaskGraph:
 
     def total_env_input_words(self) -> int:
         """Total environment input volume per outer-loop iteration."""
-        return sum(self.env_input_words(n) for n in self._graph.nodes)
+        return sum(self._env_input.values())
 
     def total_env_output_words(self) -> int:
         """Total environment output volume per outer-loop iteration."""
-        return sum(self.env_output_words(n) for n in self._graph.nodes)
+        return sum(self._env_output.values())
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
 
     def topological_order(self) -> List[str]:
-        """Task names in a topological order."""
-        return list(nx.topological_sort(self._graph))
+        """Task names in generation order (see :func:`repro.dag.topological_order`)."""
+        return dag.topological_order(self._succ, self._pred)
 
     def validate(self) -> None:
         """Check structural invariants (acyclicity, non-empty)."""
         if len(self) == 0:
             raise GraphError(f"task graph {self.name!r} has no tasks")
-        if not nx.is_directed_acyclic_graph(self._graph):
+        if len(dag.topological_order(self._succ, self._pred)) != len(self):
             raise CycleError(f"task graph {self.name!r} contains a cycle")
 
     def subgraph_copy(self, names: Iterable[str], name: Optional[str] = None) -> "TaskGraph":
@@ -262,28 +270,20 @@ class TaskGraph:
         for task_name in selected:
             self._require(task_name)
         result = TaskGraph(name or f"{self.name}-sub")
-        for node in self._graph.nodes:
-            if node in selected:
-                result.add_task(
-                    self.task(node),
-                    env_input_words=self.env_input_words(node),
-                    env_output_words=self.env_output_words(node),
-                )
-        for producer, consumer in self._graph.edges:
-            if producer in selected and consumer in selected:
-                result.add_edge(producer, consumer, self.edge_words(producer, consumer))
+        for task_name, task in self._tasks.items():
+            if task_name in selected:
+                result._tasks[task_name] = task
+                result._env_input[task_name] = self._env_input[task_name]
+                result._env_output[task_name] = self._env_output[task_name]
+        result._succ, result._pred = dag.induced(self._succ, selected)
         return result
 
     def copy(self, name: Optional[str] = None) -> "TaskGraph":
         """A copy of the whole task graph."""
-        return self.subgraph_copy(self._graph.nodes, name or self.name)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying :class:`networkx.DiGraph`."""
-        return self._graph.copy()
+        return self.subgraph_copy(self._tasks, name or self.name)
 
     def __repr__(self) -> str:
         return (
             f"TaskGraph(name={self.name!r}, tasks={len(self)}, "
-            f"edges={self._graph.number_of_edges()})"
+            f"edges={self.edge_count()})"
         )

@@ -232,6 +232,11 @@ class TestAnalysis:
         assert "f" in downstream_tasks(figure4_graph, "a")
         assert "d" not in downstream_tasks(figure4_graph, "a")
 
+    @pytest.mark.parametrize("query", [downstream_tasks, upstream_tasks])
+    def test_reachability_rejects_unknown_task(self, figure4_graph, query):
+        with pytest.raises(UnknownTaskError):
+            query(figure4_graph, "nope")
+
     def test_independent_pairs(self, figure4_graph):
         pairs = independent_task_pairs(figure4_graph)
         assert ("a", "d") in pairs or ("d", "a") in pairs
