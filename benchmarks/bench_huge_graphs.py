@@ -8,7 +8,9 @@ largest flat-solvable tier and asserts the multilevel side wins by at least
 10x.  Every flow is built twice and the two designs must be bit-identical
 (same :func:`~repro.verify.oracles.design_fingerprint`): determinism at
 scale is part of the claim, not an afterthought.  It also times
-``TaskGraph.copy()`` on the largest tier's graph, which must stay linear.
+``TaskGraph.copy()`` on the largest tier's graph, which must stay linear,
+and the multilevel refinement on that tier, which checks each trial move
+incrementally instead of re-validating a whole partitioning.
 
 Environment knobs for constrained CI runners:
 
@@ -131,6 +133,27 @@ def test_largest_tier_graph_copy():
     print()
     print(f"  {len(graph):>7,} nodes: TaskGraph.copy() {copy_seconds * 1e3:.2f} ms")
     record("huge_graphs", copy_seconds=copy_seconds)
+
+
+def test_largest_tier_refinement():
+    """Multilevel uncoarsening and refinement of the largest tier, median of
+    3 runs of ``MultilevelReport.refine_time``."""
+    task_count = max(TIERS)
+    problem = PartitionProblem.from_system(
+        _tier_graph(task_count), _tier_system(task_count)
+    )
+    repeats = []
+    for _ in range(3):
+        partitioner = MultilevelPartitioner()
+        partitioner.partition(problem)
+        repeats.append(partitioner.last_report.refine_time)
+    refine_seconds = statistics.median(repeats)
+    print()
+    print(
+        f"  {task_count:>7,} nodes: refinement {refine_seconds * 1e3:.2f} ms "
+        f"({partitioner.last_report.refinement_moves} moves)"
+    )
+    record("huge_graphs", refine_seconds=refine_seconds)
 
 
 def test_multilevel_vs_flat_speedup():

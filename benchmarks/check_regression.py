@@ -140,6 +140,10 @@ GATES: Dict[str, List[Gate]] = {
         # gates.  A copy that re-checks acyclicity per edge is quadratic:
         # seconds, more than 100x past the ceiling.
         Gate("copy_seconds", "max", 9.0),
+        # Multilevel uncoarsening and refinement of the largest smoke tier.
+        # Building and re-validating a whole partitioning per trial move
+        # takes about twice as long, past the ceiling.
+        Gate("refine_seconds", "max", ABSOLUTE_TOLERANCE),
     ],
 }
 

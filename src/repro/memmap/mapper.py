@@ -68,85 +68,73 @@ def build_memory_map(
 ) -> MemoryMap:
     """Construct the :class:`MemoryMap` implied by *partitioning*.
 
+    One pass over the tasks lays out each block's environment segments, in
+    task order; one pass over the edges then appends each flow to its
+    producer's block (cross output), every block in between (pass-through)
+    and its consumer's block (cross input), so each block lists its flows
+    in edge order.  A flow inside one partition lives in registers, and one
+    that runs backwards (an invalid partitioning) gets no segment.
+
     When *round_to_power_of_two* is set, each block is rounded up so the
     address generator can use concatenation instead of a multiplier
     (Section 3); the wastage is recorded per block.
     """
     graph = partitioning.graph
-    memory_map = MemoryMap(rounded=round_to_power_of_two)
+    assignment = partitioning.assignment
+    blocks = {
+        index: MemoryBlock(partition_index=index)
+        for index in range(1, partitioning.partition_count + 1)
+    }
 
-    for index in range(1, partitioning.partition_count + 1):
-        block = MemoryBlock(partition_index=index)
-        members = set(partitioning.tasks_in_partition(index))
+    for name in graph.task_names():
+        block = blocks[assignment[name]]
+        env_in = graph.env_input_words(name)
+        if env_in:
+            block.add_segment(
+                MemorySegment(
+                    name=f"env_in:{name}",
+                    words=env_in,
+                    kind=SegmentKind.ENV_INPUT,
+                    consumer_task=name,
+                )
+            )
+        env_out = graph.env_output_words(name)
+        if env_out:
+            block.add_segment(
+                MemorySegment(
+                    name=f"env_out:{name}",
+                    words=env_out,
+                    kind=SegmentKind.ENV_OUTPUT,
+                    producer_task=name,
+                )
+            )
 
-        # Environment inputs and outputs of the partition's own tasks.
-        for name in partitioning.tasks_in_partition(index):
-            env_in = graph.env_input_words(name)
-            if env_in:
-                block.add_segment(
-                    MemorySegment(
-                        name=f"env_in:{name}",
-                        words=env_in,
-                        kind=SegmentKind.ENV_INPUT,
-                        consumer_task=name,
-                    )
+    for producer, consumer in graph.edges():
+        words = graph.edge_words(producer, consumer)
+        first, last = assignment[producer], assignment[consumer]
+        if words == 0 or first >= last:
+            continue
+        for index in range(first, last + 1):
+            if index == first:
+                kind = SegmentKind.CROSS_OUTPUT
+            elif index == last:
+                kind = SegmentKind.CROSS_INPUT
+            else:
+                kind = SegmentKind.PASSTHROUGH
+            blocks[index].add_segment(
+                MemorySegment(
+                    name=f"flow:{producer}->{consumer}",
+                    words=words,
+                    kind=kind,
+                    producer_task=producer,
+                    consumer_task=consumer,
                 )
-            env_out = graph.env_output_words(name)
-            if env_out:
-                block.add_segment(
-                    MemorySegment(
-                        name=f"env_out:{name}",
-                        words=env_out,
-                        kind=SegmentKind.ENV_OUTPUT,
-                        producer_task=name,
-                    )
-                )
+            )
 
-        # Cross-boundary flows touching or passing through this partition.
-        for producer, consumer in graph.edges():
-            words = graph.edge_words(producer, consumer)
-            if words == 0:
-                continue
-            producer_partition = partitioning.partition_of(producer)
-            consumer_partition = partitioning.partition_of(consumer)
-            if producer_partition == consumer_partition:
-                continue  # internal to some partition: lives in registers
-            name = f"flow:{producer}->{consumer}"
-            if producer in members and consumer_partition > index:
-                block.add_segment(
-                    MemorySegment(
-                        name=name,
-                        words=words,
-                        kind=SegmentKind.CROSS_OUTPUT,
-                        producer_task=producer,
-                        consumer_task=consumer,
-                    )
-                )
-            elif consumer in members and producer_partition < index:
-                block.add_segment(
-                    MemorySegment(
-                        name=name,
-                        words=words,
-                        kind=SegmentKind.CROSS_INPUT,
-                        producer_task=producer,
-                        consumer_task=consumer,
-                    )
-                )
-            elif producer_partition < index < consumer_partition:
-                block.add_segment(
-                    MemorySegment(
-                        name=name,
-                        words=words,
-                        kind=SegmentKind.PASSTHROUGH,
-                        producer_task=producer,
-                        consumer_task=consumer,
-                    )
-                )
-
-        if round_to_power_of_two:
+    if round_to_power_of_two:
+        for block in blocks.values():
             block.round_to_power_of_two()
-        memory_map.blocks[index] = block
-    return memory_map
+    return MemoryMap(blocks=blocks, rounded=round_to_power_of_two)
 
 
 def boundary_words_from_map(memory_map: MemoryMap, boundary: int) -> int:

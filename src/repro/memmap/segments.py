@@ -72,7 +72,11 @@ class MemoryBlock:
                 f"duplicate segment {segment.name!r} in memory block of "
                 f"partition {self.partition_index}"
             )
-        self.offsets[segment.name] = self.natural_words
+        if self.segments:
+            last = self.segments[-1]
+            self.offsets[segment.name] = self.offsets[last.name] + last.words
+        else:
+            self.offsets[segment.name] = 0
         self.segments.append(segment)
 
     @property

@@ -16,7 +16,8 @@ the moving task's own edges, and scored in one pass over the cached order.
 Resource amounts and edge words are integers, so the incremental sums are
 exact, and the score uses the float operations of a from-scratch score in
 the same order, so the result is the one a from-scratch check of every
-move gives.
+move gives.  The multilevel partitioner refines its uncoarsened assignment
+on the same state.
 
 Determinism: the random stream is ``random.Random(seed)`` with a fixed
 default seed, every candidate set is iterated in sorted order, and no
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Mapping, Optional
+from typing import Container, Dict, List, Mapping, Optional
 
 from ..errors import PartitioningError
 from .list_partitioner import ListTemporalPartitioner
@@ -130,7 +131,13 @@ class _MoveState:
     name.  ``assignment[i]`` is task ``i``'s partition (1..bound),
     ``usage[p][k]`` partition ``p``'s amount of kind ``k``, and
     ``crossing[b]`` the words of every edge ``u -> v`` with
-    ``assignment[u] <= b < assignment[v]``.
+    ``assignment[u] <= b < assignment[v]``.  An assignment outside
+    1..bound raises :class:`PartitioningError`.
+
+    :meth:`check_move` is exact only from a valid assignment: it checks the
+    moving task's own edges, its target's resources and the boundaries it
+    crosses, and trusts everything else.  :meth:`violations` checks a
+    whole assignment once.
     """
 
     def __init__(
@@ -138,6 +145,7 @@ class _MoveState:
     ) -> None:
         graph = problem.graph
         names = graph.task_names()
+        self.names = names
         self.position = {name: i for i, name in enumerate(names)}
         position = self.position
         self.order = [position[name] for name in graph.topological_order()]
@@ -152,15 +160,22 @@ class _MoveState:
         tasks = [graph.task(name) for name in names]
         self.delays = [task.delay for task in tasks]
         kinds = sorted({kind for task in tasks for kind in task.resources.amounts})
+        self.kinds = kinds
         self.amounts = [[task.resources[kind] for kind in kinds] for task in tasks]
         self.capacity = [problem.resource_capacity[kind] for kind in kinds]
         self.memory_words = problem.memory_words
         self.reconfiguration_time = problem.reconfiguration_time
 
+        self.bound = bound
         self.assignment = [assignment[name] for name in names]
         self.usage = [[0] * len(kinds) for _ in range(bound + 1)]
         self.crossing = [0] * (bound + 1)
         for task, partition in enumerate(self.assignment):
+            if not 1 <= partition <= bound:
+                raise PartitioningError(
+                    f"task {names[task]!r} assigned to partition {partition}, "
+                    f"outside 1..{bound}"
+                )
             row = self.usage[partition]
             for kind, amount in enumerate(self.amounts[task]):
                 row[kind] += amount
@@ -212,6 +227,102 @@ class _MoveState:
             target_row[kind] += amount
         self.crossing[min(previous, target):max(previous, target)] = boundary_words
 
+    def violations(self) -> List[str]:
+        """Every constraint ``assignment`` breaks, in the order and words of
+        :func:`~repro.partition.validate.validate_partitioning`: the
+        temporal order (Eq. 2), resources (Eq. 6), memory (Eq. 3) and
+        contiguous partition indices."""
+        assignment, names = self.assignment, self.names
+        found = []
+        for task, succs in enumerate(self.succs):
+            for succ, _ in succs:
+                if assignment[task] > assignment[succ]:
+                    found.append(
+                        f"temporal order violated: {names[task]!r} "
+                        f"(P{assignment[task]}) feeds {names[succ]!r} (P{assignment[succ]})"
+                    )
+        for partition in range(1, self.bound + 1):
+            for kind, used in enumerate(self.usage[partition]):
+                if used > self.capacity[kind]:
+                    found.append(
+                        f"partition {partition} uses {used} {self.kinds[kind]}, "
+                        f"exceeding the capacity of {self.capacity[kind]}"
+                    )
+        for boundary in range(1, self.bound):
+            if self.crossing[boundary] > self.memory_words:
+                found.append(
+                    f"boundary {boundary} stores {self.crossing[boundary]} words, "
+                    f"exceeding the memory constraint of {self.memory_words} words"
+                )
+        used = sorted(set(assignment))
+        if used != list(range(1, self.bound + 1)):
+            found.append(f"partition indices {used} are not contiguous 1..{self.bound}")
+        return found
+
+    def partition_delays(
+        self, partitions: Optional[Container[int]] = None
+    ) -> Dict[int, float]:
+        """The delay of every non-empty partition, or of those in
+        *partitions*, keyed in the order they first appear in the
+        topological order.
+
+        A partition's delay is its longest same-partition chain, the rule
+        of :func:`~repro.partition.result.in_partition_chain_delays`, so
+        the values are bit for bit the ones a :class:`TemporalPartitioning`
+        of ``assignment`` reports.
+        """
+        assignment = self.assignment
+        delays = self.delays
+        preds = self.preds
+        longest = [0.0] * len(delays)
+        per_partition: Dict[int, float] = {}
+        for task in self.order:
+            partition = assignment[task]
+            if partitions is not None and partition not in partitions:
+                continue
+            best_pred = 0.0
+            for pred, _ in preds[task]:
+                if assignment[pred] == partition:
+                    best_pred = max(best_pred, longest[pred])
+            chain = best_pred + delays[task]
+            longest[task] = chain
+            per_partition[partition] = max(per_partition.get(partition, 0.0), chain)
+        return per_partition
+
+    def longest_chain(self, partition: int) -> List[int]:
+        """The tasks of the longest dependency chain inside *partition*,
+        first task first (empty for an empty partition).
+
+        Each task's chain predecessor is its first same-partition
+        predecessor, in edge order, whose chain is strictly longer than any
+        before it; the chain ends at the task with the longest chain, ties
+        going to the larger name.
+        """
+        assignment = self.assignment
+        delays = self.delays
+        preds = self.preds
+        longest: Dict[int, float] = {}
+        chain_pred: Dict[int, Optional[int]] = {}
+        for task in self.order:
+            if assignment[task] != partition:
+                continue
+            chosen: Optional[int] = None
+            best = 0.0
+            for pred, _ in preds[task]:
+                if assignment[pred] == partition and longest[pred] > best:
+                    best = longest[pred]
+                    chosen = pred
+            longest[task] = best + delays[task]
+            chain_pred[task] = chosen
+        if not longest:
+            return []
+        names = self.names
+        chain = [max(longest, key=lambda task: (longest[task], names[task]))]
+        while chain_pred[chain[-1]] is not None:
+            chain.append(chain_pred[chain[-1]])
+        chain.reverse()
+        return chain
+
     def score(self) -> float:
         """The paper's objective for ``assignment``, empty partitions dropped.
 
@@ -221,20 +332,7 @@ class _MoveState:
         summed in the order the partitions first appear in the topological
         order.
         """
-        assignment = self.assignment
-        delays = self.delays
-        preds = self.preds
-        longest = [0.0] * len(delays)
-        per_partition: Dict[int, float] = {}
-        for task in self.order:
-            partition = assignment[task]
-            best_pred = 0.0
-            for pred, _ in preds[task]:
-                if assignment[pred] == partition:
-                    best_pred = max(best_pred, longest[pred])
-            chain = best_pred + delays[task]
-            longest[task] = chain
-            per_partition[partition] = max(per_partition.get(partition, 0.0), chain)
+        per_partition = self.partition_delays()
         return len(per_partition) * self.reconfiguration_time + sum(per_partition.values())
 
 

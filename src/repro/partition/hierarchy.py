@@ -50,6 +50,14 @@ re-measured on the real graph.  The scheme is incomplete — an original
 problem can be feasible while the coarse one is not — which the portfolio
 / verification layers treat like any other heuristic dead end.
 
+Refinement runs on the annealer's move state (index arrays, per-partition
+usage and the words crossing each boundary).  The uncoarsened start is
+checked whole once, from that state, and an invalid one raises
+:class:`PartitioningError` naming the broken constraint.  From a valid
+start each trial move is checked against its own task's edges and the
+boundaries it crosses, and re-measures only the two partitions it touches;
+one :class:`TemporalPartitioning` is built at the end.
+
 Determinism: merges are ordered by (criticality, name), every tie-break is
 name-based, the inner engines are themselves deterministic, and no
 wall-clock value feeds a decision, so the same problem always produces a
@@ -68,6 +76,7 @@ from ..errors import CycleError, PartitioningError
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.task import Task, TaskCost
 from ..ilp.solver import DEFAULT_BACKEND
+from .anneal_partitioner import _MoveState
 from .ilp_formulation import FormulationOptions
 from .registry import (
     DEFAULT_MULTILEVEL_INNER,
@@ -77,7 +86,6 @@ from .registry import (
 )
 from .result import TemporalPartitioning
 from .spec import PartitionProblem
-from .validate import validate_partitioning
 
 
 def _fits(a: Dict[str, int], b: Dict[str, int], cap: Dict[str, int]) -> bool:
@@ -108,6 +116,8 @@ class MultilevelReport:
     inner_report: Optional[object] = None
     coarsen_time: float = 0.0
     inner_time: float = 0.0
+    #: Uncoarsening: the start check, the refinement moves and the build
+    #: of the result.
     refine_time: float = 0.0
     total_time: float = 0.0
 
@@ -143,9 +153,9 @@ class MultilevelPartitioner:
         No cluster may exceed this fraction of any capacity resource, so
         the coarse problem keeps enough packing freedom to stay feasible.
     max_refine_moves:
-        Upper bound on accepted uncoarsening refinement moves (each move
-        re-validates the full partitioning, so this bounds the refinement
-        cost on huge graphs).
+        Upper bound on accepted uncoarsening refinement moves (each round
+        walks the topological order a few times, so this bounds the
+        refinement cost on huge graphs).
     """
 
     def __init__(
@@ -210,21 +220,29 @@ class MultilevelPartitioner:
         report.inner_time = time.perf_counter() - inner_start
         report.inner_report = getattr(inner_engine, "last_report", None)
 
-        assignment = {
-            name: coarse_result.assignment[cluster_of[name]]
-            for name in problem.graph.task_names()
-        }
+        refine_start = time.perf_counter()
+        names = problem.graph.task_names()
+        state = _MoveState(
+            problem,
+            {name: coarse_result.assignment[cluster_of[name]] for name in names},
+            coarse_result.partition_count,
+        )
+        violations = state.violations()
+        if violations:
+            self.last_report = report
+            raise PartitioningError(
+                f"multilevel inner {self.inner!r} result uncoarsens to an invalid "
+                "partitioning: " + "; ".join(violations)
+            )
+        self._refine(state, report)
         result = TemporalPartitioning(
             graph=problem.graph,
-            assignment=assignment,
+            assignment=dict(zip(names, state.assignment)),
             partition_count=coarse_result.partition_count,
             reconfiguration_time=problem.reconfiguration_time,
             method=self._method_label(report),
             solver_backend=coarse_result.solver_backend,
         )
-
-        refine_start = time.perf_counter()
-        result = self._refine(problem, result, report)
         report.refine_time = time.perf_counter() - refine_start
         report.total_time = time.perf_counter() - start
         self.last_report = report
@@ -469,86 +487,52 @@ class MultilevelPartitioner:
     # Refinement
     # ------------------------------------------------------------------
 
-    def _refine(
-        self,
-        problem: PartitionProblem,
-        result: TemporalPartitioning,
-        report: MultilevelReport,
-    ) -> TemporalPartitioning:
-        """Bounded greedy boundary refinement on the uncoarsened assignment.
+    def _refine(self, state: _MoveState, report: MultilevelReport) -> None:
+        """Bounded greedy boundary refinement of the uncoarsened *state*.
 
-        Each round targets the partition with the largest delay, extracts
-        its longest internal chain, and tries to move the chain's first
-        task one partition earlier or its last task one partition later.  A
-        move is kept only when the full partitioning stays valid and the
-        computation latency strictly decreases (the partition count never
-        changes, so that is exactly the objective delta).  Stops at the
-        first round with no improving move.
+        Each round targets the partition with the largest delay (the lowest
+        index on a tie), extracts its longest internal chain, and tries to
+        move the chain's first task one partition earlier, then its last
+        task one partition later.  A move is kept only when it is legal and
+        the computation latency ``sum(delays)`` strictly decreases (the
+        partition count never changes, so that is exactly the objective
+        delta).  Stops at the first round with no improving move.
+
+        The start was checked whole, so :meth:`_MoveState.check_move` on
+        the moving task alone decides legality, and only the two partitions
+        a move touches change their delays.
         """
+        per_partition = state.partition_delays()
+        delays = [per_partition[index] for index in range(1, state.bound + 1)]
         for _ in range(self.max_refine_moves):
-            moved = self._improving_move(problem, result)
-            if moved is None:
+            if not self._improving_move(state, delays):
                 break
-            result = moved
             report.refinement_moves += 1
-        return result
 
-    def _improving_move(
-        self, problem: PartitionProblem, result: TemporalPartitioning
-    ) -> Optional[TemporalPartitioning]:
-        delays = result.partition_delays
+    @staticmethod
+    def _improving_move(state: _MoveState, delays: List[float]) -> bool:
+        """Apply the first improving candidate move to *state* and *delays*."""
         worst = max(range(len(delays)), key=lambda i: (delays[i], -i)) + 1
-        chain = self._longest_chain(result, worst)
-        if not chain:
-            return None
+        if state.assignment.count(worst) < 2:
+            return False
+        chain = state.longest_chain(worst)
         candidates = []
         if worst > 1:
             candidates.append((chain[0], worst - 1))
-        if worst < result.partition_count:
+        if worst < len(delays):
             candidates.append((chain[-1], worst + 1))
-        for task_name, target in candidates:
-            if len(result.tasks_in_partition(worst)) < 2:
+        for task, target in candidates:
+            boundary_words = state.check_move(task, target)
+            if boundary_words is None:
                 continue
-            trial_assignment = dict(result.assignment)
-            trial_assignment[task_name] = target
-            trial = TemporalPartitioning(
-                graph=result.graph,
-                assignment=trial_assignment,
-                partition_count=result.partition_count,
-                reconfiguration_time=result.reconfiguration_time,
-                method=result.method,
-                solver_backend=result.solver_backend,
-            )
-            if not validate_partitioning(problem, trial).is_valid:
-                continue
-            if trial.computation_latency < result.computation_latency:
-                return trial
-        return None
-
-    @staticmethod
-    def _longest_chain(result: TemporalPartitioning, index: int) -> List[str]:
-        """The longest dependency chain inside partition *index*."""
-        members = set(result.tasks_in_partition(index))
-        graph = result.graph
-        longest: Dict[str, float] = {}
-        best_pred: Dict[str, Optional[str]] = {}
-        for name in graph.topological_order():
-            if name not in members:
-                continue
-            delay = graph.task(name).delay
-            chosen: Optional[str] = None
-            best = 0.0
-            for pred in graph.predecessors(name):
-                if pred in members and longest[pred] > best:
-                    best = longest[pred]
-                    chosen = pred
-            longest[name] = best + delay
-            best_pred[name] = chosen
-        if not longest:
-            return []
-        end = max(longest, key=lambda n: (longest[n], n))
-        chain = [end]
-        while best_pred[chain[-1]] is not None:
-            chain.append(best_pred[chain[-1]])
-        chain.reverse()
-        return chain
+            state.assignment[task] = target
+            moved = state.partition_delays((worst, target))
+            trial = list(delays)
+            trial[worst - 1] = moved[worst]
+            trial[target - 1] = moved[target]
+            if sum(trial) < sum(delays):
+                state.commit_move(task, worst, boundary_words)
+                delays[:] = trial
+                return True
+            state.assignment[task] = worst
+        return False

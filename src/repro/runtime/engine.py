@@ -329,7 +329,7 @@ class PartitionEngine:
 
     def _run_inline(self, job: PartitionJob, fingerprint: str) -> JobOutcome:
         try:
-            return execute_job(job)
+            return execute_job(job, fingerprint)
         except ReproError as error:  # pragma: no cover - execute_job catches these
             return _failure_outcome(fingerprint, JobStatus.FAILED, error)
         except Exception as error:  # noqa: BLE001 - worker bug -> structured report
@@ -349,7 +349,7 @@ class PartitionEngine:
             for fingerprint in miss_order:
                 try:
                     futures[fingerprint] = executor.submit(
-                        execute_job, miss_jobs[fingerprint]
+                        execute_job, miss_jobs[fingerprint], fingerprint
                     )
                 except Exception as error:  # noqa: BLE001 - e.g. unpicklable job
                     solved[fingerprint] = _failure_outcome(

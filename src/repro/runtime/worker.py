@@ -40,15 +40,17 @@ def _solved_outcome(
     )
 
 
-def execute_job(job: PartitionJob) -> JobOutcome:
+def execute_job(job: PartitionJob, fingerprint: str) -> JobOutcome:
     """Solve one job and return its outcome; never raises library errors.
 
-    Library failures (infeasible instance, solver error, bad spec) come back
-    as structured ``FAILED`` outcomes so one poisoned problem cannot take
-    down a whole batch. Only non-library exceptions propagate — those are
-    bugs, and the engine converts them into ``CRASHED`` reports.
+    *fingerprint* is ``job.fingerprint()``, which the engine has already
+    computed to key its caches; it is stamped on the outcome, not
+    recomputed.  Library failures (infeasible instance, solver error, bad
+    spec) come back as structured ``FAILED`` outcomes so one poisoned
+    problem cannot take down a whole batch. Only non-library exceptions
+    propagate — those are bugs, and the engine converts them into
+    ``CRASHED`` reports.
     """
-    fingerprint = job.fingerprint()
     start = time.perf_counter()
     try:
         partitioner = make_partitioner(job.solver)

@@ -1,7 +1,10 @@
 """Tests for memory mapping and address generation (repro.memmap)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from memmap_reference import reference_build_memory_map
 from repro.errors import MemoryMappingError
 from repro.memmap import (
     AddressGenerator,
@@ -140,6 +143,89 @@ class TestMemoryMapPassthrough:
         assert len(passthrough) == 1 and passthrough[0].words == 7
         assert boundary_words_from_map(memory_map, 1) == 9
         assert boundary_words_from_map(memory_map, 2) == 10
+
+
+def _assert_matches_reference(partitioning):
+    """Every block equals the one-partition-at-a-time reference's, rounded
+    and unrounded: segments, their order, offsets and sizes."""
+    for rounded in (False, True):
+        memory_map = build_memory_map(partitioning, round_to_power_of_two=rounded)
+        reference = reference_build_memory_map(partitioning, round_to_power_of_two=rounded)
+        assert memory_map.rounded == reference.rounded
+        assert list(memory_map.blocks) == list(reference.blocks)
+        for index, expected in reference.blocks.items():
+            block = memory_map.blocks[index]
+            assert block.partition_index == expected.partition_index
+            assert block.segments == expected.segments
+            assert list(block.offsets.items()) == list(expected.offsets.items())
+            assert block.natural_words == expected.natural_words
+            assert block.allocated_words == expected.allocated_words
+
+
+@st.composite
+def _mapped_partitionings(draw):
+    """Small DAGs with zero-word edges and environment I/O, under arbitrary
+    assignments: long pass-through spans and backwards (order-violating)
+    edges included."""
+    count = draw(st.integers(min_value=1, max_value=9))
+    graph = TaskGraph("memmap-draw")
+    for index in range(count):
+        graph.add_task(
+            Task(f"t{index}", cost=clb_cost(10, ns(1))),
+            env_input_words=draw(st.integers(min_value=0, max_value=3)),
+            env_output_words=draw(st.integers(min_value=0, max_value=3)),
+        )
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    edges = [
+        (f"t{i}", f"t{j}", draw(st.integers(min_value=0, max_value=6)))
+        for i, j in draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    ]
+    graph.add_edges(edges)
+    partitions = draw(st.integers(min_value=1, max_value=6))
+    assignment = {
+        name: draw(st.integers(min_value=1, max_value=partitions))
+        for name in graph.task_names()
+    }
+    return TemporalPartitioning(graph, assignment, partitions, reconfiguration_time=0.0)
+
+
+class TestMemoryMapReference:
+    @given(_mapped_partitionings())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_match_the_reference(self, partitioning):
+        _assert_matches_reference(partitioning)
+
+    def test_every_edge_shape_matches_the_reference(self):
+        """One graph with each shape the one-pass mapper must place."""
+        graph = TaskGraph("shapes")
+        for name, env_in, env_out in (
+            ("a", 4, 0), ("b", 0, 0), ("c", 0, 2), ("d", 1, 1), ("e", 0, 3),
+        ):
+            graph.add_task(Task(name, cost=clb_cost(10, ns(1))), env_in, env_out)
+        graph.add_edges([
+            ("a", "e", 5),  # passes through partitions 2 and 3
+            ("a", "b", 0),  # zero words: no segment anywhere
+            ("b", "c", 2),
+            ("d", "c", 6),  # runs backwards, from partition 3 to 2
+            ("a", "d", 1),
+            ("c", "e", 7),
+        ])
+        partitioning = TemporalPartitioning(
+            graph=graph,
+            assignment={"a": 1, "b": 2, "c": 2, "d": 3, "e": 4},
+            partition_count=4,
+            reconfiguration_time=0.0,
+        )
+        _assert_matches_reference(partitioning)
+        memory_map = build_memory_map(partitioning)
+        assert [s.name for s in memory_map.block(2).segments_of_kind(SegmentKind.PASSTHROUGH)] == [
+            "flow:a->e", "flow:a->d",
+        ]
+        assert [s.name for s in memory_map.block(3).segments_of_kind(SegmentKind.PASSTHROUGH)] == [
+            "flow:a->e", "flow:c->e",
+        ]
+        names = {s.name for block in memory_map.blocks.values() for s in block.segments}
+        assert "flow:a->b" not in names and "flow:d->c" not in names
 
 
 class TestAddressGenerator:

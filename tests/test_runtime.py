@@ -337,6 +337,26 @@ class TestEngine:
         assert engine.stats.deduped == 2
         assert engine.stats.cache.misses == 1
 
+    def test_each_job_is_fingerprinted_once(self, monkeypatch):
+        """The engine keys a job once and hands that key to the worker."""
+        import repro.runtime.jobs as jobs_module
+
+        calls = []
+        fingerprint = jobs_module.problem_fingerprint
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fingerprint(*args, **kwargs)
+
+        monkeypatch.setattr(jobs_module, "problem_fingerprint", counting)
+        engine = PartitionEngine(EngineConfig())
+        first, second = _pipeline_problem(), _pipeline_problem(ct=ms(2))
+        batch = engine.solve_batch([first, second, first])
+        assert len(calls) == 3
+        assert batch.ok
+        assert batch[2].source is ResultSource.BATCH_DEDUP
+        assert batch[0].outcome.fingerprint == engine.make_job(first).fingerprint()
+
     def test_failures_are_not_cached(self):
         engine = PartitionEngine(EngineConfig())
         problem = _infeasible_problem()
@@ -465,7 +485,7 @@ class TestEngine:
             assert report.outcome.method == partitioner or report.outcome.method
 
 
-def _kill_worker(job):
+def _kill_worker(job, fingerprint):
     os._exit(13)
 
 
