@@ -8,9 +8,11 @@ largest flat-solvable tier and asserts the multilevel side wins by at least
 10x.  Every flow is built twice and the two designs must be bit-identical
 (same :func:`~repro.verify.oracles.design_fingerprint`): determinism at
 scale is part of the claim, not an afterthought.  It also times
-``TaskGraph.copy()`` on the largest tier's graph, which must stay linear,
-and the multilevel refinement on that tier, which checks each trial move
-incrementally instead of re-validating a whole partitioning.
+``TaskGraph.copy()`` and ``graph_content_digest`` on the largest tier's
+graph (the copy must stay linear; the digest serialises the canonical form
+without re-walking it), and the multilevel coarsening and refinement on
+that tier (coarsening merges on index arrays; refinement checks each trial
+move incrementally instead of re-validating a whole partitioning).
 
 Environment knobs for constrained CI runners:
 
@@ -45,6 +47,7 @@ from repro.partition import (
     validate_partitioning,
 )
 from repro.synth.flow import DesignFlow, FlowOptions
+from repro.synth.stages import graph_content_digest
 from repro.taskgraph.builders import random_dsp_task_graph
 from repro.units import ms
 from repro.verify.oracles import design_fingerprint
@@ -135,25 +138,47 @@ def test_largest_tier_graph_copy():
     record("huge_graphs", copy_seconds=copy_seconds)
 
 
-def test_largest_tier_refinement():
-    """Multilevel uncoarsening and refinement of the largest tier, median of
-    3 runs of ``MultilevelReport.refine_time``."""
+def test_largest_tier_graph_digest():
+    """``graph_content_digest`` of the largest tier's graph, median of 3 runs."""
+    graph = _tier_graph(max(TIERS))
+    repeats = []
+    for _ in range(3):
+        start = time.perf_counter()
+        graph_content_digest(graph)
+        repeats.append(time.perf_counter() - start)
+    graph_digest_seconds = statistics.median(repeats)
+    print()
+    print(
+        f"  {len(graph):>7,} nodes: graph_content_digest "
+        f"{graph_digest_seconds * 1e3:.2f} ms"
+    )
+    record("huge_graphs", graph_digest_seconds=graph_digest_seconds)
+
+
+def test_largest_tier_coarsening_and_refinement():
+    """Multilevel coarsening, and uncoarsening with refinement, of the
+    largest tier: medians of 3 runs of ``MultilevelReport.coarsen_time`` and
+    ``MultilevelReport.refine_time``."""
     task_count = max(TIERS)
     problem = PartitionProblem.from_system(
         _tier_graph(task_count), _tier_system(task_count)
     )
-    repeats = []
+    coarsen, refine = [], []
     for _ in range(3):
         partitioner = MultilevelPartitioner()
         partitioner.partition(problem)
-        repeats.append(partitioner.last_report.refine_time)
-    refine_seconds = statistics.median(repeats)
+        coarsen.append(partitioner.last_report.coarsen_time)
+        refine.append(partitioner.last_report.refine_time)
+    coarsen_seconds = statistics.median(coarsen)
+    refine_seconds = statistics.median(refine)
     print()
     print(
-        f"  {task_count:>7,} nodes: refinement {refine_seconds * 1e3:.2f} ms "
+        f"  {task_count:>7,} nodes: coarsening {coarsen_seconds * 1e3:.2f} ms "
+        f"({len(partitioner.last_report.level_sizes) - 1} levels), "
+        f"refinement {refine_seconds * 1e3:.2f} ms "
         f"({partitioner.last_report.refinement_moves} moves)"
     )
-    record("huge_graphs", refine_seconds=refine_seconds)
+    record("huge_graphs", coarsen_seconds=coarsen_seconds, refine_seconds=refine_seconds)
 
 
 def test_multilevel_vs_flat_speedup():

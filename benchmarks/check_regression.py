@@ -144,6 +144,14 @@ GATES: Dict[str, List[Gate]] = {
         # Building and re-validating a whole partitioning per trial move
         # takes about twice as long, past the ceiling.
         Gate("refine_seconds", "max", ABSOLUTE_TOLERANCE),
+        # Multilevel coarsening of the largest smoke tier.  Merging in
+        # name-keyed dicts takes three to five times as long, past the
+        # ceiling.
+        Gate("coarsen_seconds", "max", ABSOLUTE_TOLERANCE),
+        # graph_content_digest of the largest smoke tier's graph.  Re-walking
+        # the canonical form before serialising it takes two to three times
+        # as long, past the ceiling on the same host.
+        Gate("graph_digest_seconds", "max", ABSOLUTE_TOLERANCE),
     ],
 }
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..errors import ArchitectureError
-from ..units import ns
+from ..units import as_integer, ns
 
 
 @dataclass(frozen=True)
@@ -23,17 +23,29 @@ class ResourceVector:
 
     The paper's model uses a single resource type (CLBs) but notes that
     "similar equations can be added if multiple resource types exist"; the
-    partitioner therefore works with arbitrary named resources.
+    partitioner therefore works with arbitrary named resources.  Amounts
+    are integers: a ``bool`` or ``float`` raises :class:`ArchitectureError`
+    and a numpy integer is stored as a plain ``int``.
     """
 
     amounts: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name, amount in self.amounts.items():
+        for amount in self.amounts.values():
+            if type(amount) is not int or amount < 0:
+                break
+        else:
+            return  # plain non-negative ints: the common case
+        amounts = {
+            name: as_integer(amount, f"resource {name!r} amount", ArchitectureError)
+            for name, amount in self.amounts.items()
+        }
+        for name, amount in amounts.items():
             if amount < 0:
                 raise ArchitectureError(
                     f"resource {name!r} has negative amount {amount}"
                 )
+        object.__setattr__(self, "amounts", amounts)
 
     def get(self, name: str, default: int = 0) -> int:
         """Amount of resource *name*, or *default* if not present."""

@@ -171,7 +171,12 @@ def cmd_partition(args: argparse.Namespace) -> int:
         print(f"multilevel: inner={report.inner} levels {levels} "
               f"refine moves={report.refinement_moves} "
               f"(coarsen {report.coarsen_time:.2f} s, "
-              f"inner {report.inner_time:.2f} s)")
+              f"inner {report.inner_time:.2f} s, "
+              f"refine {report.refine_time:.2f} s)")
+        if report.stalled:
+            print(f"multilevel: coarsening stalled at {report.coarse_tasks} tasks, "
+                  f"above the {partitioner.max_coarse_tasks}-task target (no safe "
+                  "merge fits the cluster cap)")
     return 0
 
 

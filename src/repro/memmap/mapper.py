@@ -109,8 +109,7 @@ def build_memory_map(
                 )
             )
 
-    for producer, consumer in graph.edges():
-        words = graph.edge_words(producer, consumer)
+    for producer, consumer, words in graph.weighted_edges():
         first, last = assignment[producer], assignment[consumer]
         if words == 0 or first >= last:
             continue

@@ -37,11 +37,22 @@ again), so the level would strictly increase around the cycle.  Each
 pass's topological fold doubles as a cycle check regardless, and the
 final coarse graph is validated once when it is materialised.
 
-Coarsening runs on plain adjacency dicts, not :class:`TaskGraph`
-instances, so a pass builds no :class:`Task` objects and checks no edge on
-its own.  Only the final coarse level (at most ``max_coarse_tasks``
-clusters) becomes a real :class:`TaskGraph`, through one bulk
-``add_edges`` call whose single topological sort is that level's check.
+Coarsening runs on integer arrays, not :class:`TaskGraph` instances.
+Tasks are numbered in sorted-name order, so number order is name order and
+a cluster keeps its smallest member's number (and name).  A level is
+per-cluster delay, resource and resource-kind-order arrays plus ``(src,
+dst, words)`` edge arrays sorted by ``(src, dst)``.  Each pass folds
+up/level/down in one topological pass over int lists (the cycle check),
+checks serial eligibility and the cap for every edge at once, ranks the
+survivors with one ``np.lexsort``, matches greedily over them alone, pairs
+siblings in (level, name) order, and contracts through a relabel array
+(parallel edges sum their words).  Amounts and words are summed in int64,
+so a kind total or word total that would reach ``2**63`` raises
+:class:`PartitioningError` up front.  A pass builds no :class:`Task`
+objects and checks no edge on its own.  Only the final coarse level (at
+most ``max_coarse_tasks`` clusters, unless coarsening stalls) becomes a
+real :class:`TaskGraph`, through one bulk ``add_edges`` call whose single
+topological sort is that level's check.
 
 Because clusters are convex, a coarse-feasible partitioning uncoarsens to
 a valid flat one with *exactly* the same partition resources and boundary
@@ -70,8 +81,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..arch.device import ResourceVector
-from ..dag import topological_order
 from ..errors import CycleError, PartitioningError
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.task import Task, TaskCost
@@ -88,16 +100,171 @@ from .result import TemporalPartitioning
 from .spec import PartitionProblem
 
 
-def _fits(a: Dict[str, int], b: Dict[str, int], cap: Dict[str, int]) -> bool:
-    """Whether the summed resource dicts fit the per-cluster cap.
+#: Coarsening sums resource amounts and words in int64 arrays; no kind's
+#: total and no total of edge or env words may reach this.
+_INT64_LIMIT = 1 << 63
 
-    Same semantics as ``(ResourceVector(a) + ResourceVector(b))
-    .fits_within(ResourceVector(cap))`` without the object churn.
+
+def _int64(values: List[int], what: str) -> np.ndarray:
+    """*values* as an int64 array, raising when their total could overflow."""
+    total = sum(values)
+    if total >= _INT64_LIMIT:
+        raise PartitioningError(
+            f"the total {what} ({total}) reaches 2**63, past the coarsener's "
+            "int64 arrays"
+        )
+    return np.array(values, dtype=np.int64)
+
+
+@dataclass
+class _Level:
+    """One coarsening level as index arrays.
+
+    Clusters are indexed in name order and edges are sorted by ``(src,
+    dst)``.
     """
-    for name in a.keys() | b.keys():
-        if a.get(name, 0) + b.get(name, 0) > cap.get(name, 0):
-            return False
-    return True
+
+    #: Each cluster's name: the rank of its smallest member among the
+    #: original task names.
+    ident: np.ndarray
+    delay: np.ndarray
+    #: ``res[cluster, column]``: the cluster's amount of each resource kind.
+    res: np.ndarray
+    #: Index of each cluster's resource-kind order in ``_Coarsening.kind_orders``.
+    kinds: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    words: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ident)
+
+
+@dataclass
+class _Coarsening:
+    """The original tasks in name order and the tables every level shares."""
+
+    names: List[str]
+    env_in: np.ndarray
+    env_out: np.ndarray
+    #: Column of each resource kind in ``_Level.res``.
+    columns: Dict[str, int]
+    #: Per-cluster cap of each column (0 for a kind the device lacks).
+    cap: np.ndarray
+    #: Each distinct resource-kind order -> its index.  A cluster's
+    #: resource dict lists its kinds the way merging its members' dicts,
+    #: first member first, would.
+    kind_orders: Dict[Tuple[str, ...], int]
+    _merged: Dict[Tuple[int, int], int] = field(default_factory=dict)
+
+    def merged_kinds(self, first: int, second: int) -> int:
+        """Kind order of a *first*-order dict updated with a *second* one."""
+        key = (first, second)
+        if key not in self._merged:
+            orders = list(self.kind_orders)
+            head = orders[first]
+            tail = tuple(kind for kind in orders[second] if kind not in head)
+            self._merged[key] = self.kind_orders.setdefault(
+                head + tail, len(self.kind_orders)
+            )
+        return self._merged[key]
+
+
+def _read(problem: PartitionProblem, cap_fraction: float) -> Tuple[_Coarsening, _Level]:
+    """The tasks of *problem* in name order, as the first level."""
+    graph = problem.graph
+    names = sorted(graph.task_names())
+    tasks = [graph.task(name) for name in names]
+    amounts = [task.resources.amounts for task in tasks]
+    kind_orders: Dict[Tuple[str, ...], int] = {}
+    kinds = [kind_orders.setdefault(tuple(vector), len(kind_orders)) for vector in amounts]
+    columns: Dict[str, int] = {}
+    for order in kind_orders:
+        for kind in order:
+            columns.setdefault(kind, len(columns))
+    res = np.zeros((len(names), len(columns)), dtype=np.int64)
+    for kind, column in columns.items():
+        res[:, column] = _int64(
+            [vector.get(kind, 0) for vector in amounts], f"{kind!r} amount"
+        )
+    capacity = problem.resource_capacity
+    cap = {
+        name: max(int(capacity[name] * cap_fraction), 1) for name in capacity.names()
+    }
+    state = _Coarsening(
+        names=names,
+        env_in=_int64([graph.env_input_words(name) for name in names], "env input words"),
+        env_out=_int64([graph.env_output_words(name) for name in names], "env output words"),
+        columns=columns,
+        cap=np.array(
+            [min(cap.get(kind, 0), _INT64_LIMIT - 1) for kind in columns], dtype=np.int64
+        ),
+        kind_orders=kind_orders,
+    )
+
+    rank = {name: index for index, name in enumerate(names)}
+    triples = graph.weighted_edges()
+    src = np.array([rank[producer] for producer, _, _ in triples], dtype=np.int64)
+    dst = np.array([rank[consumer] for _, consumer, _ in triples], dtype=np.int64)
+    words = _int64([volume for _, _, volume in triples], "edge words")
+    order = np.lexsort((dst, src))
+    level = _Level(
+        ident=np.arange(len(names)),
+        delay=np.array([task.delay for task in tasks], dtype=np.float64),
+        res=res,
+        kinds=np.array(kinds, dtype=np.int64),
+        src=src[order],
+        dst=dst[order],
+        words=words[order],
+    )
+    return state, level
+
+
+def _fits(res: np.ndarray, first: np.ndarray, second: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """Whether each ``(first[i], second[i])`` pair's summed resources fit the cap."""
+    return ((res[first] + res[second]) <= cap).all(axis=1)
+
+
+def _fold(level: _Level) -> Tuple[List[float], List[int], List[float]]:
+    """``up``, ASAP level and ``down`` of every cluster, in one topological
+    fold over int lists; raises :class:`CycleError` on a cycle.
+
+    ``up(v)`` is the longest delay of a path ending at ``v``, ``down(v)``
+    of one starting at it, both counting ``v``; until ``v`` is visited,
+    ``up[v]`` holds the longest ``up`` of its visited predecessors.  The
+    fold visits clusters first in, first out, so in nondecreasing ASAP
+    level: the predecessor that makes a cluster ready has the largest level
+    among its predecessors.
+    """
+    n = len(level)
+    delay = level.delay.tolist()
+    succ = level.dst.tolist()
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(level.src, minlength=n), out=bounds[1:])
+    bounds = bounds.tolist()
+    pending = np.bincount(level.dst, minlength=n).tolist()
+    order = [node for node in range(n) if not pending[node]]
+    up = [0.0] * n
+    asap = [0] * n
+    for node in order:  # grows as clusters become ready
+        value = up[node] = up[node] + delay[node]
+        for child in succ[bounds[node]:bounds[node + 1]]:
+            if value > up[child]:
+                up[child] = value
+            pending[child] -= 1
+            if not pending[child]:
+                asap[child] = asap[node] + 1
+                order.append(child)
+    if len(order) != n:
+        raise CycleError("coarse graph contains a cycle")
+    down = [0.0] * n
+    for node in reversed(order):
+        longest = 0.0
+        for child in succ[bounds[node]:bounds[node + 1]]:
+            if down[child] > longest:
+                longest = down[child]
+        down[node] = longest + delay[node]
+    return up, asap, down
 
 
 @dataclass
@@ -282,204 +449,196 @@ class MultilevelPartitioner:
         Returns the original-task -> cluster-name mapping and the coarsest
         graph.  Cluster names are the lexicographically smallest member, so
         they stay valid task names and never collide.  The merge loop works
-        on plain dicts (see the module docstring); cluster delay is
+        on index arrays (see the module docstring); cluster delay is
         ``d(u) + d(v)`` for a serial merge (an upper bound on the merged
         internal chain) and ``max(d(u), d(v))`` for siblings (exact:
         sibling members share no edge).  The estimate only steers the
         coarse solve — final delays are re-measured on the real graph.
         """
         graph = problem.graph
-        capacity = problem.resource_capacity
-        cap = {
-            name: max(int(capacity[name] * self.cluster_cap_fraction), 1)
-            for name in capacity.names()
-        }
-        res: Dict[str, Dict[str, int]] = {}
-        delay: Dict[str, float] = {}
-        env_in: Dict[str, int] = {}
-        env_out: Dict[str, int] = {}
-        size: Dict[str, int] = {}
-        for name in graph.task_names():
-            task = graph.task(name)
-            res[name] = dict(task.resources.amounts)
-            delay[name] = task.delay
-            env_in[name] = graph.env_input_words(name)
-            env_out[name] = graph.env_output_words(name)
-            size[name] = 1
-        words: Dict[Tuple[str, str], int] = {
-            (u, v): graph.edge_words(u, v) for u, v in graph.edges()
-        }
-        succ: Dict[str, List[str]] = {name: [] for name in res}
-        pred: Dict[str, List[str]] = {name: [] for name in res}
-        for u, v in words:
-            succ[u].append(v)
-            pred[v].append(u)
-        members: Dict[str, List[str]] = {name: [name] for name in res}
-
-        report.level_sizes.append(len(res))
-        while len(res) > self.max_coarse_tasks:
-            pairs = self._merge_pass(res, delay, succ, pred, cap)
-            if not pairs:
+        state, level = _read(problem, self.cluster_cap_fraction)
+        cluster = np.arange(len(level))
+        report.level_sizes.append(len(level))
+        while len(level) > self.max_coarse_tasks:
+            first, second, serial = self._merge_pass(level, state.cap)
+            if not len(first):
                 report.stalled = True
                 break
-            relabel: Dict[str, str] = {}
-            for u, v, kind in pairs:
-                winner, loser = (u, v) if u < v else (v, u)
-                relabel[u] = winner
-                relabel[v] = winner
-                members[winner] = sorted(members[u] + members[v])
-                del members[loser]
-                merged = dict(res[u])
-                for rname, amount in res[v].items():
-                    merged[rname] = merged.get(rname, 0) + amount
-                merged_delay = (
-                    delay[u] + delay[v]
-                    if kind == "serial"
-                    else max(delay[u], delay[v])
-                )
-                merged_env = (env_in[u] + env_in[v], env_out[u] + env_out[v])
-                merged_size = size[u] + size[v]
-                res[winner] = merged
-                delay[winner] = merged_delay
-                env_in[winner], env_out[winner] = merged_env
-                size[winner] = merged_size
-                del res[loser], delay[loser], env_in[loser]
-                del env_out[loser], size[loser]
-            new_words: Dict[Tuple[str, str], int] = {}
-            for (u, v), volume in words.items():
-                producer = relabel.get(u, u)
-                consumer = relabel.get(v, v)
-                if producer == consumer:
-                    continue
-                key = (producer, consumer)
-                new_words[key] = new_words.get(key, 0) + volume
-            words = new_words
-            succ = {name: [] for name in res}
-            pred = {name: [] for name in res}
-            for u, v in words:
-                succ[u].append(v)
-                pred[v].append(u)
-            report.level_sizes.append(len(res))
+            level, relabel = self._contract(state, level, first, second, serial)
+            cluster = relabel[cluster]
+            report.level_sizes.append(len(level))
 
-        cluster_of = {
-            name: cluster
-            for cluster, names in members.items()
-            for name in names
-        }
-        if len(res) == len(graph):
+        names = state.names
+        cluster_names = [names[ident] for ident in level.ident[cluster].tolist()]
+        cluster_of = dict(zip(names, cluster_names))
+        if len(level) == len(graph):
             return cluster_of, graph
-        coarse = self._materialise(graph, res, delay, env_in, env_out, size, words)
-        return cluster_of, coarse
+        return cluster_of, self._materialise(graph, state, level, cluster)
 
     def _merge_pass(
-        self,
-        res: Dict[str, Dict[str, int]],
-        delay: Dict[str, float],
-        succ: Dict[str, List[str]],
-        pred: Dict[str, List[str]],
-        cap: Dict[str, int],
-    ) -> List[Tuple[str, str, str]]:
+        self, level: _Level, cap: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One maximal set of disjoint safe merges, most critical first.
 
-        Returns ``(u, v, kind)`` triples where ``kind`` is ``"serial"``
-        (contracted edge ``u -> v``) or ``"sibling"`` (independent tasks
-        on the same ASAP level).  The topological fold below is also the
-        per-pass cycle check: it raises if a merge bug ever broke the
-        acyclicity invariant.
+        Returns ``(first, second, serial)`` arrays: pair ``i`` merges
+        ``first[i]`` and ``second[i]``, either contracting the edge
+        ``first[i] -> second[i]`` (``serial[i]``) or joining two
+        independent clusters on the same ASAP level, ``first[i]`` the
+        smaller name.  The topological fold is also the per-pass cycle
+        check: it raises if a merge bug ever broke the acyclicity
+        invariant.
         """
-        order = topological_order(succ, pred)
-        if len(order) != len(pred):
-            raise CycleError("coarse graph contains a cycle")
-        up: Dict[str, float] = {}
-        level: Dict[str, int] = {}
-        for name in order:
-            preds = pred[name]
-            if preds:
-                up[name] = max(up[p] for p in preds) + delay[name]
-                level[name] = max(level[p] for p in preds) + 1
-            else:
-                up[name] = delay[name]
-                level[name] = 0
-        down: Dict[str, float] = {}
-        for name in reversed(order):
-            succs = succ[name]
-            down[name] = (max(down[s] for s in succs) if succs else 0.0) + delay[name]
+        n = len(level)
+        src, dst, res = level.src, level.dst, level.res
+        up, asap, down = _fold(level)
+        up_arr = np.array(up)
+        down_arr = np.array(down)
+        asap_arr = np.array(asap, dtype=np.int64)
 
-        matched: set = set()
-        pairs: List[Tuple[str, str, str]] = []
-        # Edge criticality up(u) + down(v): the longest path through the
+        # Serial candidates: the contracted edge is its producer's only
+        # output or its consumer's only input, and the pair fits the cap.
+        # Edge criticality up(u) + down(v) is the longest path through the
         # edge, exactly what kpaths.edge_criticalities computes on a graph.
-        ranked = sorted(
-            ((u, v) for u in succ for v in succ[u]),
-            key=lambda edge: (-(up[edge[0]] + down[edge[1]]), edge),
+        single = (np.bincount(src, minlength=n)[src] == 1) | (
+            np.bincount(dst, minlength=n)[dst] == 1
         )
-        for u, v in ranked:
-            if u in matched or v in matched:
+        candidates = np.flatnonzero(single & _fits(res, src, dst, cap))
+        u, v = src[candidates], dst[candidates]
+        ranked = np.lexsort((v, u, -(up_arr[u] + down_arr[v])))
+        matched = bytearray(n)
+        first: List[int] = []
+        second: List[int] = []
+        for producer, consumer in zip(u[ranked].tolist(), v[ranked].tolist()):
+            if matched[producer] or matched[consumer]:
                 continue
-            if len(succ[u]) != 1 and len(pred[v]) != 1:
-                continue
-            if not _fits(res[u], res[v], cap):
-                continue
-            matched.update((u, v))
-            pairs.append((u, v, "serial"))
+            matched[producer] = matched[consumer] = 1
+            first.append(producer)
+            second.append(consumer)
+        serial_count = len(first)
 
-        groups: Dict[int, List[str]] = {}
-        for name, asap in level.items():
-            if name not in matched:
-                groups.setdefault(asap, []).append(name)
-        for asap in sorted(groups):
-            group = sorted(groups[asap])
-            index = 0
-            while index + 1 < len(group):
-                u, v = group[index], group[index + 1]
-                if _fits(res[u], res[v], cap):
-                    matched.update((u, v))
-                    pairs.append((u, v, "sibling"))
-                    index += 2
-                else:
-                    index += 1
-        return pairs
+        # Siblings: unmatched clusters in (ASAP level, name) order, walked in
+        # pairs.  A fitting same-level neighbour pair is taken and the walk
+        # skips past it, so within each run of fitting pairs every other
+        # pair is taken, starting with the run's first.
+        free = np.flatnonzero(np.frombuffer(bytes(matched), dtype=np.uint8) == 0)
+        walk = free[np.lexsort((free, asap_arr[free]))]
+        left, right = walk[:-1], walk[1:]
+        fits = (asap_arr[left] == asap_arr[right]) & _fits(res, left, right, cap)
+        position = np.arange(len(fits))
+        run_start = np.maximum.accumulate(
+            np.where(fits & ~np.concatenate(([False], fits[:-1])), position, 0)
+        )
+        taken = fits & ((position - run_start) % 2 == 0)
+        first_arr = np.concatenate((np.array(first, dtype=np.int64), left[taken]))
+        second_arr = np.concatenate((np.array(second, dtype=np.int64), right[taken]))
+        serial = np.arange(len(first_arr)) < serial_count
+        return first_arr, second_arr, serial
+
+    @staticmethod
+    def _contract(
+        state: _Coarsening,
+        level: _Level,
+        first: np.ndarray,
+        second: np.ndarray,
+        serial: np.ndarray,
+    ) -> Tuple[_Level, np.ndarray]:
+        """The next level after merging each ``(first[i], second[i])`` pair,
+        and the old -> new cluster relabel array.
+
+        The merged cluster keeps the smaller index (the smaller name), sums
+        the resources, takes the serial sum or sibling maximum of the
+        delays, and parallel edges sum their words.
+        """
+        n = len(level)
+        winner = np.minimum(first, second)
+        loser = np.maximum(first, second)
+        keep = np.ones(n, dtype=bool)
+        keep[loser] = False
+        index = np.cumsum(keep) - 1
+        relabel = index.copy()
+        relabel[loser] = index[winner]
+
+        res = level.res.copy()
+        res[winner] += level.res[loser]
+        delay = level.delay.copy()
+        before, after = level.delay[first], level.delay[second]
+        delay[winner] = np.where(
+            serial, before + after, np.where(after > before, after, before)
+        )
+        kinds = level.kinds.copy()
+        merged = level.kinds[first]
+        other = level.kinds[second]
+        for pair in np.flatnonzero(merged != other).tolist():
+            merged[pair] = state.merged_kinds(int(merged[pair]), int(other[pair]))
+        kinds[winner] = merged
+
+        size = int(keep.sum())
+        src, dst = relabel[level.src], relabel[level.dst]
+        outer = src != dst
+        key, edge = np.unique(src[outer] * size + dst[outer], return_inverse=True)
+        words = np.zeros(len(key), dtype=np.int64)
+        np.add.at(words, edge, level.words[outer])
+        next_level = _Level(
+            ident=level.ident[keep],
+            delay=delay[keep],
+            res=res[keep],
+            kinds=kinds[keep],
+            src=key // size,
+            dst=key % size,
+            words=words,
+        )
+        return next_level, relabel
 
     @staticmethod
     def _materialise(
-        graph: TaskGraph,
-        res: Dict[str, Dict[str, int]],
-        delay: Dict[str, float],
-        env_in: Dict[str, int],
-        env_out: Dict[str, int],
-        size: Dict[str, int],
-        words: Dict[Tuple[str, str], int],
+        graph: TaskGraph, state: _Coarsening, level: _Level, cluster: np.ndarray
     ) -> TaskGraph:
-        """Build the final coarse :class:`TaskGraph` from the dict state.
+        """Build the final coarse :class:`TaskGraph` from the last level;
+        ``cluster[i]`` is the cluster of the ``i``-th task in name order.
 
         Unmerged tasks keep their original :class:`Task` object (type and
         metadata intact); clusters become ``"cluster"``-typed tasks whose
         metadata records how many original tasks they absorbed.
         """
+        n = len(level)
+        size = np.bincount(cluster, minlength=n).tolist()
+        env_in = np.zeros(n, dtype=np.int64)
+        env_out = np.zeros(n, dtype=np.int64)
+        np.add.at(env_in, cluster, state.env_in)
+        np.add.at(env_out, cluster, state.env_out)
+        names = [state.names[ident] for ident in level.ident.tolist()]
+        columns = state.columns
+        kind_orders = list(state.kind_orders)
         coarse = TaskGraph(f"{graph.name}-coarse")
-        for name in sorted(res):
-            if size[name] == 1:
-                coarse.add_task(
-                    graph.task(name),
-                    env_input_words=env_in[name],
-                    env_output_words=env_out[name],
-                )
+        for index, name in enumerate(names):
+            if size[index] == 1:
+                task = graph.task(name)
             else:
-                coarse.add_task(
-                    Task(
-                        name,
-                        cost=TaskCost(
-                            resources=ResourceVector(res[name]), delay=delay[name]
-                        ),
-                        task_type="cluster",
-                        metadata={"cluster_size": size[name]},
+                amounts = level.res[index].tolist()
+                resources = {
+                    kind: amounts[columns[kind]]
+                    for kind in kind_orders[level.kinds[index]]
+                }
+                task = Task(
+                    name,
+                    cost=TaskCost(
+                        resources=ResourceVector(resources),
+                        delay=float(level.delay[index]),
                     ),
-                    env_input_words=env_in[name],
-                    env_output_words=env_out[name],
+                    task_type="cluster",
+                    metadata={"cluster_size": size[index]},
                 )
+            coarse.add_task(
+                task,
+                env_input_words=int(env_in[index]),
+                env_output_words=int(env_out[index]),
+            )
         coarse.add_edges(
-            (producer, consumer, volume)
-            for (producer, consumer), volume in sorted(words.items())
+            zip(
+                [names[node] for node in level.src.tolist()],
+                [names[node] for node in level.dst.tolist()],
+                level.words.tolist(),
+            )
         )
         return coarse
 

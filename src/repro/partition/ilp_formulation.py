@@ -253,12 +253,11 @@ class TemporalPartitioningFormulation:
     def _add_memory_constraints(self) -> None:
         """Eq. 3: the data stored across each boundary fits in ``M_max``."""
         n = self.partition_bound
-        graph = self.problem.graph
+        edges = self.problem.graph.weighted_edges()
         memory = self.problem.memory_words
         for p in range(1, n):
             terms: List[LinExpr] = []
-            for producer, consumer in graph.edges():
-                words = graph.edge_words(producer, consumer)
+            for producer, consumer, words in edges:
                 if words:
                     terms.append(words * self.w[(p, producer, consumer)])
             if terms:

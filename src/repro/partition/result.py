@@ -164,12 +164,12 @@ class TemporalPartitioning:
                 f"boundary {boundary} outside 1..{self.partition_count - 1}"
             )
         total = 0
-        for producer, consumer in self.graph.edges():
+        for producer, consumer, words in self.graph.weighted_edges():
             if (
                 self.assignment[producer] <= boundary
                 < self.assignment[consumer]
             ):
-                total += self.graph.edge_words(producer, consumer)
+                total += words
         return total
 
     def max_boundary_words(self) -> int:

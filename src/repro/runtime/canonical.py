@@ -12,6 +12,20 @@ pattern rather than a rounded decimal rendering.  :func:`canonical_value`
 and :func:`canonical_fingerprint` are the generic entry points every stage
 of the design-flow pipeline keys itself with; the partition-problem helpers
 below them predate the generic layer and keep their historical shape.
+
+The two graph forms are built in one pass over the tasks and one over the
+edges (:meth:`~repro.taskgraph.graph.TaskGraph.weighted_edges`).
+:func:`canonical_graph_dict` returns a form that is already canonical, so
+:func:`~repro.synth.stages.graph_content_digest` serialises it with
+:func:`json_digest` instead of re-walking it with :func:`canonical_value`.
+The bytes cannot change: :func:`canonical_value` returns a leaf that is
+exactly an ``int`` or a ``str`` unchanged, and word counts and resource
+amounts are plain ints by construction (``TaskGraph`` and
+``ResourceVector`` pass them through :func:`repro.units.as_integer`).
+Every other leaf — a name or task type of another type, a resource kind,
+a DFG operation's fields — still goes through :func:`canonical_value`
+(which is idempotent) where it is read, so every input hashes, or raises,
+exactly as a full re-walk would.
 """
 
 from __future__ import annotations
@@ -65,12 +79,41 @@ def canonical_value(value: object) -> object:
     raise TypeError(f"cannot canonicalise a {type(value).__name__} value")
 
 
+def json_digest(payload: object) -> str:
+    """sha256 hex digest of *payload*'s compact, key-sorted JSON text."""
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
 def canonical_fingerprint(payload: object) -> str:
     """A stable sha256 hex digest of an arbitrary canonicalisable payload."""
-    encoded = json.dumps(
-        canonical_value(payload), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return json_digest(canonical_value(payload))
+
+
+def _leaf(value: object) -> object:
+    """*value* when it is exactly an ``int`` or a ``str``, which
+    :func:`canonical_value` would return unchanged; its canonical form
+    otherwise."""
+    if type(value) is str or type(value) is int:
+        return value
+    return canonical_value(value)
+
+
+def _sorted_amounts(resources) -> Dict[str, int]:
+    """A copy of a resource vector's amounts, sorted by kind."""
+    amounts = resources.amounts
+    return dict(sorted(amounts.items())) if len(amounts) > 1 else dict(amounts)
+
+
+def _resources(resources) -> Dict[str, int]:
+    """The canonical amounts of a resource vector.  Amounts are plain ints
+    by construction; a kind that is not exactly a ``str`` sends the dict
+    through :func:`canonical_value`, which rejects a non-string key."""
+    amounts = _sorted_amounts(resources)
+    for kind in amounts:
+        if type(kind) is not str:
+            return canonical_value(amounts)
+    return amounts
 
 
 def canonical_graph_dict(graph) -> Dict[str, object]:
@@ -82,44 +125,44 @@ def canonical_graph_dict(graph) -> Dict[str, object]:
     input), environment I/O words, and the inter-task edges with their data
     volumes.  Task and edge order is sorted so insertion order never
     changes the key; the graph *name* is deliberately excluded (renaming a
-    graph does not change what any stage computes from it).
+    graph does not change what any stage computes from it).  The result is
+    already canonical: ``canonical_value`` returns an equal value.
     """
+    names = sorted(graph.task_names())
     tasks = []
-    for name in sorted(graph.task_names()):
+    for name in names:
         task = graph.task(name)
         entry: Dict[str, object] = {
-            "name": name,
-            "type": task.task_type or "",
+            "name": _leaf(name),
+            "type": _leaf(task.task_type or ""),
             "env_in": graph.env_input_words(name),
             "env_out": graph.env_output_words(name),
         }
-        if task.has_cost:
+        if task.cost is not None:
             entry["cost"] = {
-                "resources": {
-                    kind: int(amount)
-                    for kind, amount in sorted(task.resources.as_dict().items())
-                },
-                "delay": _canonical_float(task.delay),
+                "resources": _resources(task.cost.resources),
+                "delay": _canonical_float(task.cost.delay),
             }
         if task.dfg is not None:
-            dfg = task.dfg
             entry["dfg"] = {
                 "operations": [
                     {
-                        "name": op.name,
-                        "kind": op.kind.value,
-                        "width": op.width,
+                        "name": _leaf(op.name),
+                        "kind": _leaf(op.kind.value),
+                        "width": _leaf(op.width),
                         "value": canonical_value(op.value),
                     }
-                    for op in sorted(dfg.operations(), key=lambda op: op.name)
+                    for op in sorted(task.dfg.operations(), key=lambda op: op.name)
                 ],
-                "edges": sorted(list(edge) for edge in dfg.edges()),
+                "edges": [
+                    [_leaf(producer), _leaf(consumer)]
+                    for producer, consumer in sorted(task.dfg.edges())
+                ],
             }
         tasks.append(entry)
-    edges = sorted(
-        (producer, consumer, graph.edge_words(producer, consumer))
-        for producer, consumer in graph.edges()
-    )
+    edges = sorted(graph.weighted_edges())
+    if not all(type(name) is str for name in names):
+        edges = [(_leaf(producer), _leaf(consumer), words) for producer, consumer, words in edges]
     return {"tasks": tasks, "edges": [list(edge) for edge in edges]}
 
 
@@ -155,24 +198,17 @@ def canonical_problem_dict(problem: PartitionProblem) -> Dict[str, object]:
         tasks.append(
             {
                 "name": name,
-                "resources": {
-                    kind: int(amount)
-                    for kind, amount in sorted(task.resources.as_dict().items())
-                },
+                "resources": _sorted_amounts(task.resources),
                 "delay": _canonical_float(task.delay),
                 "type": task.task_type or "",
                 "env_in": graph.env_input_words(name),
                 "env_out": graph.env_output_words(name),
             }
         )
-    edges = sorted(
-        (producer, consumer, graph.edge_words(producer, consumer))
-        for producer, consumer in graph.edges()
-    )
     return {
         "version": CANONICAL_VERSION,
         "tasks": tasks,
-        "edges": [list(edge) for edge in edges],
+        "edges": [list(edge) for edge in sorted(graph.weighted_edges())],
         "resource_capacity": {
             kind: int(amount)
             for kind, amount in sorted(problem.resource_capacity.as_dict().items())
@@ -195,5 +231,4 @@ def problem_fingerprint(
     payload = {"problem": canonical_problem_dict(problem)}
     if solver is not None:
         payload["solver"] = {str(k): solver[k] for k in sorted(solver)}
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return json_digest(payload)

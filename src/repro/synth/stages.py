@@ -50,6 +50,7 @@ from ..runtime.canonical import (
     canonical_device_dict,
     canonical_fingerprint,
     canonical_graph_dict,
+    json_digest,
 )
 from ..runtime.jobs import JobOutcome
 from ..taskgraph.graph import TaskGraph
@@ -135,6 +136,10 @@ def _stage_digest(stage: str, version: int, payload: Dict[str, object]) -> str:
 def graph_content_digest(graph: TaskGraph) -> str:
     """Content digest of a task graph (hashes the canonical form).
 
+    :func:`canonical_graph_dict` is already canonical, so it is serialised
+    as it is: the digest equals ``canonical_fingerprint`` of the same dict
+    without a second walk over it.
+
     Canonicalising walks every task's DFG, so batch drivers that submit one
     graph object under many jobs (CT sweeps, explore neighbourhoods) pass
     the digest down through *graph_digest* rather than re-hashing per job.
@@ -144,7 +149,7 @@ def graph_content_digest(graph: TaskGraph) -> str:
     copy), never across caller turns, because no cheap salt can detect
     every in-place content mutation.
     """
-    return canonical_fingerprint(canonical_graph_dict(graph))
+    return json_digest(canonical_graph_dict(graph))
 
 
 def estimate_stage_key(

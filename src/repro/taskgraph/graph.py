@@ -18,7 +18,17 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from .. import dag
 from ..arch.device import ResourceVector
 from ..errors import CycleError, GraphError, UnknownTaskError
+from ..units import as_integer
 from .task import Task, TaskCost
+
+
+def _words(value: int, what: str) -> int:
+    """A word count as a plain ``int``: integral and non-negative."""
+    if type(value) is not int:
+        value = as_integer(value, what, GraphError)
+    if value < 0:
+        raise GraphError(f"{what} must be non-negative, got {value}")
+    return value
 
 
 class TaskGraph:
@@ -53,12 +63,15 @@ class TaskGraph:
         """Add *task* to the graph.
 
         ``env_input_words`` and ``env_output_words`` are the environment data
-        volumes ``B(env, t)`` and ``B(t, env)`` in memory words.
+        volumes ``B(env, t)`` and ``B(t, env)`` in memory words.  Every word
+        count is a non-negative integer: a ``bool``, a ``float`` or a negative
+        count raises :class:`GraphError`, and a numpy integer is stored as a
+        plain ``int``.
         """
         if task.name in self._tasks:
             raise GraphError(f"duplicate task name {task.name!r} in {self.name!r}")
-        if env_input_words < 0 or env_output_words < 0:
-            raise GraphError("environment data volumes must be non-negative")
+        env_input_words = _words(env_input_words, "env_input_words")
+        env_output_words = _words(env_output_words, "env_output_words")
         self._tasks[task.name] = task
         self._env_input[task.name] = env_input_words
         self._env_output[task.name] = env_output_words
@@ -66,15 +79,16 @@ class TaskGraph:
         self._pred[task.name] = {}
         return task
 
-    def _check_new_edge(self, producer: str, consumer: str, words: int) -> None:
+    def _check_new_edge(self, producer: str, consumer: str, words: int) -> int:
+        """The edge's word count as a plain ``int``, once the edge is legal."""
         self._require(producer)
         self._require(consumer)
         if producer == consumer:
             raise GraphError(f"self edge on task {producer!r}")
-        if words < 0:
-            raise GraphError(f"edge data volume must be non-negative, got {words}")
+        words = _words(words, "edge data volume")
         if consumer in self._succ[producer]:
             raise GraphError(f"duplicate edge {producer!r} -> {consumer!r}")
+        return words
 
     def add_edge(self, producer: str, consumer: str, words: int = 1) -> None:
         """Add a data dependency ``producer -> consumer`` carrying *words* words.
@@ -82,7 +96,7 @@ class TaskGraph:
         Raises :class:`CycleError`, leaving the graph unchanged, when
         *producer* is already reachable from *consumer*.
         """
-        self._check_new_edge(producer, consumer, words)
+        words = self._check_new_edge(producer, consumer, words)
         if producer in dag.reachable(self._succ.__getitem__, consumer):
             raise CycleError(
                 f"edge {producer!r} -> {consumer!r} creates a cycle in task "
@@ -103,7 +117,7 @@ class TaskGraph:
         added: List[Tuple[str, str]] = []
         try:
             for producer, consumer, words in edges:
-                self._check_new_edge(producer, consumer, words)
+                words = self._check_new_edge(producer, consumer, words)
                 self._succ[producer][consumer] = words
                 self._pred[consumer][producer] = words
                 added.append((producer, consumer))
@@ -127,13 +141,9 @@ class TaskGraph:
         """Update the environment I/O volumes of an existing task."""
         self._require(task_name)
         if env_input_words is not None:
-            if env_input_words < 0:
-                raise GraphError("env_input_words must be non-negative")
-            self._env_input[task_name] = env_input_words
+            self._env_input[task_name] = _words(env_input_words, "env_input_words")
         if env_output_words is not None:
-            if env_output_words < 0:
-                raise GraphError("env_output_words must be non-negative")
-            self._env_output[task_name] = env_output_words
+            self._env_output[task_name] = _words(env_output_words, "env_output_words")
 
     def set_cost(self, task_name: str, cost: TaskCost) -> None:
         """Attach a synthesis cost to an existing task (post-estimation)."""
@@ -175,6 +185,15 @@ class TaskGraph:
             (producer, consumer)
             for producer, consumers in self._succ.items()
             for consumer in consumers
+        ]
+
+    def weighted_edges(self) -> List[Tuple[str, str, int]]:
+        """All edges as ``(producer, consumer, words)`` triples, in
+        :meth:`edges` order."""
+        return [
+            (producer, consumer, words)
+            for producer, consumers in self._succ.items()
+            for consumer, words in consumers.items()
         ]
 
     def edge_count(self) -> int:

@@ -59,8 +59,8 @@ def to_dict(graph: TaskGraph) -> Dict[str, Any]:
             entry["metadata"] = dict(task.metadata)
         tasks.append(entry)
     edges = [
-        {"from": producer, "to": consumer, "words": graph.edge_words(producer, consumer)}
-        for producer, consumer in graph.edges()
+        {"from": producer, "to": consumer, "words": words}
+        for producer, consumer, words in graph.weighted_edges()
     ]
     return {
         "format": FORMAT_NAME,

@@ -16,6 +16,7 @@ bug class that plagues timing models.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import SpecificationError
 
@@ -160,6 +161,24 @@ def format_words(words: int) -> str:
 # ---------------------------------------------------------------------------
 # Misc integer helpers shared by the memory mapper and fission analysis
 # ---------------------------------------------------------------------------
+
+def as_integer(value, what: str, error: type = SpecificationError) -> int:
+    """*value* as a plain ``int``, raising *error* unless it is an integer.
+
+    Resource amounts and word counts are counts: a ``bool`` or a ``float``
+    (even an integral one) is rejected, and a numpy integer becomes a plain
+    ``int``, so the canonical hashes see exactly the value used.
+
+    >>> as_integer(3, "words")
+    3
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
 
 def next_power_of_two(value: int) -> int:
     """Smallest power of two greater than or equal to *value* (min 1).

@@ -466,10 +466,10 @@ class MemoryLegalityOracle(Oracle):
 
         # Every cross-partition edge must be mapped on both sides.
         graph = partitioning.graph
-        for producer, consumer in graph.edges():
+        for producer, consumer, words in graph.weighted_edges():
             source = partitioning.partition_of(producer)
             target = partitioning.partition_of(consumer)
-            if source == target or graph.edge_words(producer, consumer) == 0:
+            if source == target or words == 0:
                 continue
             segment = f"flow:{producer}->{consumer}"
             out_names = {

@@ -477,7 +477,7 @@ def generate_scenario(
         capacity = max(
             max_task_clbs * 4, int(total_clbs * rng.uniform(0.12, 0.35))
         )
-        edge_words = [graph.edge_words(p, c) for p, c in graph.edges()]
+        edge_words = [words for _, _, words in graph.weighted_edges()]
         env_words = graph.total_env_input_words() + graph.total_env_output_words()
         demand = sum(edge_words) + env_words
         floor = max(max(edge_words, default=0) * 2, 32)
@@ -498,7 +498,7 @@ def generate_scenario(
     else:
         capacity = max(max_task_clbs, int(total_clbs * rng.uniform(0.8, 1.3)))
 
-    edge_words = [graph.edge_words(p, c) for p, c in graph.edges()]
+    edge_words = [words for _, _, words in graph.weighted_edges()]
     env_words = graph.total_env_input_words() + graph.total_env_output_words()
     demand = sum(edge_words) + env_words
     floor = max(max(edge_words, default=0) * 2, 32)

@@ -71,6 +71,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "3 partitions" in out
 
+    @pytest.mark.parametrize("clbs, stalled", [(10, False), (30, True)])
+    def test_partition_multilevel_reports_its_phases(self, tmp_path, capsys, clbs, stalled):
+        """The multilevel line gives all three phase times, and a second
+        line says when no pair of 30-CLB tasks fits the 50-CLB cluster cap."""
+        graph = linear_pipeline([clbs] * 60, [ns(100)] * 60)
+        path = tmp_path / "pipeline.json"
+        save(graph, path)
+        assert main([
+            "partition", str(path), "--partitioner", "multilevel:list",
+            "--system", "custom", "--clbs", "100", "--memory", "4096", "--ct", "5",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "multilevel: inner=list levels 60" in out
+        assert "s, refine " in out
+        stall = "coarsening stalled at 60 tasks, above the 48-task target"
+        assert (stall in out) == stalled
+
     def test_flow_with_comparison(self, capsys):
         assert main([
             "flow", "--partitioner", "list", "--strategy", "idh",

@@ -167,6 +167,18 @@ class TestBulkEdgeInsertion:
         # The good prefix must not survive the failed bulk call.
         assert graph.edge_count() == 0
 
+    def test_weighted_edges_follow_edges_order(self):
+        edges = [("t2", "t3", 5), ("t0", "t3", 2), ("t0", "t1", 4), ("t2", "t1", 0)]
+        graph = self._nodes(4)
+        graph.add_edges(edges)
+        assert graph.weighted_edges() == [
+            (producer, consumer, graph.edge_words(producer, consumer))
+            for producer, consumer in graph.edges()
+        ]
+        assert graph.weighted_edges() == [
+            ("t0", "t3", 2), ("t0", "t1", 4), ("t2", "t3", 5), ("t2", "t1", 0),
+        ]
+
     def test_rollback_preserves_preexisting_edges(self):
         graph = self._nodes(3)
         graph.add_edge("t0", "t1", 4)
