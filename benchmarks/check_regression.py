@@ -50,9 +50,8 @@ class Gate:
 #: Gated metrics per benchmark name (the ``BENCH_<name>.json`` stem).
 GATES: Dict[str, List[Gate]] = {
     "ilp_partitioning": [
-        # Same-machine before/after ratio: the headline acceleration gate.
-        Gate("accel_speedup_vs_reference", "min", RATIO_TOLERANCE),
-        # Absolute cold-solve throughput of the accelerated stack.
+        # Absolute cold-solve throughput of the portfolio over the builtin
+        # workloads (heuristic ladder, certificate, HiGHS exact arm).
         Gate("accel_jobs_per_sec", "min", ABSOLUTE_TOLERANCE),
         # Absolute scipy solve time of the HLS-estimated DCT.  Without the
         # delay-bound row HiGHS needs tens of seconds to prove its optimum,

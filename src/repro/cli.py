@@ -84,7 +84,7 @@ DEFAULT_SYSTEM = "paper-xc4044"
 def _version() -> str:
     """The installed distribution version (source-tree fallback)."""
     try:
-        from importlib.metadata import PackageNotFoundError, version
+        from importlib.metadata import version
 
         return version("repro-rtr-partitioning")
     except Exception:  # noqa: BLE001 - metadata is best-effort
@@ -147,9 +147,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     graph = _load_graph(args.taskgraph)
     system = _make_system(args)
     problem = PartitionProblem.from_system(graph, system)
-    partitioner = make_partitioner(
-        SolverSpec(partitioner=args.partitioner, backend=args.backend)
-    )
+    partitioner = make_partitioner(SolverSpec(partitioner=args.partitioner))
     result = partitioner.partition(problem)
     assert_valid(problem, result)
     print(result.describe())
@@ -234,7 +232,6 @@ def cmd_partition_batch(args: argparse.Namespace) -> int:
     engine = PartitionEngine(EngineConfig(
         workers=args.workers,
         partitioner=args.partitioner,
-        backend=args.backend,
         time_limit=args.time_limit,
         job_timeout=args.job_timeout,
         cache_dir=args.cache_dir,
@@ -1000,9 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
     partition.add_argument("taskgraph", nargs="?", default="dct",
                            help="task-graph JSON file, or 'dct' for the case study (default)")
     partition.add_argument("--partitioner", default="ilp", choices=PARTITIONER_CHOICES)
-    partition.add_argument("--backend", default="scipy",
-                           choices=["scipy", "branch-and-bound"],
-                           help="ILP solver backend")
     _add_system_arguments(partition)
     partition.set_defaults(handler=cmd_partition)
 
@@ -1013,9 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("taskgraphs", nargs="*", default=None, metavar="taskgraph",
                        help="task-graph JSON files, or 'dct' for the case study (default)")
     batch.add_argument("--partitioner", default="ilp", choices=PARTITIONER_CHOICES)
-    batch.add_argument("--backend", default="scipy",
-                       choices=["scipy", "branch-and-bound"],
-                       help="ILP solver backend")
     batch.add_argument("--workers", type=int, default=0,
                        help="worker processes for cache misses (0/1 = in-process)")
     batch.add_argument("--ct-sweep", default="",

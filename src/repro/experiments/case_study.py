@@ -53,7 +53,6 @@ class CaseStudy:
 def build_case_study(
     use_ilp: bool = True,
     system: Optional[RtrSystem] = None,
-    backend: str = "scipy",
     engine: Optional[PartitionEngine] = None,
 ) -> CaseStudy:
     """Construct the case study.
@@ -74,9 +73,7 @@ def build_case_study(
     solve_time = 0.0
     if use_ilp:
         engine = engine or shared_engine()
-        partitioning = engine.solve(
-            problem, tag="case-study", partitioner="ilp", backend=backend
-        )
+        partitioning = engine.solve(problem, tag="case-study", partitioner="ilp")
         solve_time = partitioning.solve_time
     else:
         assignment = expected_paper_partitioning(graph)

@@ -21,7 +21,6 @@ from ..runtime.engine import PartitionEngine, ct_sweep_jobs, shared_engine
 def partitioning_ct_sweep(
     ct_values: Sequence[float],
     engine: Optional[PartitionEngine] = None,
-    backend: str = "scipy",
 ) -> List[Dict[str, object]]:
     """Optimal DCT partitionings as the reconfiguration time varies.
 
@@ -32,7 +31,7 @@ def partitioning_ct_sweep(
     engine = engine or shared_engine()
     graph = build_dct_task_graph()
     system = paper_case_study_system()
-    jobs = ct_sweep_jobs(engine, graph, system, ct_values, backend=backend)
+    jobs = ct_sweep_jobs(engine, graph, system, ct_values)
     batch = engine.solve_batch(jobs)
     rows: List[Dict[str, object]] = []
     for ct, report in zip(ct_values, batch):

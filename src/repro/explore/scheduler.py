@@ -41,12 +41,11 @@ scheduling daemon publishes so remote workers need nothing but its URL;
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, List, Mapping, Optional, Union
 
@@ -168,7 +167,10 @@ class ShardScheduler:
         self._live: Dict[int, Lease] = {}
         self._leases: Dict[str, Lease] = {}
         self._completions: Dict[int, Completion] = {}
-        self._seq = itertools.count(1)
+        #: The number the next granted lease takes.
+        self._next_seq = 1
+        #: Leases ever granted per range.
+        self._grant_counts: List[int] = [0] * range_count
         # Counters surfaced by /v1/scheduler/status.
         self.granted = 0
         self.reissued = 0
@@ -204,7 +206,7 @@ class ShardScheduler:
         self, index: int, worker: str, now: float, stolen_from: str = ""
     ) -> Lease:
         lease = Lease(
-            lease_id=f"lease-{next(self._seq):06d}",
+            lease_id=f"lease-{self._next_seq:06d}",
             range_index=index,
             worker=worker,
             granted_at=now,
@@ -214,16 +216,16 @@ class ShardScheduler:
         self._status[index] = RANGE_LEASED
         self._live[index] = lease
         self._leases[lease.lease_id] = lease
+        self._next_seq += 1
+        self._grant_counts[index] += 1
         self.granted += 1
-        if self.grants_of(index) > 1:
+        if self._grant_counts[index] > 1:
             self.reissued += 1
         return lease
 
     def grants_of(self, index: int) -> int:
         """How many leases have ever been granted on range *index*."""
-        return sum(
-            1 for lease in self._leases.values() if lease.range_index == index
-        )
+        return self._grant_counts[index]
 
     def lease(self, worker: str, now: float) -> Optional[Lease]:
         """Grant the next pending range to *worker*, or ``None`` if none.
@@ -414,7 +416,7 @@ class ShardScheduler:
                 completion.to_json_dict()
                 for completion in self.completions()
             ],
-            "next_lease_seq": self._peek_seq(),
+            "next_lease_seq": self._next_seq,
             "counters": {
                 "granted": self.granted,
                 "reissued": self.reissued,
@@ -425,12 +427,6 @@ class ShardScheduler:
                 "duplicates": self.duplicates,
             },
         }
-
-    def _peek_seq(self) -> int:
-        """The next lease sequence number, without consuming it."""
-        value = next(self._seq)
-        self._seq = itertools.chain([value], self._seq)
-        return value
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, object]) -> "ShardScheduler":
@@ -451,6 +447,7 @@ class ShardScheduler:
             for item in data["leases"]:  # type: ignore[union-attr]
                 lease = Lease.from_json_dict(item)
                 scheduler._leases[lease.lease_id] = lease
+                scheduler._grant_counts[lease.range_index] += 1
                 if lease.state == LEASE_LIVE:
                     if lease.range_index in scheduler._live:
                         raise ValueError(
@@ -467,7 +464,7 @@ class ShardScheduler:
                     store_path=str(item.get("store_path", "")),
                 )
                 scheduler._completions[completion.range_index] = completion
-            scheduler._seq = itertools.count(int(data["next_lease_seq"]))  # type: ignore[arg-type]
+            scheduler._next_seq = int(data["next_lease_seq"])  # type: ignore[arg-type]
             counters = dict(data.get("counters", {}))  # type: ignore[arg-type]
             for name in (
                 "granted", "reissued", "stolen", "expired",
@@ -475,7 +472,7 @@ class ShardScheduler:
             ):
                 setattr(scheduler, name, int(counters.get(name, 0)))
             return scheduler
-        except (KeyError, TypeError, ValueError) as error:
+        except (IndexError, KeyError, TypeError, ValueError) as error:
             raise SchedulerError(
                 f"malformed scheduler snapshot: {error}"
             ) from error

@@ -1,12 +1,11 @@
 """ILP modelling and solving layer (the library's substitute for CPLEX).
 
 Provides a small modelling API (variables, linear expressions, constraints,
-models), linearisation helpers for products of binaries, and two MILP
-backends: scipy HiGHS (``milp``) and a branch-and-bound whose node LP
-relaxations run on HiGHS ``linprog``.
+models), linearisation helpers for products of binaries, and one MILP
+solver: scipy's HiGHS ``milp`` (:func:`solve`), with HiGHS ``linprog`` for
+LP relaxations (:func:`solve_lp_relaxation`).
 """
 
-from .branch_and_bound import solve_branch_and_bound
 from .constraint import Constraint, Sense, ensure_constraint
 from .expr import LinExpr, Variable, VarType, linear_sum
 from .linearize import (
@@ -18,12 +17,10 @@ from .linearize import (
 from .model import MatrixForm, Model
 from .scipy_backend import LpResult
 from .solution import Solution, SolveStatus
-from .solver import BACKENDS, DEFAULT_BACKEND, solve, solve_lp_relaxation
+from .solver import solve, solve_lp_relaxation
 
 __all__ = [
-    "BACKENDS",
     "Constraint",
-    "DEFAULT_BACKEND",
     "LinExpr",
     "LpResult",
     "MatrixForm",
@@ -40,6 +37,5 @@ __all__ = [
     "linear_sum",
     "product_linearization",
     "solve",
-    "solve_branch_and_bound",
     "solve_lp_relaxation",
 ]

@@ -22,7 +22,7 @@ class Constraint:
 
     Internally normalised to ``lhs sense rhs`` where ``lhs`` is a
     :class:`LinExpr` with zero constant and ``rhs`` is a number, which is the
-    shape all three solver backends consume.
+    shape the matrix export consumes.
     """
 
     __slots__ = ("lhs", "sense", "rhs", "name")

@@ -2,11 +2,10 @@
 
 The paper solves its temporal-partitioning model with CPLEX; since no
 commercial solver is available here, the library ships its own small
-modelling layer (this module and its siblings) together with two
-interchangeable solving backends (scipy's HiGHS and a branch-and-bound over
-HiGHS LP relaxations).  The modelling layer is deliberately tiny but complete enough
-for the paper's model: binary/integer/continuous variables, linear
-expressions, <=/>=/== constraints and a linear objective.
+modelling layer (this module and its siblings) and solves it with scipy's
+HiGHS.  The modelling layer is deliberately tiny but complete enough for the
+paper's model: binary/integer/continuous variables, linear expressions,
+<=/>=/== constraints and a linear objective.
 """
 
 from __future__ import annotations

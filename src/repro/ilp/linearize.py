@@ -76,33 +76,6 @@ def indicator_ge_sum(
     return model.add_constraint(indicator >= expr, name=name or f"ind_{indicator.name}")
 
 
-def ordered_position_chain(
-    model: Model,
-    position_exprs: Sequence[LinExpr],
-    name_prefix: str = "sym",
-) -> List[Constraint]:
-    """Add ``position_exprs[i] <= position_exprs[i+1]`` for consecutive pairs.
-
-    This is the standard symmetry-breaking device for groups of
-    interchangeable entities: if the *positions* of the group's members (for
-    the partitioning model, ``sum_p p * y[t,p]``) are forced into a fixed
-    order, every permutation-symmetric family of solutions collapses to its
-    single sorted representative, while at least one optimum always survives
-    (sorting a feasible solution's positions within an interchangeable group
-    is again feasible with the same objective).  Returns the added
-    constraints (empty for groups of fewer than two members).
-    """
-    constraints: List[Constraint] = []
-    for index in range(len(position_exprs) - 1):
-        constraints.append(
-            model.add_constraint(
-                position_exprs[index] <= position_exprs[index + 1],
-                name=f"{name_prefix}[{index}]",
-            )
-        )
-    return constraints
-
-
 def at_most_one(model: Model, variables: Iterable[Variable], name: str = "") -> Constraint:
     """Add ``sum(variables) <= 1`` (a common side constraint)."""
     variables = list(variables)

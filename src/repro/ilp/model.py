@@ -1,7 +1,7 @@
 """The ILP/LP model container.
 
 A :class:`Model` owns variables, constraints and a linear objective, and can
-export itself to the dense matrix form consumed by the solver backends
+export itself to the dense matrix form HiGHS consumes
 (``minimise c.x subject to A_ub.x <= b_ub, A_eq.x == b_eq, lb <= x <= ub``).
 """
 
@@ -208,9 +208,9 @@ class Model:
         return [c for c in self._constraints if not c.is_satisfied(assignment, tolerance)]
 
     def to_matrix_form(self) -> MatrixForm:
-        """Export the model to dense arrays for the numerical backends.
+        """Export the model to dense arrays for the HiGHS calls.
 
-        Maximisation objectives are negated so every backend can minimise.
+        Maximisation objectives are negated so the solver always minimises.
         """
         count = len(self._variables)
         objective = np.zeros(count)

@@ -1,10 +1,10 @@
-"""scipy-based LP/MILP backends (HiGHS).
+"""The scipy HiGHS calls behind :mod:`repro.ilp.solver`.
 
-`scipy.optimize.linprog` solves LP relaxations (every branch-and-bound node
-and :func:`~repro.ilp.solver.solve_lp_relaxation`); `scipy.optimize.milp`
-solves complete mixed-integer models.  scipy is a declared dependency;
-``scipy.optimize`` is imported inside the solve functions so that importing
-the library does not pay for it.
+`scipy.optimize.milp` solves complete mixed-integer models and
+`scipy.optimize.linprog` solves LP relaxations
+(:func:`~repro.ilp.solver.solve_lp_relaxation`).  scipy is a declared
+dependency; ``scipy.optimize`` is imported inside the solve functions so
+that importing the library does not pay for it.
 """
 
 from __future__ import annotations
@@ -31,17 +31,20 @@ class LpResult:
     solve_time: float
 
 
-def _status_from_linprog(status_code: int) -> SolveStatus:
-    """Map scipy.optimize.linprog status codes to :class:`SolveStatus`."""
-    if status_code == 0:
-        return SolveStatus.OPTIMAL
-    if status_code == 1:
-        return SolveStatus.ITERATION_LIMIT
-    if status_code == 2:
-        return SolveStatus.INFEASIBLE
-    if status_code == 3:
-        return SolveStatus.UNBOUNDED
-    return SolveStatus.ERROR
+#: scipy ``linprog`` and ``milp`` status codes (they agree on 0-3).
+#: Status 1 (iteration/time limit) may still carry a ``milp`` incumbent.
+_SCIPY_STATUS = {
+    0: SolveStatus.OPTIMAL,
+    1: SolveStatus.ITERATION_LIMIT,
+    2: SolveStatus.INFEASIBLE,
+    3: SolveStatus.UNBOUNDED,
+}
+
+#: What a zero-objective re-solve's status says about a status-4 model.
+_ZERO_OBJECTIVE_STATUS = {
+    0: SolveStatus.UNBOUNDED,
+    2: SolveStatus.INFEASIBLE,
+}
 
 
 def solve_lp_scipy(form: MatrixForm, max_iterations: int = 100000) -> LpResult:
@@ -61,7 +64,7 @@ def solve_lp_scipy(form: MatrixForm, max_iterations: int = 100000) -> LpResult:
         options={"maxiter": max_iterations},
     )
     elapsed = time.perf_counter() - start
-    status = _status_from_linprog(result.status)
+    status = _SCIPY_STATUS.get(result.status, SolveStatus.ERROR)
     if status is not SolveStatus.OPTIMAL:
         return LpResult(status, None, None, int(result.nit or 0), elapsed)
     objective = float(result.fun) + form.objective_constant
@@ -80,7 +83,7 @@ def solve_milp_scipy(
     mip_gap: float = 0.0,
 ) -> Solution:
     """Solve *model* exactly with scipy's HiGHS ``milp``."""
-    from scipy.optimize import LinearConstraint, milp
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     form = model.to_matrix_form()
     start = time.perf_counter()
@@ -91,33 +94,31 @@ def solve_milp_scipy(
         )
     if form.a_eq.size:
         constraints.append(LinearConstraint(form.a_eq, form.b_eq, form.b_eq))
-    from scipy.optimize import Bounds
 
     options = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     if mip_gap:
         options["mip_rel_gap"] = float(mip_gap)
-    result = milp(
-        c=form.objective,
-        constraints=constraints or None,
-        integrality=form.integrality,
-        bounds=Bounds(form.lower, form.upper),
-        options=options or None,
-    )
-    elapsed = time.perf_counter() - start
 
-    if result.status == 0:
-        status = SolveStatus.OPTIMAL
-    elif result.status == 2:
-        status = SolveStatus.INFEASIBLE
-    elif result.status == 3:
-        status = SolveStatus.UNBOUNDED
-    elif result.status == 1:
-        # Iteration/time limit: may still carry an incumbent.
-        status = SolveStatus.ITERATION_LIMIT
-    else:
-        status = SolveStatus.ERROR
+    def run(objective):
+        return milp(
+            c=objective,
+            constraints=constraints or None,
+            integrality=form.integrality,
+            bounds=Bounds(form.lower, form.upper),
+            options=options or None,
+        )
+
+    result = run(form.objective)
+    status = _SCIPY_STATUS.get(result.status, SolveStatus.ERROR)
+    if result.status == 4:
+        # HiGHS: "primal infeasible or unbounded".  Nothing is unbounded
+        # under a zero objective, so that re-solve tells the two apart.
+        status = _ZERO_OBJECTIVE_STATUS.get(
+            run(np.zeros_like(form.objective)).status, SolveStatus.ERROR
+        )
+    elapsed = time.perf_counter() - start
 
     values = {}
     objective = None

@@ -34,11 +34,12 @@ class Solution:
     values:
         Mapping from :class:`Variable` to its value.
     backend:
-        Name of the solver backend that produced the solution.
+        Name of the HiGHS call that produced the solution (``"scipy-milp"``
+        or ``"scipy-linprog"``).
     iterations:
-        Backend-specific work counter (HiGHS LP iterations or B&B nodes).
+        HiGHS LP iterations (0 for ``milp``, which does not report them).
     solve_time:
-        Wall-clock seconds spent in the backend.
+        Wall-clock seconds spent in HiGHS.
     """
 
     status: SolveStatus

@@ -9,13 +9,13 @@
 * :class:`AnnealTemporalPartitioner` — seeded simulated-annealing refinement
   of the list solution (latency-aware, still cheap);
 * :class:`PortfolioPartitioner` — deterministic ladder over all of the above
-  plus an optimality certificate, ILP fallback warm-started from the best
-  heuristic;
+  plus an optimality certificate, with the ILP as the fallback when no
+  heuristic is certified;
 * :class:`MultilevelPartitioner` — criticality-driven multilevel clustering
   pre-partitioner for 10k-100k-node graphs (coarsen, solve with any inner
   engine, uncoarsen + refine);
 * :func:`make_partitioner` — the registry that turns a :class:`SolverSpec`
-  (partitioner name, backend, limits, seed) into one of the above;
+  (partitioner name, limits, seed) into one of the above;
 * validation and metrics shared by all of them.
 """
 

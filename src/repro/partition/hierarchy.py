@@ -87,7 +87,6 @@ from ..arch.device import ResourceVector
 from ..errors import CycleError, PartitioningError
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.task import Task, TaskCost
-from ..ilp.solver import DEFAULT_BACKEND
 from .anneal_partitioner import _MoveState
 from .ilp_formulation import FormulationOptions
 from .registry import (
@@ -309,7 +308,7 @@ class MultilevelPartitioner:
     inner:
         Inner engine run on the coarse graph (one of
         :data:`~repro.partition.registry.MULTILEVEL_INNER_CHOICES`).
-    ilp_backend / seed / time_limit:
+    seed / time_limit:
         Forwarded to the inner engine where applicable (``seed`` pins the
         annealer, ``time_limit`` the exact solver).
     max_coarse_tasks:
@@ -329,7 +328,6 @@ class MultilevelPartitioner:
         self,
         inner: str = DEFAULT_MULTILEVEL_INNER,
         *,
-        ilp_backend: Optional[str] = None,
         seed: int = 0,
         time_limit: Optional[float] = None,
         max_coarse_tasks: int = 48,
@@ -344,7 +342,6 @@ class MultilevelPartitioner:
         if max_refine_moves < 0:
             raise PartitioningError("max_refine_moves must be non-negative")
         self.inner = inner
-        self.ilp_backend = ilp_backend
         self.seed = seed
         self.time_limit = time_limit
         self.max_coarse_tasks = max_coarse_tasks
@@ -422,20 +419,11 @@ class MultilevelPartitioner:
     def _build_inner(self):
         # Coarse graphs can be arbitrarily reconvergent, so the exact inner
         # solves use the "auto" delay form: Eq. 7 paths when they fit the
-        # limit, the chain-prefix formulation otherwise.  The symmetry /
-        # cut switches keep their backend-dependent defaults.
-        backend = self.ilp_backend or DEFAULT_BACKEND
-        builtin = backend == "branch-and-bound"
-        ilp_options = FormulationOptions(
-            delay_form="auto", symmetry_breaking=builtin, cardinality_cuts=builtin
-        )
+        # limit, the chain-prefix formulation otherwise.
         spec = SolverSpec(
-            partitioner=self.inner,
-            backend=backend,
-            time_limit=self.time_limit,
-            seed=self.seed,
+            partitioner=self.inner, time_limit=self.time_limit, seed=self.seed
         )
-        return make_partitioner(spec, ilp_options=ilp_options)
+        return make_partitioner(spec, ilp_options=FormulationOptions(delay_form="auto"))
 
     # ------------------------------------------------------------------
     # Coarsening

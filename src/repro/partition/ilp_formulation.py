@@ -25,7 +25,7 @@ and the constraints:
   critical path;
 * **objective** (Eq. 8): minimise ``N*CT + sum_p d[p]``.
 
-Two formulation choices are configurable (and benchmarked as ablations):
+Three formulation choices are configurable (and benchmarked as ablations):
 
 * the temporal-order constraints can be written exactly as Eq. 2
   (``order_form="paper"``) or aggregated into one position constraint per
@@ -42,21 +42,13 @@ Two formulation choices are configurable (and benchmarked as ablations):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import PartitioningError
 from ..ilp.expr import LinExpr, Variable, linear_sum
-from ..ilp.linearize import ordered_position_chain
 from ..ilp.model import Model
-from ..taskgraph.analysis import (
-    DEFAULT_PATH_LIMIT,
-    count_root_to_leaf_paths,
-    interchangeable_task_classes,
-    max_tasks_per_partition,
-)
-from ..taskgraph.graph import TaskGraph
+from ..taskgraph.analysis import DEFAULT_PATH_LIMIT, count_root_to_leaf_paths
 from ..taskgraph.kpaths import root_to_leaf_paths_by_delay
-from .result import in_partition_chain_delays
 from .spec import PartitionProblem
 
 #: Time scale used inside the ILP: delays are expressed in nanoseconds rather
@@ -79,20 +71,6 @@ class FormulationOptions:
     #: since coarse graphs can be arbitrarily reconvergent).
     delay_form: str = "path"
     path_limit: Optional[int] = DEFAULT_PATH_LIMIT
-    #: Order the partition positions of interchangeable tasks (see
-    #: :func:`repro.taskgraph.analysis.interchangeable_task_classes`) so
-    #: permutation-symmetric optima collapse to one representative.  Off by
-    #: default: scipy's HiGHS runs its own symmetry detection and the extra
-    #: rows can slow it down; the built-in branch-and-bound turns it on.
-    symmetry_breaking: bool = False
-    #: Add per-partition cardinality cuts ``sum_t y[t,p] <= k`` where ``k``
-    #: is :func:`repro.taskgraph.analysis.max_tasks_per_partition`.  The cut
-    #: is implied by the resource constraints on integral solutions but
-    #: tightens the LP relaxation substantially when tasks are near-uniform
-    #: in size (the filter-bank case study drops ~5x in node count).  Off by
-    #: default for the same reason as ``symmetry_breaking``: HiGHS derives
-    #: its own clique cuts; the built-in branch-and-bound turns it on.
-    cardinality_cuts: bool = False
 
     def __post_init__(self) -> None:
         if self.order_form not in ("paper", "position"):
@@ -126,10 +104,6 @@ class TemporalPartitioningFormulation:
         #: :meth:`PartitionProblem.delay_lower_bound` in seconds (the
         #: right-hand side of the delay-bound row, before scaling).
         self.delay_bound = 0.0
-        #: Interchangeability classes the symmetry-breaking constraints cover
-        #: (empty when the option is off or no class has two members).
-        self.symmetry_classes: List[List[str]] = []
-        self._accumulated: Dict[Tuple[str, int], Variable] = {}
         self._build()
 
     # ------------------------------------------------------------------
@@ -151,10 +125,6 @@ class TemporalPartitioningFormulation:
         else:
             self._add_chain_delay_constraints()
         self._add_delay_bound_constraint()
-        if self.options.cardinality_cuts:
-            self._add_cardinality_cuts()
-        if self.options.symmetry_breaking and n > 1:
-            self._add_symmetry_breaking_constraints()
         objective = (
             n * self.problem.reconfiguration_time * MODEL_TIME_SCALE
             + linear_sum([self.d[p] for p in range(1, n + 1)])
@@ -332,7 +302,6 @@ class TemporalPartitioningFormulation:
                 accumulated[(task_name, p)] = self.model.add_continuous(
                     f"a[{task_name},{p}]", 0.0, big_m
                 )
-        self._accumulated = accumulated
         for task_name in graph.task_names():
             delay = graph.task(task_name).delay * MODEL_TIME_SCALE
             for p in range(1, n + 1):
@@ -370,97 +339,6 @@ class TemporalPartitioningFormulation:
                 name="delay_bound",
             )
 
-    def _add_cardinality_cuts(self) -> None:
-        """Per-partition cardinality cut ``sum_t y[t,p] <= k``.
-
-        ``k`` comes from :func:`max_tasks_per_partition`: if the ``k+1``
-        smallest consumers of some resource already overflow the capacity,
-        no partition can hold more than ``k`` tasks.  Skipped when the cut
-        would be slack even with every task in one partition.
-        """
-        graph = self.problem.graph
-        limit = max_tasks_per_partition(graph, self.problem.resource_capacity)
-        if limit >= len(graph):
-            return
-        for p in range(1, self.partition_bound + 1):
-            self.model.add_constraint(
-                linear_sum([self.y[(name, p)] for name in graph.task_names()])
-                <= limit,
-                name=f"card[{p}]",
-            )
-
-    def _add_symmetry_breaking_constraints(self) -> None:
-        """Order the partition positions of interchangeable tasks.
-
-        For every class of mutually interchangeable tasks (same delay,
-        resources, neighbours and data volumes) the members' positions
-        ``sum_p p * y[t,p]`` are constrained to be non-decreasing in task-name
-        order.  Each symmetric family of solutions keeps exactly its sorted
-        representative, so the optimal objective is untouched while the
-        search tree loses the permutation copies.
-        """
-        n = self.partition_bound
-        self.symmetry_classes = interchangeable_task_classes(self.problem.graph)
-        for class_index, members in enumerate(self.symmetry_classes):
-            positions = [
-                linear_sum([p * self.y[(name, p)] for p in range(1, n + 1)])
-                for name in members
-            ]
-            ordered_position_chain(
-                self.model, positions, name_prefix=f"sym[{class_index}]"
-            )
-
-    # ------------------------------------------------------------------
-    # Warm starts
-    # ------------------------------------------------------------------
-
-    def incumbent_from_assignment(
-        self, assignment: Mapping[str, int]
-    ) -> Dict[Variable, float]:
-        """Map a feasible task->partition assignment onto the model variables.
-
-        Produces the full ``(y, w, d)`` (and, for the chain delay form,
-        ``a``) point the assignment induces, suitable as a warm-start
-        incumbent for the branch-and-bound backend.  When symmetry breaking
-        is active the assignment is canonicalised first so the point
-        satisfies the ordering constraints.
-
-        The assignment must use partitions ``1..N`` for this formulation's
-        bound ``N``; a :class:`PartitioningError` is raised otherwise.
-        Feasibility against the remaining constraints is *not* checked here
-        — the solver validates the point and silently drops an infeasible
-        incumbent.
-        """
-        graph = self.problem.graph
-        n = self.partition_bound
-        if self.options.symmetry_breaking:
-            assignment = canonical_assignment(graph, assignment)
-        for task_name, partition in assignment.items():
-            if not 1 <= partition <= n:
-                raise PartitioningError(
-                    f"incumbent places {task_name!r} in partition {partition}, "
-                    f"outside this formulation's bound 1..{n}"
-                )
-        values: Dict[Variable, float] = {}
-        for (task_name, p), variable in self.y.items():
-            values[variable] = 1.0 if assignment[task_name] == p else 0.0
-        for (p, producer, consumer), variable in self.w.items():
-            straddles = assignment[producer] <= p < assignment[consumer]
-            values[variable] = 1.0 if straddles else 0.0
-        chain_delays = in_partition_chain_delays(graph, assignment)
-        for p in range(1, n + 1):
-            members = [name for name, where in assignment.items() if where == p]
-            partition_delay = max(
-                (chain_delays[name] for name in members), default=0.0
-            )
-            values[self.d[p]] = partition_delay * MODEL_TIME_SCALE
-        for (task_name, p), variable in self._accumulated.items():
-            if assignment[task_name] == p:
-                values[variable] = chain_delays[task_name] * MODEL_TIME_SCALE
-            else:
-                values[variable] = 0.0
-        return values
-
     # ------------------------------------------------------------------
     # Solution extraction
     # ------------------------------------------------------------------
@@ -489,21 +367,3 @@ class TemporalPartitioningFormulation:
         """Model-size statistics (variables/constraints) for reporting."""
         return self.model.statistics()
 
-
-def canonical_assignment(
-    graph: TaskGraph, assignment: Mapping[str, int]
-) -> Dict[str, int]:
-    """Permute interchangeable tasks into the symmetry-broken representative.
-
-    Within every interchangeability class the sorted member names receive the
-    class's partition indices in ascending order.  Because class members are
-    mutually interchangeable, the result is feasible exactly when the input
-    is and has the identical objective — it is the representative the
-    symmetry-breaking constraints keep.
-    """
-    canonical = dict(assignment)
-    for members in interchangeable_task_classes(graph):
-        partitions = sorted(canonical[name] for name in members)
-        for name, partition in zip(members, partitions):
-            canonical[name] = partition
-    return canonical

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..errors import PartitioningError
 from ..ilp.solution import SolveStatus
-from ..ilp.solver import DEFAULT_BACKEND, solve
+from ..ilp.solver import solve
 from .ilp_formulation import FormulationOptions, TemporalPartitioningFormulation
-from .list_partitioner import ListTemporalPartitioner
 from .result import TemporalPartitioning
 from .spec import PartitionProblem
 
@@ -35,11 +34,6 @@ class IlpPartitionerReport:
     model_constraints: int = 0
     solve_time: float = 0.0
     total_time: float = 0.0
-    backend: str = ""
-    #: Whether a heuristic incumbent was handed to the solver for at least
-    #: one bound, and the incumbent's partition count if one was found.
-    warm_started: bool = False
-    incumbent_partitions: Optional[int] = None
     #: :meth:`PartitionProblem.delay_lower_bound` (seconds): the floor the
     #: model puts under ``sum_p d_p``, for comparison with the optimum's
     #: computation latency.
@@ -51,8 +45,6 @@ class IlpTemporalPartitioner:
 
     Parameters
     ----------
-    backend:
-        ILP solver backend name (see :mod:`repro.ilp.solver`).
     options:
         Formulation switches (:class:`FormulationOptions`).
     explore_extra_partitions:
@@ -61,59 +53,34 @@ class IlpTemporalPartitioner:
         The paper stops at the first feasible bound (default 0).
     time_limit:
         Optional per-solve wall-clock limit in seconds.
-    warm_start:
-        Seed each branch-and-bound solve with the list-scheduler solution as
-        the incumbent upper bound.  ``None`` (default) enables it exactly for
-        the ``"branch-and-bound"`` backend — scipy's ``milp`` has no MIP-start
-        hook, so warming it would only cost the heuristic run.
     """
 
     def __init__(
         self,
-        backend: str = DEFAULT_BACKEND,
         options: Optional[FormulationOptions] = None,
         explore_extra_partitions: int = 0,
         time_limit: Optional[float] = None,
-        warm_start: Optional[bool] = None,
     ) -> None:
         if explore_extra_partitions < 0:
             raise PartitioningError("explore_extra_partitions must be non-negative")
-        self.backend = backend
-        if options is None:
-            # Symmetry breaking and cardinality cuts help the built-in tree
-            # search; HiGHS runs its own symmetry detection and clique cuts
-            # and does better without the extra rows.
-            builtin = backend == "branch-and-bound"
-            options = FormulationOptions(
-                symmetry_breaking=builtin, cardinality_cuts=builtin
-            )
-        self.options = options
+        self.options = options or FormulationOptions()
         self.explore_extra_partitions = explore_extra_partitions
         self.time_limit = time_limit
-        if warm_start is None:
-            warm_start = backend == "branch-and-bound"
-        self.warm_start = warm_start
         self.last_report: Optional[IlpPartitionerReport] = None
 
     def partition(self, problem: PartitionProblem) -> TemporalPartitioning:
         """Run the preprocessing + relax-N loop and return the best partitioning."""
-        report = IlpPartitionerReport(backend=self.backend)
+        report = IlpPartitionerReport()
         start = time.perf_counter()
         lower_bound = problem.minimum_partitions()
         cap = problem.partition_cap()
-
-        incumbent_assignment: Optional[Dict[str, int]] = None
-        if self.warm_start:
-            incumbent_assignment = self._heuristic_incumbent(problem, report)
 
         best: Optional[TemporalPartitioning] = None
         bound = lower_bound
         extra_remaining = self.explore_extra_partitions
         while bound <= cap:
             report.attempted_bounds.append(bound)
-            candidate = self._solve_for_bound(
-                problem, bound, report, incumbent_assignment
-            )
+            candidate = self._solve_for_bound(problem, bound, report)
             if candidate is None:
                 report.infeasible_bounds.append(bound)
                 bound += 1
@@ -138,42 +105,15 @@ class IlpTemporalPartitioner:
 
     # ------------------------------------------------------------------
 
-    def _heuristic_incumbent(
-        self, problem: PartitionProblem, report: IlpPartitionerReport
-    ) -> Optional[Dict[str, int]]:
-        """The list-scheduler solution, if one exists, as a warm-start seed."""
-        try:
-            heuristic = ListTemporalPartitioner().partition(problem)
-        except PartitioningError:
-            return None
-        report.incumbent_partitions = heuristic.partition_count
-        return dict(heuristic.assignment)
-
     def _solve_for_bound(
-        self,
-        problem: PartitionProblem,
-        bound: int,
-        report: IlpPartitionerReport,
-        incumbent_assignment: Optional[Dict[str, int]] = None,
+        self, problem: PartitionProblem, bound: int, report: IlpPartitionerReport
     ) -> Optional[TemporalPartitioning]:
         formulation = TemporalPartitioningFormulation(problem, bound, self.options)
         stats = formulation.statistics()
         report.model_variables = stats["variables"]
         report.model_constraints = stats["constraints"]
         report.delay_bound = formulation.delay_bound
-        incumbent = None
-        if (
-            incumbent_assignment is not None
-            and max(incumbent_assignment.values()) <= bound
-        ):
-            incumbent = formulation.incumbent_from_assignment(incumbent_assignment)
-            report.warm_started = True
-        solution = solve(
-            formulation.model,
-            backend=self.backend,
-            time_limit=self.time_limit,
-            incumbent=incumbent,
-        )
+        solution = solve(formulation.model, time_limit=self.time_limit)
         report.solve_time += solution.solve_time
         if solution.status is SolveStatus.INFEASIBLE:
             return None

@@ -1,8 +1,8 @@
 """Portfolio temporal partitioner: race heuristics against the ILP.
 
 Runs a fixed ladder of solver arms per problem and returns the first result
-that is *provably optimal*, falling back to the warm-started ILP when no
-cheap arm can prove its candidate:
+that is *provably optimal*, falling back to the exact ILP when no cheap arm
+can prove its candidate:
 
 1. the greedy heuristics (list scheduling under two priority rules, level
    clustering) and the seeded annealer, all cheap and deterministic;
@@ -13,8 +13,8 @@ cheap arm can prove its candidate:
    ``sum_p d_p >= CP``) and ``DLB`` the delay-level bound of
    :meth:`PartitionProblem.delay_lower_bound`.  A heuristic candidate that
    meets this bound is optimal — no ILP needed;
-3. the exact ILP (:class:`IlpTemporalPartitioner`), warm-started with the
-   best heuristic candidate as its incumbent.
+3. the exact ILP (:class:`IlpTemporalPartitioner`), solved from scratch:
+   no heuristic candidate is passed to the solver.
 
 Determinism: a wall-clock race between arms would make the winner depend on
 machine load, so the "race" is a fixed arm order instead — ties on the
@@ -81,8 +81,6 @@ class PortfolioPartitioner:
 
     Parameters
     ----------
-    ilp_backend:
-        Backend for the exact arm (see :mod:`repro.ilp.solver`).
     anneal_seed / anneal_iterations:
         Forwarded to the :class:`AnnealTemporalPartitioner` arm.
     use_certificate:
@@ -91,7 +89,7 @@ class PortfolioPartitioner:
         differential testing of the certificate itself).
     ilp_options:
         Formulation switches forwarded to the exact arm (``None`` keeps the
-        backend-dependent defaults).  The multilevel partitioner passes the
+        defaults).  The multilevel partitioner passes the
         ``"auto"`` delay form here so reconvergent coarse graphs fall back
         to the chain formulation instead of failing on the path limit.
     time_limit:
@@ -101,14 +99,12 @@ class PortfolioPartitioner:
 
     def __init__(
         self,
-        ilp_backend: Optional[str] = None,
         anneal_seed: int = 0,
         anneal_iterations: int = 2000,
         use_certificate: bool = True,
         ilp_options: Optional[FormulationOptions] = None,
         time_limit: Optional[float] = None,
     ) -> None:
-        self.ilp_backend = ilp_backend
         self.anneal_seed = anneal_seed
         self.anneal_iterations = anneal_iterations
         self.use_certificate = use_certificate
@@ -148,11 +144,10 @@ class PortfolioPartitioner:
             self.last_report = report
             return self._label(best, best_arm, certified=True)
 
-        # No certificate: the exact arm decides, seeded with the best
-        # heuristic candidate as its incumbent upper bound.
-        ilp_kwargs = {} if self.ilp_backend is None else {"backend": self.ilp_backend}
+        # No certificate: the exact arm decides.  It solves from scratch;
+        # the heuristic candidates only ever serve the certificate.
         ilp = IlpTemporalPartitioner(
-            options=self.ilp_options, time_limit=self.time_limit, **ilp_kwargs
+            options=self.ilp_options, time_limit=self.time_limit
         )
         report.arms_run.append("ilp")
         result = ilp.partition(problem)

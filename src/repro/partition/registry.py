@@ -91,12 +91,17 @@ def ct_invariant_solver(partitioner: str, explore_extra_partitions: int = 0) -> 
     return explore_extra_partitions == 0
 
 
+#: The solver tag every cache key carries and every outcome falls back to.
+#: HiGHS is the only MILP solver, but the tag stays: it is part of every
+#: stored partition key and of the ``backend`` column of batch rows.
+SOLVER_TAG = "scipy"
+
+
 @dataclass(frozen=True)
 class SolverSpec:
-    """How one problem should be solved (algorithm, backend, limits, seed)."""
+    """How one problem should be solved (algorithm, limits, seed)."""
 
     partitioner: str = "ilp"
-    backend: str = "scipy"
     time_limit: Optional[float] = None
     explore_extra_partitions: int = 0
     #: Random seed for the stochastic partitioners (``anneal``, and the
@@ -116,7 +121,7 @@ class SolverSpec:
         """
         fields: Dict[str, object] = {
             "partitioner": self.partitioner,
-            "backend": self.backend,
+            "backend": SOLVER_TAG,
             "explore_extra_partitions": self.explore_extra_partitions,
         }
         if self.partitioner in ("anneal", "portfolio") or self.partitioner.startswith(
@@ -135,7 +140,7 @@ def make_partitioner(
 
     *ilp_options* overrides the exact solver's formulation switches (the
     multilevel scheme passes the ``"auto"`` delay form for coarse graphs);
-    ``None`` keeps the backend-dependent defaults.
+    ``None`` keeps the defaults.
     """
     inner = multilevel_inner(spec.partitioner)
     if inner is not None:
@@ -145,14 +150,12 @@ def make_partitioner(
 
         return MultilevelPartitioner(
             inner=inner,
-            ilp_backend=spec.backend,
             seed=spec.seed,
             time_limit=spec.time_limit,
         )
     name = spec.partitioner
     if name == "ilp":
         return IlpTemporalPartitioner(
-            backend=spec.backend,
             options=ilp_options,
             explore_extra_partitions=spec.explore_extra_partitions,
             time_limit=spec.time_limit,
@@ -164,7 +167,6 @@ def make_partitioner(
     if name == "anneal":
         return AnnealTemporalPartitioner(seed=spec.seed)
     return PortfolioPartitioner(
-        ilp_backend=spec.backend,
         anneal_seed=spec.seed,
         ilp_options=ilp_options,
         time_limit=spec.time_limit,
@@ -176,6 +178,7 @@ __all__ = [
     "MULTILEVEL_INNER_CHOICES",
     "PARTITIONERS",
     "PARTITIONER_CHOICES",
+    "SOLVER_TAG",
     "SolverSpec",
     "check_partitioner",
     "ct_invariant_solver",

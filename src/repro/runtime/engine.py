@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -56,7 +56,7 @@ class EngineConfig:
     workers:
         Worker processes for cache misses. ``0`` and ``1`` both solve
         in-process (no pool); ``>= 2`` fans out.
-    partitioner / backend / time_limit:
+    partitioner / time_limit:
         Defaults applied to jobs submitted as bare problems.
     job_timeout:
         Wall-clock limit (seconds) the engine enforces on the pool phase of
@@ -77,7 +77,6 @@ class EngineConfig:
 
     workers: int = 0
     partitioner: str = "ilp"
-    backend: str = "scipy"
     time_limit: Optional[float] = None
     job_timeout: Optional[float] = None
     lru_capacity: int = 256
@@ -99,11 +98,7 @@ class EngineConfig:
 
     def default_solver(self) -> SolverSpec:
         """The solver spec applied to bare-problem submissions."""
-        return SolverSpec(
-            partitioner=self.partitioner,
-            backend=self.backend,
-            time_limit=self.time_limit,
-        )
+        return SolverSpec(partitioner=self.partitioner, time_limit=self.time_limit)
 
 
 @dataclass
@@ -202,15 +197,9 @@ class PartitionEngine:
     # ------------------------------------------------------------------
 
     def make_job(self, problem: PartitionProblem, tag: str = "", **solver) -> PartitionJob:
-        """Wrap a problem in a job, filling solver fields from the config."""
-        defaults = self.config.default_solver()
-        spec = SolverSpec(
-            partitioner=solver.get("partitioner", defaults.partitioner),
-            backend=solver.get("backend", defaults.backend),
-            time_limit=solver.get("time_limit", defaults.time_limit),
-            explore_extra_partitions=solver.get("explore_extra_partitions", 0),
-            seed=solver.get("seed", defaults.seed),
-        )
+        """Wrap a problem in a job: *solver* overrides :class:`SolverSpec`
+        fields of the config's defaults (an unknown field is a ``TypeError``)."""
+        spec = replace(self.config.default_solver(), **solver)
         return PartitionJob(problem=problem, solver=spec, tag=tag)
 
     def _coerce_jobs(self, submissions: Iterable[JobLike]) -> List[PartitionJob]:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
 from ..errors import PartitioningError
-from ..partition.registry import SolverSpec
+from ..partition.registry import SOLVER_TAG, SolverSpec
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
 from .canonical import problem_fingerprint
@@ -126,7 +126,7 @@ class JobReport:
             "status": self.outcome.status.value,
             "source": self.source.value,
             "partitioner": self.job.solver.partitioner,
-            "backend": self.outcome.backend or self.job.solver.backend,
+            "backend": self.outcome.backend or SOLVER_TAG,
             "partitions": self.outcome.partition_count,
             "total_latency_s": self.outcome.total_latency,
             "compute_latency_s": self.outcome.computation_latency,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 
 from ..errors import ReproError
-from ..partition.registry import make_partitioner
+from ..partition.registry import SOLVER_TAG, make_partitioner
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
 from .jobs import JobOutcome, JobStatus, PartitionJob, SolverSpec
@@ -33,7 +33,7 @@ def _solved_outcome(
         computation_latency=result.computation_latency,
         objective_value=result.objective_value,
         method=result.method or solver.partitioner,
-        backend=result.solver_backend or solver.backend,
+        backend=result.solver_backend or SOLVER_TAG,
         solve_time=result.solve_time,
         worker_time=elapsed,
         attempted_bounds=attempted_bounds,

@@ -47,7 +47,6 @@ class FlowOptions:
     """Options controlling the end-to-end flow."""
 
     partitioner: str = "ilp"
-    ilp_backend: str = "scipy"
     #: Seed for the stochastic partitioners ("anneal", and the anneal arm of
     #: "portfolio"); the deterministic partitioners ignore it.
     partitioner_seed: int = 0
@@ -65,7 +64,6 @@ class FlowOptions:
         """The partitioner configuration these options select."""
         return SolverSpec(
             partitioner=self.partitioner,
-            backend=self.ilp_backend,
             explore_extra_partitions=explore_extra_partitions,
             seed=self.partitioner_seed,
         )

@@ -422,7 +422,6 @@ class FlowEngine:
                     ),
                     tag=job.name,
                     partitioner=job.options.partitioner,
-                    backend=job.options.ilp_backend,
                     seed=job.options.partitioner_seed,
                 )
             )

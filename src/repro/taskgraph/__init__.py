@@ -15,7 +15,6 @@ from .analysis import (
     critical_path,
     downstream_tasks,
     independent_task_pairs,
-    interchangeable_task_classes,
     max_tasks_per_partition,
     partition_lower_bound,
     path_delay,
@@ -62,7 +61,6 @@ __all__ = [
     "from_json",
     "image_pipeline_task_graph",
     "independent_task_pairs",
-    "interchangeable_task_classes",
     "k_longest_path_delays",
     "k_longest_paths",
     "linear_pipeline",

@@ -271,43 +271,6 @@ def upstream_tasks(graph: TaskGraph, task_name: str) -> List[str]:
     return sorted(reachable(graph.predecessors, task_name))
 
 
-def interchangeable_task_classes(graph: TaskGraph) -> List[List[str]]:
-    """Groups of mutually interchangeable tasks (size >= 2), sorted by name.
-
-    Two tasks are interchangeable when swapping them in any partition
-    assignment provably changes nothing the partitioning model can observe:
-    same delay, same resource vector, same predecessor and successor sets,
-    and the same data volume on each corresponding edge.  Such tasks induce
-    symmetric solutions that differ only by a permutation — the ILP
-    formulation breaks those symmetries by ordering each class's partition
-    positions (see ``FormulationOptions.symmetry_breaking``).
-
-    The grouping is deterministic: classes are ordered by their first member
-    and members are sorted by task name.
-    """
-    graph.validate()
-    signatures: Dict[tuple, List[str]] = {}
-    for task in graph.tasks():
-        preds = tuple(sorted(graph.predecessors(task.name)))
-        succs = tuple(sorted(graph.successors(task.name)))
-        in_words = tuple(graph.edge_words(pred, task.name) for pred in preds)
-        out_words = tuple(graph.edge_words(task.name, succ) for succ in succs)
-        signature = (
-            task.delay,
-            tuple(sorted(task.resources.as_dict().items())),
-            preds,
-            succs,
-            in_words,
-            out_words,
-            graph.env_input_words(task.name),
-            graph.env_output_words(task.name),
-        )
-        signatures.setdefault(signature, []).append(task.name)
-    classes = [sorted(members) for members in signatures.values() if len(members) > 1]
-    classes.sort(key=lambda members: members[0])
-    return classes
-
-
 def independent_task_pairs(graph: TaskGraph) -> List[Tuple[str, str]]:
     """Unordered pairs of tasks with no path between them in either direction."""
     names = graph.task_names()

@@ -30,6 +30,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["partition", "--partitioner", "annealing"])
 
+    @pytest.mark.parametrize("command", ["partition", "partition-batch"])
+    def test_solver_backend_cannot_be_chosen(self, command, capsys):
+        # HiGHS is the only MILP solver; even its old name is refused.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--backend", "scipy"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["--version"])

@@ -1,10 +1,9 @@
-"""Tests for the ILP modelling layer and solver backends (repro.ilp)."""
+"""Tests for the ILP modelling layer and the HiGHS solver calls (repro.ilp)."""
 
 import pytest
 
-from repro.errors import ModelError, SolverError
+from repro.errors import ModelError
 from repro.ilp import (
-    BACKENDS,
     Model,
     Sense,
     SolveStatus,
@@ -15,7 +14,6 @@ from repro.ilp import (
     linear_sum,
     product_linearization,
     solve,
-    solve_branch_and_bound,
     solve_lp_relaxation,
 )
 
@@ -160,23 +158,21 @@ class TestModel:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["scipy", "branch-and-bound"])
-    def test_knapsack_optimum(self, backend):
+    def test_knapsack_optimum(self):
         model, (a, b, c) = knapsack_model()
-        solution = solve(model, backend=backend)
+        solution = solve(model)
         assert solution.is_optimal
         assert solution.objective == pytest.approx(16.0)
         assert solution.binary_value(a) and solution.binary_value(b)
         assert not solution.binary_value(c)
 
-    @pytest.mark.parametrize("backend", ["scipy", "branch-and-bound"])
-    def test_infeasible_detected(self, backend):
+    def test_infeasible_detected(self):
         model = Model()
         x = model.add_binary("x")
         model.add_constraint(x >= 0.6)
         model.add_constraint(x <= 0.4)
         model.minimize(x)
-        assert solve(model, backend=backend).status is SolveStatus.INFEASIBLE
+        assert solve(model).status is SolveStatus.INFEASIBLE
 
     def test_mixed_integer_continuous(self):
         model = Model()
@@ -185,9 +181,8 @@ class TestBackends:
         model.add_constraint(d >= 30 * x)
         model.add_constraint(x >= 1)
         model.minimize(d)
-        for backend in ("scipy", "branch-and-bound"):
-            solution = solve(model, backend=backend)
-            assert solution.objective == pytest.approx(30.0)
+        solution = solve(model)
+        assert solution.objective == pytest.approx(30.0)
 
     def test_pure_lp_relaxation_optimum(self):
         model = Model()
@@ -200,20 +195,12 @@ class TestBackends:
         assert solution.objective == pytest.approx(4.0)
         assert solution.value(y) == pytest.approx(4.0)
 
-    def test_simplex_backend_rejects_integers(self):
-        model, _ = knapsack_model()
-        retired = "simplex"
-        with pytest.raises(SolverError, match="unknown backend 'simplex'"):
-            solve(model, backend=retired)
-
     def test_unknown_backend(self):
+        """HiGHS is the only solver: no backend can be named, not even it."""
         model, _ = knapsack_model()
-        for backend in ("cplex", "simplex"):
-            with pytest.raises(SolverError, match="'scipy', 'branch-and-bound'"):
+        for backend in ("cplex", "simplex", "branch-and-bound", "scipy"):
+            with pytest.raises(TypeError, match="backend"):
                 solve(model, backend=backend)
-
-    def test_backends_constant_registered(self):
-        assert BACKENDS == ("scipy", "branch-and-bound")
 
     def test_equality_constraints(self):
         model = Model()
@@ -221,10 +208,9 @@ class TestBackends:
         y = model.add_integer("y", 0, 10)
         model.add_constraint(x + y == 7)
         model.minimize(3 * x + y)
-        for backend in ("scipy", "branch-and-bound"):
-            solution = solve(model, backend=backend)
-            assert solution.objective == pytest.approx(7.0)
-            assert solution.value(x) == pytest.approx(0.0)
+        solution = solve(model)
+        assert solution.objective == pytest.approx(7.0)
+        assert solution.value(x) == pytest.approx(0.0)
 
     def test_lp_relaxation_bounds_milp(self):
         model, _ = knapsack_model()
@@ -250,14 +236,6 @@ class TestBackends:
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(0.0)
         assert result.value(y) == pytest.approx(5.0)
-
-    def test_branch_and_bound_node_limit_reports_limit(self):
-        model = Model()
-        variables = [model.add_binary(f"x{i}") for i in range(12)]
-        model.add_constraint(linear_sum(variables) <= 6)
-        model.maximize(linear_sum([(i % 3 + 1) * v for i, v in enumerate(variables)]))
-        solution = solve_branch_and_bound(model, max_nodes=1)
-        assert solution.status in (SolveStatus.ITERATION_LIMIT, SolveStatus.OPTIMAL)
 
 
 class TestLinearisation:

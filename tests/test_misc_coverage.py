@@ -60,11 +60,23 @@ class TestIlpEdgeCases:
         assert solve_lp_relaxation(model).status is SolveStatus.UNBOUNDED
 
     def test_unbounded_milp_detected(self):
+        # HiGHS answers "infeasible or unbounded" here; a zero-objective
+        # re-solve finds x = 0 feasible, so the model is unbounded.
         model = Model()
         x = model.add_integer("x", 0, float("inf"))
         model.maximize(x)
-        result = solve(model, backend="branch-and-bound")
+        result = solve(model)
         assert result.status is SolveStatus.UNBOUNDED
+
+    def test_integer_infeasible_milp_with_unbounded_relaxation(self):
+        # 2x - 2y = 1 has real solutions along an unbounded ray, none integral.
+        model = Model()
+        x = model.add_integer("x", 0, float("inf"))
+        y = model.add_integer("y", 0, float("inf"))
+        model.add_constraint(2 * x - 2 * y == 1)
+        model.maximize(x + y)
+        assert solve_lp_relaxation(model).status is SolveStatus.UNBOUNDED
+        assert solve(model).status is SolveStatus.INFEASIBLE
 
     def test_model_with_no_constraints(self):
         model = Model()
@@ -77,8 +89,7 @@ class TestIlpEdgeCases:
         x = model.add_binary("x")
         model.add_constraint(x >= 1)
         model.minimize(x + 10)
-        for backend in ("scipy", "branch-and-bound"):
-            assert solve(model, backend=backend).objective == pytest.approx(11.0)
+        assert solve(model).objective == pytest.approx(11.0)
 
     def test_maximization_with_constant(self):
         model = Model()

@@ -224,11 +224,6 @@ class TestIlpPartitioner:
         assert result.partition_count == 1
         assert result.computation_latency == pytest.approx(ns(50))
 
-    def test_branch_and_bound_backend_agrees(self, small_problem):
-        scipy_result = IlpTemporalPartitioner(backend="scipy").partition(small_problem)
-        bnb_result = IlpTemporalPartitioner(backend="branch-and-bound").partition(small_problem)
-        assert bnb_result.total_latency == pytest.approx(scipy_result.total_latency)
-
 
 class TestHeuristicPartitioners:
     def test_list_partitioner_valid_on_random_graphs(self):

@@ -45,9 +45,10 @@ SPELLINGS = (
     "multilevel:level", "multilevel:anneal",
 )
 
-#: sha256 over every (spelling, seed, backend, extra-partitions) choice's
-#: stage plan, CT-invariance flag and partition-job fingerprint.
-GOLDEN_KEYS = "633bf4fd3d236f2ac3c5193299e9fdba6c531789b28b6b1ef655ade15c1046a0"
+#: sha256 over every (spelling, seed, extra-partitions) choice's stage plan,
+#: CT-invariance flag and partition-job fingerprint; each row also names the
+#: ``"scipy"`` solver tag every key carries.
+GOLDEN_KEYS = "2fd89995f19d9d89fac926793218df4f1c9a034859ba746e8275866619f9f919"
 
 
 def test_spellings_are_the_registry_choices():
@@ -63,30 +64,26 @@ def test_cache_keys_match_the_pinned_digest():
     digest = hashlib.sha256()
     for partitioner in SPELLINGS:
         for seed in (0, 3):
-            for backend in ("scipy", "branch-and-bound"):
-                for extra in (0, 2):
-                    options = FlowOptions(
-                        partitioner=partitioner, ilp_backend=backend, partitioner_seed=seed
-                    )
-                    plan = stages.build_stage_plan(
-                        graph, system, options, explore_extra_partitions=extra
-                    )
-                    job = PartitionJob(
-                        stages.normalised_partition_problem(problem, extra, partitioner),
-                        SolverSpec(
-                            partitioner=partitioner,
-                            backend=backend,
-                            explore_extra_partitions=extra,
-                            seed=seed,
-                        ),
-                    )
-                    row = [
-                        partitioner, seed, backend, extra,
-                        [key.digest for key in plan.keys],
-                        stages.ct_invariant_solver(partitioner, extra),
-                        job.fingerprint(),
-                    ]
-                    digest.update(json.dumps(row).encode())
+            for extra in (0, 2):
+                options = FlowOptions(partitioner=partitioner, partitioner_seed=seed)
+                plan = stages.build_stage_plan(
+                    graph, system, options, explore_extra_partitions=extra
+                )
+                job = PartitionJob(
+                    stages.normalised_partition_problem(problem, extra, partitioner),
+                    SolverSpec(
+                        partitioner=partitioner,
+                        explore_extra_partitions=extra,
+                        seed=seed,
+                    ),
+                )
+                row = [
+                    partitioner, seed, "scipy", extra,
+                    [key.digest for key in plan.keys],
+                    stages.ct_invariant_solver(partitioner, extra),
+                    job.fingerprint(),
+                ]
+                digest.update(json.dumps(row).encode())
     assert digest.hexdigest() == GOLDEN_KEYS
 
 
@@ -107,16 +104,9 @@ def test_make_partitioner_builds_the_named_solver(name, kind):
 
 
 def test_spec_fields_reach_the_solver():
-    spec = SolverSpec(
-        partitioner="ilp",
-        backend="branch-and-bound",
-        time_limit=2.5,
-        explore_extra_partitions=1,
-    )
+    spec = SolverSpec(partitioner="ilp", time_limit=2.5, explore_extra_partitions=1)
     ilp = make_partitioner(spec)
-    assert (ilp.backend, ilp.time_limit, ilp.explore_extra_partitions) == (
-        "branch-and-bound", 2.5, 1,
-    )
+    assert (ilp.time_limit, ilp.explore_extra_partitions) == (2.5, 1)
     assert make_partitioner(SolverSpec(partitioner="anneal", seed=7)).seed == 7
     multilevel = make_partitioner(
         SolverSpec(partitioner="multilevel:anneal", seed=7, time_limit=2.5)

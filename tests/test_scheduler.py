@@ -20,6 +20,7 @@ daemon) is smoke-tested here; the fault-injection battery lives in
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,41 @@ class TestLeaseProtocol:
         bad = dict(good, status=["pending"])  # wrong length
         with pytest.raises(SchedulerError):
             ShardScheduler.from_json_dict(bad)
+        leased = ShardScheduler(2)
+        leased.lease("w1", 0.0)
+        snapshot = leased.to_json_dict()
+        snapshot["leases"][0]["range_index"] = 9  # no such range
+        with pytest.raises(SchedulerError):
+            ShardScheduler.from_json_dict(snapshot)
+
+    def test_snapshots_do_not_grow_memory(self):
+        """``GET /v1/scheduler/snapshot`` serialises the scheduler once per
+        request, so a snapshot must leave nothing behind."""
+        scheduler = ShardScheduler(4)
+        scheduler.lease("w1", 0.0)
+        scheduler.to_json_dict()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20_000):
+                scheduler.to_json_dict()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 64 * 1024
+        assert scheduler.lease("w2", 1.0).lease_id == "lease-000002"
+
+    def test_lease_ids_and_grant_counts_survive_a_round_trip(self):
+        scheduler = ShardScheduler(1, lease_timeout=1.0)
+        assert scheduler.lease("w1", 0.0).lease_id == "lease-000001"
+        snapshot = scheduler.to_json_dict()
+        assert snapshot["next_lease_seq"] == 2
+        restored = ShardScheduler.from_json_dict(json.loads(json.dumps(snapshot)))
+        assert restored.grants_of(0) == 1
+        # The lease expired at t=1, so the range is re-issued as lease 2.
+        again = restored.lease("w2", 5.0)
+        assert again.lease_id == "lease-000002"
+        assert (restored.grants_of(0), restored.reissued) == (2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Differential properties of the solver hot-path acceleration.
+"""Differential properties of the solver hot path.
 
-Every acceleration layer added to the solver stack — the warm-started
-branch and bound, the symmetry/cardinality formulation tightening and the
-portfolio partitioner — is required to be *observationally identical* to
-the slow reference it replaced: same objectives, same statuses,
-byte-identical assignments across reruns.  These tests pin that contract on
-the same seeded scenario families the differential-verification harness
-fuzzes (see ``tests/strategies.py``).
+The portfolio partitioner, the seeded annealer and the preprocessing and
+delay bounds are required to be *observationally identical* to the exact
+ILP they shortcut or tighten: same objectives, byte-identical assignments
+across reruns, and bounds that never cut off the optimum.  These tests pin
+that contract on the same seeded scenario families the
+differential-verification harness fuzzes (see ``tests/strategies.py``).
 """
 
 from __future__ import annotations
@@ -17,18 +16,14 @@ from hypothesis import strategies as st
 
 import strategies as strat
 from repro.arch import generic_system
-from repro.ilp import Model, linear_sum, solve
-from repro.ilp.branch_and_bound import incumbent_vector
 from repro.jpeg import build_dct_task_graph
 from repro.partition import (
     AnnealTemporalPartitioner,
-    FormulationOptions,
     IlpTemporalPartitioner,
     PartitionProblem,
     PortfolioPartitioner,
     validate_partitioning,
 )
-from repro.partition.ilp_formulation import canonical_assignment
 from repro.partition.portfolio import CERTIFICATE_RTOL
 from repro.synth import DesignFlow
 from repro.taskgraph import (
@@ -37,7 +32,6 @@ from repro.taskgraph import (
     cardinality_lower_bound,
     clb_cost,
     critical_path,
-    interchangeable_task_classes,
     max_tasks_per_partition,
     partition_lower_bound,
 )
@@ -57,45 +51,6 @@ def _problem(graph, clb_capacity=700, memory_words=8192, ct=0.01):
         reconfiguration_time=ct,
     )
     return PartitionProblem.from_system(graph, system)
-
-
-# ---------------------------------------------------------------------------
-# Warm-started branch and bound vs. scipy
-# ---------------------------------------------------------------------------
-
-
-@given(strat.task_graphs(families=FAMILIES, min_tasks=4, max_tasks=9))
-@SLOW
-def test_warm_started_builtin_matches_scipy(graph):
-    problem = _problem(graph)
-    scipy_result = IlpTemporalPartitioner().partition(problem)
-    builtin = IlpTemporalPartitioner(backend="branch-and-bound").partition(problem)
-    assert validate_partitioning(problem, builtin).is_valid
-    assert builtin.partition_count == scipy_result.partition_count
-    assert builtin.total_latency == pytest.approx(
-        scipy_result.total_latency, rel=1e-9, abs=1e-12
-    )
-
-
-@given(strat.task_graphs(families=FAMILIES, min_tasks=4, max_tasks=9))
-@SLOW
-def test_warm_start_does_not_change_builtin_objective(graph):
-    """Warm starts prune the tree; they must never change the optimum.
-
-    The assignments may legitimately differ (when nothing in the tree beats
-    the seeded incumbent, the incumbent itself is returned), but both runs
-    must land on the same objective and partition count — and each
-    configuration must reproduce itself exactly.
-    """
-    problem = _problem(graph)
-    warm = IlpTemporalPartitioner(backend="branch-and-bound").partition(problem)
-    cold = IlpTemporalPartitioner(
-        backend="branch-and-bound", warm_start=False
-    ).partition(problem)
-    assert warm.total_latency == cold.total_latency
-    assert warm.partition_count == cold.partition_count
-    rerun = IlpTemporalPartitioner(backend="branch-and-bound").partition(problem)
-    assert rerun.assignment == warm.assignment
 
 
 # ---------------------------------------------------------------------------
@@ -308,121 +263,3 @@ def test_delay_bound_certifies_the_portfolio():
         + problem.delay_lower_bound()
     )
     assert report.certified and report.ilp_report is None
-
-
-# ---------------------------------------------------------------------------
-# Symmetry classes and canonical assignments
-# ---------------------------------------------------------------------------
-
-
-@given(strat.task_graphs(families=("fanout", "layered"), min_tasks=6, max_tasks=14))
-@settings(max_examples=20, deadline=None)
-def test_interchangeable_classes_are_really_interchangeable(graph):
-    classes = interchangeable_task_classes(graph)
-    for group in classes:
-        assert len(group) >= 2
-        first = graph.task(group[0])
-        for name in group[1:]:
-            other = graph.task(name)
-            assert other.delay == first.delay
-            assert other.resources == first.resources
-
-
-@given(strat.task_graphs(families=FAMILIES, min_tasks=4, max_tasks=12))
-@settings(max_examples=20, deadline=None)
-def test_canonical_assignment_preserves_objective_and_validity(graph):
-    from repro.partition import ListTemporalPartitioner
-
-    problem = _problem(graph)
-    result = ListTemporalPartitioner().partition(problem)
-    from repro.partition import TemporalPartitioning
-
-    canonical = canonical_assignment(graph, result.assignment)
-    assert sorted(canonical.values()) == sorted(result.assignment.values())
-    # Canonicalisation is idempotent and objective-preserving.
-    assert canonical_assignment(graph, canonical) == canonical
-    relabelled = TemporalPartitioning(
-        graph=result.graph,
-        assignment=canonical,
-        partition_count=result.partition_count,
-        reconfiguration_time=result.reconfiguration_time,
-        method=result.method,
-    )
-    assert validate_partitioning(problem, relabelled).is_valid
-    assert relabelled.total_latency == result.total_latency
-
-
-def test_cardinality_cuts_do_not_change_the_optimum():
-    graph = build_family_graph("layered", seed=11, task_count=8)
-    problem = _problem(graph)
-    plain = IlpTemporalPartitioner(
-        backend="branch-and-bound", options=FormulationOptions()
-    ).partition(problem)
-    cut = IlpTemporalPartitioner(
-        backend="branch-and-bound",
-        options=FormulationOptions(symmetry_breaking=True, cardinality_cuts=True),
-    ).partition(problem)
-    assert cut.partition_count == plain.partition_count
-    assert cut.total_latency == pytest.approx(plain.total_latency, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Warm-start incumbent validation edge cases
-# ---------------------------------------------------------------------------
-
-
-def _knapsack_form():
-    model = Model("knapsack")
-    xs = [model.add_binary(f"x{i}") for i in range(3)]
-    model.add_constraint(linear_sum(2 * x for x in xs) <= 4)
-    model.maximize(linear_sum(xs))
-    return model, xs
-
-
-def test_incumbent_vector_accepts_feasible_point():
-    model, xs = _knapsack_form()
-    form = model.to_matrix_form()
-    vector = incumbent_vector(form, {xs[0]: 1.0, xs[1]: 1.0, xs[2]: 0.0})
-    assert vector is not None
-    assert vector[xs[0].index] == 1.0 and vector[xs[2].index] == 0.0
-
-
-def test_incumbent_vector_rejects_partial_assignment():
-    model, xs = _knapsack_form()
-    form = model.to_matrix_form()
-    assert incumbent_vector(form, {xs[0]: 1.0}) is None
-
-
-def test_incumbent_vector_rejects_fractional_integers():
-    model, xs = _knapsack_form()
-    form = model.to_matrix_form()
-    assert incumbent_vector(form, {xs[0]: 0.5, xs[1]: 0.0, xs[2]: 0.0}) is None
-
-
-def test_incumbent_vector_rejects_constraint_violation():
-    model, xs = _knapsack_form()
-    form = model.to_matrix_form()
-    assert incumbent_vector(form, {x: 1.0 for x in xs}) is None
-
-
-def test_incumbent_vector_rounds_near_integral_values():
-    model, xs = _knapsack_form()
-    form = model.to_matrix_form()
-    vector = incumbent_vector(
-        form, {xs[0]: 1.0 - 1e-9, xs[1]: 1e-9, xs[2]: 0.0}
-    )
-    assert vector is not None
-    assert vector[xs[0].index] == 1.0
-    assert vector[xs[1].index] == 0.0
-
-
-def test_solve_with_incumbent_matches_cold_solve():
-    model, xs = _knapsack_form()
-    cold = solve(model, backend="branch-and-bound")
-    warm = solve(
-        model,
-        backend="branch-and-bound",
-        incumbent={xs[0]: 1.0, xs[1]: 1.0, xs[2]: 0.0},
-    )
-    assert warm.is_optimal and cold.is_optimal
-    assert warm.objective == cold.objective

@@ -1,16 +1,25 @@
-"""Cross-checks between the ILP solver backends on randomly generated instances.
+"""Cross-checks of the ILP layer on randomly generated instances.
 
-The library's own branch-and-bound is compared against scipy's HiGHS ``milp``,
-and HiGHS LP relaxations are checked for feasibility and for bounding the
-MILP optimum, on families of random (but always feasible and bounded)
-instances.
+HiGHS LP relaxations are checked for feasibility and for bounding the MILP
+optimum on random (but always feasible and bounded) instances, and the ILP
+temporal partitioner is checked against exhaustive enumeration
+(``tests/exhaustive_reference.py``) on drawn graphs of up to seven tasks.
 """
 
 import numpy as np
 import pytest
+from exhaustive_reference import MAX_TASKS, exhaustive_optimum
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import strategies as strat
+from repro.arch.device import ResourceVector
+from repro.errors import PartitioningError
 from repro.ilp import Model, SolveStatus, linear_sum, solve, solve_lp_relaxation
 from repro.ilp.scipy_backend import solve_lp_scipy
+from repro.partition import IlpTemporalPartitioner, PartitionProblem, validate_partitioning
+from repro.units import ms, ns, us
+from repro.verify.scenarios import FAMILIES
 
 
 def random_bounded_lp(seed: int, variables: int, constraints: int) -> Model:
@@ -55,15 +64,6 @@ class TestLpCrossCheck:
 
 
 class TestMilpCrossCheck:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_branch_and_bound_matches_scipy_milp(self, seed):
-        model = random_knapsack_milp(seed, items=10)
-        bnb = solve(model, backend="branch-and-bound")
-        scipy_result = solve(model, backend="scipy")
-        assert bnb.is_optimal and scipy_result.is_optimal
-        assert bnb.objective == pytest.approx(scipy_result.objective, abs=1e-6)
-        assert model.is_feasible(bnb.values)
-
     @pytest.mark.parametrize("seed", range(4))
     def test_relaxation_bounds_the_milp(self, seed):
         model = random_knapsack_milp(seed, items=12)
@@ -85,3 +85,47 @@ class TestMilpCrossCheck:
         values = {model.variable("x"): result.x[0], model.variable("y"): result.x[1]}
         assert model.is_feasible(values, tolerance=1e-6)
         assert result.objective == pytest.approx(1 - 3 * 5)
+
+
+@given(
+    graph=strat.task_graphs(families=FAMILIES, min_tasks=1, max_tasks=MAX_TASKS),
+    clb_share=st.integers(min_value=0, max_value=100),
+    memory_share=st.integers(min_value=0, max_value=100),
+    ct=st.sampled_from((0.0, ns(100), us(10), ms(10))),
+)
+@settings(max_examples=150, deadline=None)
+def test_ilp_matches_the_exhaustive_optimum(graph, clb_share, memory_share, ct):
+    """Same partition count and latency as enumeration, or neither finds one.
+
+    The CLB capacity lies between the largest task and the whole graph, and
+    the memory between nothing and every edge's words, so both constraints
+    bind on a good share of the draws.
+    """
+    clbs = [task.resources["clb"] for task in graph.tasks()]
+    capacity = ResourceVector({"clb": max(clbs) + (sum(clbs) - max(clbs)) * clb_share // 100})
+    words = sum(edge_words for _, _, edge_words in graph.weighted_edges())
+    problem = PartitionProblem(graph, capacity, words * memory_share // 100, ct)
+
+    reference = exhaustive_optimum(problem)
+    try:
+        result = IlpTemporalPartitioner().partition(problem)
+    except PartitioningError:
+        result = None
+
+    unconstrained = exhaustive_optimum(PartitionProblem(graph, capacity, words, ct))
+    if reference is None:
+        event("no partitioning")
+    elif reference.partition_count > 1:
+        event("optimum on several partitions")
+    if (reference is None) != (unconstrained is None) or (
+        reference is not None and reference.total_latency != unconstrained.total_latency
+    ):
+        event("memory changes the optimum")
+
+    if reference is None:
+        assert result is None
+        return
+    assert result is not None
+    assert validate_partitioning(problem, result).is_valid
+    assert result.partition_count == reference.partition_count
+    assert result.total_latency == pytest.approx(reference.total_latency, rel=1e-12)
