@@ -6,7 +6,8 @@ across distinct reconfiguration times, so no two jobs dedup) three ways:
 * the plain serial loop over :class:`IlpTemporalPartitioner` (the baseline
   every caller used before the engine existed);
 * a fresh :class:`PartitionEngine` at 1, 2, 4 and 8 workers (cold cache);
-* the same engine again (warm cache).
+* the same engine again (warm cache; median of five batches, timed after
+  a garbage collection so the cold batches' garbage is not charged to it).
 
 It prints the speedup table and asserts the engine's results are identical
 to the serial loop's, that a warm batch costs under 10 % of the cold one,
@@ -26,7 +27,9 @@ under pytest; ``--smoke`` presets a tiny batch with no strict assertions.
 
 from __future__ import annotations
 
+import gc
 import os
+import statistics
 import sys
 import time
 
@@ -89,17 +92,22 @@ def test_engine_scaling_and_warm_cache(dct_graph, paper_system, tmp_path):
             assert report.outcome.partition_count == expected.partition_count
             assert abs(report.outcome.total_latency - expected.total_latency) < 1e-12
 
-    # Warm rerun: same jobs, same engine -> pure cache hits.
+    # Warm reruns: same jobs, same engine -> pure cache hits.  A collection
+    # first keeps a cyclic-GC pass out of the few-millisecond timings.
     warm_workers = WORKER_COUNTS[-1]
     engine, jobs = engines[warm_workers]
-    start = time.perf_counter()
-    warm_batch = engine.solve_batch(jobs)
-    warm_time = time.perf_counter() - start
+    gc.collect()
+    warm_times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        warm_batch = engine.solve_batch(jobs)
+        warm_times.append(time.perf_counter() - start)
+        assert warm_batch.ok
+        assert all(report.cached for report in warm_batch)
+    warm_time = statistics.median(warm_times)
     cold_time = engine_times[warm_workers]
     print(f"  warm cache:  {warm_time:8.4f} s   "
           f"({warm_time / cold_time * 100:4.1f}% of cold)")
-    assert warm_batch.ok
-    assert all(report.cached for report in warm_batch)
     assert warm_time < 0.10 * cold_time, (
         f"warm batch took {warm_time:.3f} s, over 10% of the cold {cold_time:.3f} s"
     )

@@ -7,13 +7,14 @@ experiment runs through) are visible.
 
 from __future__ import annotations
 
+import numpy as np
 from bench_utils import benchmark_seconds, record
 
 from repro.arch import xc4044
 from repro.dfg import vector_product_dfg
 from repro.fission import SequencingStrategy
 from repro.hls import TaskEstimator
-from repro.ilp import Model, linear_sum, solve
+from repro.ilp import MatrixForm, solve_milp_scipy
 from repro.jpeg import JpegLikeCodec, build_dct_task_graph, synthetic_image
 from repro.simulate import RtrExecutionSimulator, StaticExecutionSimulator
 from repro.taskgraph import random_dsp_task_graph
@@ -75,27 +76,42 @@ def test_milp_solver_medium_instance(benchmark):
     """A 60-binary-variable assignment-style MILP (larger than the DCT model's core)."""
 
     def build_and_solve():
-        model = Model("assignment")
         items = 20
         bins = 3
-        y = {
-            (i, b): model.add_binary(f"y[{i},{b}]")
-            for i in range(items)
-            for b in range(bins)
-        }
+        load = items * bins  # columns: y[i,b] item-major, then the load
+        rows = []  # (columns, coefficients, lower, upper)
         for i in range(items):
-            model.add_constraint(linear_sum(y[i, b] for b in range(bins)) == 1)
+            rows.append(([i * bins + b for b in range(bins)], [1.0] * bins, 1.0, 1.0))
         for b in range(bins):
-            model.add_constraint(
-                linear_sum((i % 7 + 1) * y[i, b] for i in range(items)) <= 30
-            )
-        load = model.add_continuous("load", 0, 1000)
+            rows.append((
+                [i * bins + b for i in range(items)],
+                [i % 7 + 1.0 for i in range(items)],
+                -np.inf,
+                30.0,
+            ))
         for b in range(bins):
-            model.add_constraint(
-                load >= linear_sum((i % 5 + 1) * y[i, b] for i in range(items))
-            )
-        model.minimize(load)
-        return solve(model)
+            # load >= sum_i (i % 5 + 1) * y[i,b]
+            rows.append((
+                [i * bins + b for i in range(items)] + [load],
+                [-(i % 5 + 1.0) for i in range(items)] + [1.0],
+                0.0,
+                np.inf,
+            ))
+        objective = np.zeros(load + 1)
+        objective[load] = 1.0
+        form = MatrixForm(
+            objective=objective,
+            objective_constant=0.0,
+            lower=np.zeros(load + 1),
+            upper=np.array([1.0] * load + [1000.0]),
+            integrality=np.array([1] * load + [0]),
+            indptr=np.cumsum([0] + [len(columns) for columns, _, _, _ in rows]),
+            indices=np.concatenate([columns for columns, _, _, _ in rows]),
+            data=np.concatenate([coefficients for _, coefficients, _, _ in rows]),
+            row_lower=np.array([lower for _, _, lower, _ in rows]),
+            row_upper=np.array([upper for _, _, _, upper in rows]),
+        )
+        return solve_milp_scipy(form)
 
     solution = benchmark(build_and_solve)
     assert solution.is_optimal

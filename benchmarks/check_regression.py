@@ -62,6 +62,10 @@ GATES: Dict[str, List[Gate]] = {
         # move from scratch (all tasks, all edges, a fresh topological
         # sort) costs ~6x the incremental checks, far past the band.
         Gate("anneal_seconds", "max", ABSOLUTE_TOLERANCE),
+        # Absolute model-build time of the HLS-estimated DCT at N = 6.
+        # Building it through a per-term expression layer and a dense
+        # export takes about eight times the baseline, far past the ceiling.
+        Gate("formulation_seconds", "max", ABSOLUTE_TOLERANCE),
     ],
     "engine_scaling": [
         # Warm batches must stay a small fraction of cold ones.  The warm

@@ -9,7 +9,7 @@ The public API is organised by subsystem:
 * :mod:`repro.arch` — target architecture models (FPGA, memory, bus, board);
 * :mod:`repro.dfg` / :mod:`repro.taskgraph` — behaviour specifications;
 * :mod:`repro.hls` — the high-level-synthesis estimator and RTL generation;
-* :mod:`repro.ilp` — the ILP modelling layer and solvers;
+* :mod:`repro.ilp` — the MILP matrix form and its HiGHS solver call;
 * :mod:`repro.partition` — the ILP temporal partitioner and heuristic baselines;
 * :mod:`repro.memmap` — memory blocks and address generation;
 * :mod:`repro.fission` — loop fission, FDH/IDH strategies and throughput models;

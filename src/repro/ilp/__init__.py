@@ -1,41 +1,17 @@
-"""ILP modelling and solving layer (the library's substitute for CPLEX).
+"""The MILP solver call (the library's substitute for CPLEX).
 
-Provides a small modelling API (variables, linear expressions, constraints,
-models), linearisation helpers for products of binaries, and one MILP
-solver: scipy's HiGHS ``milp`` (:func:`solve`), with HiGHS ``linprog`` for
-LP relaxations (:func:`solve_lp_relaxation`).
+A model is a :class:`MatrixForm`, HiGHS's standard form, which
+:class:`~repro.partition.TemporalPartitioningFormulation` writes directly.
+:func:`~repro.ilp.scipy_backend.solve_milp_scipy` solves it exactly with
+scipy's HiGHS ``milp`` and returns a :class:`Solution`.
 """
 
-from .constraint import Constraint, Sense, ensure_constraint
-from .expr import LinExpr, Variable, VarType, linear_sum
-from .linearize import (
-    at_most_one,
-    exactly_one,
-    indicator_ge_sum,
-    product_linearization,
-)
-from .model import MatrixForm, Model
-from .scipy_backend import LpResult
+from .scipy_backend import MatrixForm, solve_milp_scipy
 from .solution import Solution, SolveStatus
-from .solver import solve, solve_lp_relaxation
 
 __all__ = [
-    "Constraint",
-    "LinExpr",
-    "LpResult",
     "MatrixForm",
-    "Model",
-    "Sense",
     "Solution",
     "SolveStatus",
-    "VarType",
-    "Variable",
-    "at_most_one",
-    "ensure_constraint",
-    "exactly_one",
-    "indicator_ge_sum",
-    "linear_sum",
-    "product_linearization",
-    "solve",
-    "solve_lp_relaxation",
+    "solve_milp_scipy",
 ]

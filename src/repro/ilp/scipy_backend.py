@@ -1,10 +1,7 @@
-"""The scipy HiGHS calls behind :mod:`repro.ilp.solver`.
+"""The one HiGHS call: a :class:`MatrixForm` solved by scipy's ``milp``.
 
-`scipy.optimize.milp` solves complete mixed-integer models and
-`scipy.optimize.linprog` solves LP relaxations
-(:func:`~repro.ilp.solver.solve_lp_relaxation`).  scipy is a declared
-dependency; ``scipy.optimize`` is imported inside the solve functions so
-that importing the library does not pay for it.
+scipy is a declared dependency; ``scipy.optimize`` is imported inside
+:func:`solve_milp_scipy` so that importing the library does not pay for it.
 """
 
 from __future__ import annotations
@@ -16,23 +13,48 @@ from typing import Optional
 import numpy as np
 
 from ..errors import SolverError
-from .model import MatrixForm, Model
 from .solution import Solution, SolveStatus
 
-
-@dataclass
-class LpResult:
-    """Raw result of an LP solve in matrix space (values indexed by column)."""
-
-    status: SolveStatus
-    objective: Optional[float]
-    x: Optional[np.ndarray]
-    iterations: int
-    solve_time: float
+#: The ``solver_backend`` recorded on results solved here.
+BACKEND_NAME = "scipy-milp"
 
 
-#: scipy ``linprog`` and ``milp`` status codes (they agree on 0-3).
-#: Status 1 (iteration/time limit) may still carry a ``milp`` incumbent.
+@dataclass(frozen=True, eq=False)
+class MatrixForm:
+    """A MILP in HiGHS's standard form.
+
+    Minimise ``objective @ x + objective_constant`` subject to
+    ``row_lower <= A @ x <= row_upper`` and ``lower <= x <= upper``, with
+    ``x[j]`` integral where ``integrality[j]`` is 1.  ``A`` is stored by
+    rows: row ``i`` holds the coefficients ``data[indptr[i]:indptr[i + 1]]``
+    in the columns ``indices[indptr[i]:indptr[i + 1]]``, with no zero
+    coefficient and no column twice.
+    """
+
+    objective: np.ndarray
+    objective_constant: float
+    lower: np.ndarray
+    upper: np.ndarray
+    integrality: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+
+    @property
+    def num_variables(self) -> int:
+        """Number of columns."""
+        return len(self.objective)
+
+    @property
+    def num_constraints(self) -> int:
+        """Number of rows."""
+        return len(self.row_lower)
+
+
+#: scipy ``milp`` status codes.  Status 1 (iteration/time limit) may still
+#: carry an incumbent.
 _SCIPY_STATUS = {
     0: SolveStatus.OPTIMAL,
     1: SolveStatus.ITERATION_LIMIT,
@@ -47,67 +69,29 @@ _ZERO_OBJECTIVE_STATUS = {
 }
 
 
-def solve_lp_scipy(form: MatrixForm, max_iterations: int = 100000) -> LpResult:
-    """Solve the LP relaxation of *form* with scipy's HiGHS ``linprog``."""
-    from scipy.optimize import linprog
-
-    start = time.perf_counter()
-    bounds = list(zip(form.lower, form.upper))
-    result = linprog(
-        c=form.objective,
-        A_ub=form.a_ub if form.a_ub.size else None,
-        b_ub=form.b_ub if form.b_ub.size else None,
-        A_eq=form.a_eq if form.a_eq.size else None,
-        b_eq=form.b_eq if form.b_eq.size else None,
-        bounds=bounds,
-        method="highs",
-        options={"maxiter": max_iterations},
-    )
-    elapsed = time.perf_counter() - start
-    status = _SCIPY_STATUS.get(result.status, SolveStatus.ERROR)
-    if status is not SolveStatus.OPTIMAL:
-        return LpResult(status, None, None, int(result.nit or 0), elapsed)
-    objective = float(result.fun) + form.objective_constant
-    return LpResult(
-        SolveStatus.OPTIMAL,
-        objective,
-        np.asarray(result.x, dtype=float),
-        int(result.nit or 0),
-        elapsed,
-    )
-
-
-def solve_milp_scipy(
-    model: Model,
-    time_limit: Optional[float] = None,
-    mip_gap: float = 0.0,
-) -> Solution:
-    """Solve *model* exactly with scipy's HiGHS ``milp``."""
+def solve_milp_scipy(form: MatrixForm, time_limit: Optional[float] = None) -> Solution:
+    """Solve *form* exactly with scipy's HiGHS ``milp``, within an optional
+    wall-clock limit (seconds)."""
     from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
 
-    form = model.to_matrix_form()
     start = time.perf_counter()
-    constraints = []
-    if form.a_ub.size:
-        constraints.append(
-            LinearConstraint(form.a_ub, -np.inf * np.ones(len(form.b_ub)), form.b_ub)
+    constraints = None
+    if form.num_constraints:
+        matrix = csr_array(
+            (form.data, form.indices, form.indptr),
+            shape=(form.num_constraints, form.num_variables),
         )
-    if form.a_eq.size:
-        constraints.append(LinearConstraint(form.a_eq, form.b_eq, form.b_eq))
-
-    options = {}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    if mip_gap:
-        options["mip_rel_gap"] = float(mip_gap)
+        constraints = LinearConstraint(matrix, form.row_lower, form.row_upper)
+    options = None if time_limit is None else {"time_limit": float(time_limit)}
 
     def run(objective):
         return milp(
             c=objective,
-            constraints=constraints or None,
+            constraints=constraints,
             integrality=form.integrality,
             bounds=Bounds(form.lower, form.upper),
-            options=options or None,
+            options=options,
         )
 
     result = run(form.objective)
@@ -120,32 +104,14 @@ def solve_milp_scipy(
         )
     elapsed = time.perf_counter() - start
 
-    values = {}
+    values = None
     objective = None
     if result.x is not None:
         raw = np.asarray(result.x, dtype=float)
-        values = {
-            variable: _clean_value(variable, raw[variable.index])
-            for variable in form.variables
-        }
+        # Round integral columns to absorb the solver's tolerance.
+        values = np.where(form.integrality == 1, np.round(raw), raw)
         objective = float(form.objective @ raw) + form.objective_constant
-        if not model.is_minimization:
-            objective = -objective
     elif status is SolveStatus.OPTIMAL:
         raise SolverError("scipy milp reported success but returned no solution")
 
-    return Solution(
-        status=status,
-        objective=objective,
-        values=values,
-        backend="scipy-milp",
-        iterations=0,
-        solve_time=elapsed,
-    )
-
-
-def _clean_value(variable, value: float) -> float:
-    """Round integral variables to exact integers to absorb solver tolerance."""
-    if variable.is_integral:
-        return float(round(value))
-    return float(value)
+    return Solution(status=status, objective=objective, values=values, solve_time=elapsed)

@@ -25,28 +25,26 @@ and the constraints:
   critical path;
 * **objective** (Eq. 8): minimise ``N*CT + sum_p d[p]``.
 
-Three formulation choices are configurable (and benchmarked as ablations):
+The delay constraints are configurable (and benchmarked as an ablation):
+they can enumerate paths per the paper (``delay_form="path"``) or use a
+big-M chain-prefix formulation (``delay_form="chain"``) that avoids path
+enumeration for graphs with exponentially many paths.
 
-* the temporal-order constraints can be written exactly as Eq. 2
-  (``order_form="paper"``) or aggregated into one position constraint per
-  edge (``order_form="position"``);
-* the liveness linking can use the aggregated one-constraint form
-  (``linkage_form="aggregated"``, default) or the pairwise linearisation of
-  the products in Eqs. 4-5 (``linkage_form="pairwise"``);
-* the delay constraints can enumerate paths per the paper
-  (``delay_form="path"``) or use a big-M chain-prefix formulation
-  (``delay_form="chain"``) that avoids path enumeration for graphs with
-  exponentially many paths.
+The model is written straight into HiGHS's standard form
+(:class:`~repro.ilp.MatrixForm`), one row of column indices and
+coefficients at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..errors import PartitioningError
-from ..ilp.expr import LinExpr, Variable, linear_sum
-from ..ilp.model import Model
+from ..ilp.scipy_backend import MatrixForm
 from ..taskgraph.analysis import DEFAULT_PATH_LIMIT, count_root_to_leaf_paths
 from ..taskgraph.kpaths import root_to_leaf_paths_by_delay
 from .spec import PartitionProblem
@@ -63,8 +61,6 @@ MODEL_TIME_SCALE = 1e9
 class FormulationOptions:
     """Switches controlling how the model is written down."""
 
-    order_form: str = "paper"  # "paper" (Eq. 2) or "position"
-    linkage_form: str = "aggregated"  # "aggregated" or "pairwise"
     #: "path" (Eq. 7, fails over the path limit), "chain" (big-M prefix
     #: form), or "auto" (path when the DP-counted path total fits the
     #: limit, chain otherwise — the form the multilevel inner solves use,
@@ -73,16 +69,19 @@ class FormulationOptions:
     path_limit: Optional[int] = DEFAULT_PATH_LIMIT
 
     def __post_init__(self) -> None:
-        if self.order_form not in ("paper", "position"):
-            raise PartitioningError(f"unknown order_form {self.order_form!r}")
-        if self.linkage_form not in ("aggregated", "pairwise"):
-            raise PartitioningError(f"unknown linkage_form {self.linkage_form!r}")
         if self.delay_form not in ("path", "chain", "auto"):
             raise PartitioningError(f"unknown delay_form {self.delay_form!r}")
 
 
 class TemporalPartitioningFormulation:
-    """Builds and holds the ILP model for a fixed partition bound ``N``."""
+    """Builds the ILP for a fixed partition bound ``N`` as a :attr:`form`.
+
+    Columns are numbered ``y[t,p]`` first (task-major: tasks in graph
+    order, ``p = 1..N`` within each), then ``w[p,e]`` (``p = 1..N-1``,
+    edges in graph order within each), then ``d[p]``, then — for the chain
+    delay form — ``a[t,p]`` task-major.  Rows are ``<=`` rows followed by
+    the uniqueness equalities; a ``>=`` row is stored negated.
+    """
 
     def __init__(
         self,
@@ -95,43 +94,43 @@ class TemporalPartitioningFormulation:
         self.problem = problem
         self.partition_bound = partition_bound
         self.options = options or FormulationOptions()
-        self.model = Model(
-            name=f"temporal-partitioning-{problem.graph.name}-N{partition_bound}"
-        )
-        self.y: Dict[Tuple[str, int], Variable] = {}
-        self.w: Dict[Tuple[int, str, str], Variable] = {}
-        self.d: Dict[int, Variable] = {}
+        graph = problem.graph
+        n = partition_bound
+        self._task_names = graph.task_names()
+        self._task_index = {name: i for i, name in enumerate(self._task_names)}
+        self._edges = graph.weighted_edges()
+        #: First column of the ``w`` and ``d`` blocks.
+        self._w0 = len(self._task_names) * n
+        self._d0 = self._w0 + (n - 1) * len(self._edges)
+        self._indptr: List[int] = [0]
+        self._indices: List[int] = []
+        self._data: List[float] = []
+        self._row_lower: List[float] = []
+        self._row_upper: List[float] = []
         #: :meth:`PartitionProblem.delay_lower_bound` in seconds (the
         #: right-hand side of the delay-bound row, before scaling).
         self.delay_bound = 0.0
-        self._build()
 
-    # ------------------------------------------------------------------
-    # Model construction
-    # ------------------------------------------------------------------
-
-    def _build(self) -> None:
-        graph = self.problem.graph
-        n = self.partition_bound
-        self._create_variables()
-        self._add_uniqueness_constraints()
         self._add_temporal_order_constraints()
         if n > 1:
             self._add_liveness_linking_constraints()
             self._add_memory_constraints()
         self._add_resource_constraints()
+        max_delay = graph.total_delay() * MODEL_TIME_SCALE
+        # Upper bounds: y and w are binary, d (and a) at most the total delay.
+        upper = [1.0] * self._d0 + [max_delay] * n
         if self._resolved_delay_form() == "path":
             self._add_path_delay_constraints()
         else:
-            self._add_chain_delay_constraints()
+            upper += [max_delay] * (len(self._task_names) * n)
+            self._add_chain_delay_constraints(max_delay)
         self._add_delay_bound_constraint()
-        objective = (
-            n * self.problem.reconfiguration_time * MODEL_TIME_SCALE
-            + linear_sum([self.d[p] for p in range(1, n + 1)])
-        )
-        self.model.minimize(objective)
-        # Unused: keep a reference to the graph for result extraction.
-        self._graph = graph
+        self._add_uniqueness_constraints()
+        self.form = self._matrix_form(np.array(upper))
+
+    # ------------------------------------------------------------------
+    # Model construction
+    # ------------------------------------------------------------------
 
     def _resolved_delay_form(self) -> str:
         """The concrete delay form, resolving ``"auto"`` by path count."""
@@ -143,119 +142,102 @@ class TemporalPartitioningFormulation:
         count = count_root_to_leaf_paths(self.problem.graph)
         return "path" if count <= limit else "chain"
 
-    def _create_variables(self) -> None:
-        graph = self.problem.graph
-        n = self.partition_bound
-        max_delay = graph.total_delay() * MODEL_TIME_SCALE
-        for task_name in graph.task_names():
-            for p in range(1, n + 1):
-                self.y[(task_name, p)] = self.model.add_binary(f"y[{task_name},{p}]")
-        for p in range(1, n):  # boundaries 1..N-1
-            for producer, consumer in graph.edges():
-                self.w[(p, producer, consumer)] = self.model.add_binary(
-                    f"w[{p},{producer},{consumer}]"
-                )
-        for p in range(1, n + 1):
-            self.d[p] = self.model.add_continuous(f"d[{p}]", 0.0, max_delay)
+    def _row(
+        self,
+        columns: Sequence[int],
+        coefficients: Sequence[float],
+        upper: float,
+        lower: float = -math.inf,
+    ) -> None:
+        """Append the row ``lower <= sum coefficients * x[columns] <= upper``."""
+        self._indices.extend(columns)
+        self._data.extend(coefficients)
+        self._indptr.append(len(self._indices))
+        self._row_lower.append(lower)
+        self._row_upper.append(upper)
+
+    def _row_at_least(
+        self, columns: Sequence[int], coefficients: Sequence[float], lower: float
+    ) -> None:
+        """Append ``sum coefficients * x[columns] >= lower``, negated to ``<=``."""
+        self._row(columns, [-c for c in coefficients], -lower)
 
     def _add_uniqueness_constraints(self) -> None:
         """Eq. 1: every task is placed in exactly one partition."""
         n = self.partition_bound
-        for task_name in self.problem.graph.task_names():
-            terms = [self.y[(task_name, p)] for p in range(1, n + 1)]
-            self.model.add_constraint(
-                linear_sum(terms) == 1, name=f"unique[{task_name}]"
-            )
+        ones = [1.0] * n
+        for t in range(len(self._task_names)):
+            self._row(range(t * n, t * n + n), ones, 1.0, lower=1.0)
 
     def _add_temporal_order_constraints(self) -> None:
-        """Eq. 2: a producer may not be placed later than its consumer."""
+        """Eq. 2: a producer may not be placed later than its consumer.
+
+        For every edge ``t1 -> t2`` and every partition ``p2 < N``:
+        ``y[t2,p2] + sum_{p1 > p2} y[t1,p1] <= 1``.
+        """
         n = self.partition_bound
-        graph = self.problem.graph
-        if self.options.order_form == "paper":
-            # For every edge t1 -> t2 and every partition p2 < N:
-            #   y[t2,p2] + sum_{p1 > p2} y[t1,p1] <= 1
-            for producer, consumer in graph.edges():
-                for p2 in range(1, n):
-                    later = [self.y[(producer, p1)] for p1 in range(p2 + 1, n + 1)]
-                    if not later:
-                        continue
-                    self.model.add_constraint(
-                        self.y[(consumer, p2)] + linear_sum(later) <= 1,
-                        name=f"order[{producer}->{consumer},{p2}]",
-                    )
-        else:
-            # Aggregated "position" form: sum_p p*y[t1,p] <= sum_p p*y[t2,p].
-            for producer, consumer in graph.edges():
-                producer_pos = linear_sum(
-                    [p * self.y[(producer, p)] for p in range(1, n + 1)]
-                )
-                consumer_pos = linear_sum(
-                    [p * self.y[(consumer, p)] for p in range(1, n + 1)]
-                )
-                self.model.add_constraint(
-                    producer_pos <= consumer_pos,
-                    name=f"order[{producer}->{consumer}]",
-                )
+        index = self._task_index
+        for producer, consumer, _ in self._edges:
+            first = index[producer] * n
+            consumer_first = index[consumer] * n
+            for p2 in range(n - 1):
+                later = range(first + p2 + 1, first + n)
+                self._row([consumer_first + p2, *later], [1.0] * (len(later) + 1), 1.0)
 
     def _add_liveness_linking_constraints(self) -> None:
-        """Eqs. 4-5 (linearised): force ``w`` to 1 when an edge straddles a boundary."""
+        """Eqs. 4-5 (linearised): force ``w`` to 1 when an edge straddles a boundary.
+
+        ``w[p,e] >= sum_{p1 <= p} y[t1,p1] + sum_{p2 > p} y[t2,p2] - 1``:
+        with one partition per task (Eq. 1) the right-hand side is 1
+        exactly when the producer sits at or before boundary ``p`` and the
+        consumer after it.
+        """
         n = self.partition_bound
-        graph = self.problem.graph
-        for producer, consumer in graph.edges():
+        index = self._task_index
+        edge_count = len(self._edges)
+        coefficients = [1.0] + [-1.0] * n
+        for e, (producer, consumer, _) in enumerate(self._edges):
+            first = index[producer] * n
+            consumer_first = index[consumer] * n
             for p in range(1, n):
-                w_var = self.w[(p, producer, consumer)]
-                if self.options.linkage_form == "aggregated":
-                    before = [self.y[(producer, p1)] for p1 in range(1, p + 1)]
-                    after = [self.y[(consumer, p2)] for p2 in range(p + 1, n + 1)]
-                    self.model.add_constraint(
-                        w_var >= linear_sum(before) + linear_sum(after) - 1,
-                        name=f"link[{p},{producer}->{consumer}]",
-                    )
-                else:
-                    for p1 in range(1, p + 1):
-                        for p2 in range(p + 1, n + 1):
-                            self.model.add_constraint(
-                                w_var
-                                >= self.y[(producer, p1)] + self.y[(consumer, p2)] - 1,
-                                name=f"link[{p},{producer}@{p1}->{consumer}@{p2}]",
-                            )
+                columns = [
+                    self._w0 + (p - 1) * edge_count + e,
+                    *range(first, first + p),
+                    *range(consumer_first + p, consumer_first + n),
+                ]
+                self._row_at_least(columns, coefficients, -1.0)
 
     def _add_memory_constraints(self) -> None:
         """Eq. 3: the data stored across each boundary fits in ``M_max``."""
-        n = self.partition_bound
-        edges = self.problem.graph.weighted_edges()
-        memory = self.problem.memory_words
-        for p in range(1, n):
-            terms: List[LinExpr] = []
-            for producer, consumer, words in edges:
-                if words:
-                    terms.append(words * self.w[(p, producer, consumer)])
-            if terms:
-                self.model.add_constraint(
-                    linear_sum(terms) <= memory, name=f"memory[{p}]"
-                )
+        edge_count = len(self._edges)
+        stored = [(e, float(words)) for e, (_, _, words) in enumerate(self._edges) if words]
+        if not stored:
+            return
+        memory = float(self.problem.memory_words)
+        for p in range(1, self.partition_bound):
+            first = self._w0 + (p - 1) * edge_count
+            self._row([first + e for e, _ in stored], [words for _, words in stored], memory)
 
     def _add_resource_constraints(self) -> None:
         """Eq. 6: each partition's resource usage fits in ``R_max``."""
         n = self.partition_bound
-        graph = self.problem.graph
+        tasks = list(self.problem.graph.tasks())
         capacity = self.problem.resource_capacity
         resource_names = set()
-        for task in graph.tasks():
+        for task in tasks:
             resource_names.update(task.resources.names())
         for resource_name in sorted(resource_names):
-            limit = capacity[resource_name]
-            for p in range(1, n + 1):
-                terms = []
-                for task in graph.tasks():
-                    amount = task.resources[resource_name]
-                    if amount:
-                        terms.append(amount * self.y[(task.name, p)])
-                if terms:
-                    self.model.add_constraint(
-                        linear_sum(terms) <= limit,
-                        name=f"resource[{resource_name},{p}]",
-                    )
+            users = [
+                (t * n, float(task.resources[resource_name]))
+                for t, task in enumerate(tasks)
+                if task.resources[resource_name]
+            ]
+            if not users:
+                continue
+            limit = float(capacity[resource_name])
+            amounts = [amount for _, amount in users]
+            for p in range(n):
+                self._row([first + p for first, _ in users], amounts, limit)
 
     def _add_path_delay_constraints(self) -> None:
         """Eq. 7: per root-to-leaf path and partition, the in-partition delay
@@ -270,19 +252,16 @@ class TemporalPartitioningFormulation:
         """
         n = self.partition_bound
         graph = self.problem.graph
+        delays = [task.delay * MODEL_TIME_SCALE for task in graph.tasks()]
+        index = self._task_index
         paths = root_to_leaf_paths_by_delay(graph, limit=self.options.path_limit)
-        for path_index, path in enumerate(paths):
-            for p in range(1, n + 1):
-                terms = [
-                    graph.task(task_name).delay * MODEL_TIME_SCALE * self.y[(task_name, p)]
-                    for task_name in path
-                ]
-                self.model.add_constraint(
-                    linear_sum(terms) <= self.d[p],
-                    name=f"pathdelay[{path_index},{p}]",
-                )
+        for path in paths:
+            members = [index[name] for name in path]
+            coefficients = [delays[t] for t in members] + [-1.0]
+            for p in range(n):
+                self._row([t * n + p for t in members] + [self._d0 + p], coefficients, 0.0)
 
-    def _add_chain_delay_constraints(self) -> None:
+    def _add_chain_delay_constraints(self, big_m: float) -> None:
         """Big-M prefix formulation equivalent to Eq. 7 without path enumeration.
 
         ``a[t,p]`` is (an upper bound on) the longest chain of same-partition
@@ -295,32 +274,20 @@ class TemporalPartitioningFormulation:
         """
         n = self.partition_bound
         graph = self.problem.graph
-        big_m = graph.total_delay() * MODEL_TIME_SCALE
-        accumulated: Dict[Tuple[str, int], Variable] = {}
-        for task_name in graph.task_names():
-            for p in range(1, n + 1):
-                accumulated[(task_name, p)] = self.model.add_continuous(
-                    f"a[{task_name},{p}]", 0.0, big_m
-                )
-        for task_name in graph.task_names():
+        a0 = self._d0 + n
+        index = self._task_index
+        for t, task_name in enumerate(self._task_names):
             delay = graph.task(task_name).delay * MODEL_TIME_SCALE
-            for p in range(1, n + 1):
-                a_var = accumulated[(task_name, p)]
-                self.model.add_constraint(
-                    a_var >= delay * self.y[(task_name, p)],
-                    name=f"chain_base[{task_name},{p}]",
-                )
-                for pred in graph.predecessors(task_name):
-                    self.model.add_constraint(
-                        a_var
-                        >= accumulated[(pred, p)]
-                        + delay
-                        - big_m * (1 - self.y[(task_name, p)]),
-                        name=f"chain_step[{pred}->{task_name},{p}]",
+            predecessors = [index[pred] for pred in graph.predecessors(task_name)]
+            for p in range(n):
+                a = a0 + t * n + p
+                y = t * n + p
+                self._row_at_least([a, y], [1.0, -delay], 0.0)
+                for pred in predecessors:
+                    self._row_at_least(
+                        [a, a0 + pred * n + p, y], [1.0, -1.0, -big_m], delay - big_m
                     )
-                self.model.add_constraint(
-                    self.d[p] >= a_var, name=f"chain_bound[{task_name},{p}]"
-                )
+                self._row_at_least([self._d0 + p, a], [1.0, -1.0], 0.0)
 
     def _add_delay_bound_constraint(self) -> None:
         """``sum_p d[p] >= delay_lower_bound`` (always on, every delay form).
@@ -333,37 +300,64 @@ class TemporalPartitioningFormulation:
         """
         self.delay_bound = self.problem.delay_lower_bound()
         if self.delay_bound > 0:
-            self.model.add_constraint(
-                linear_sum([self.d[p] for p in range(1, self.partition_bound + 1)])
-                >= self.delay_bound * MODEL_TIME_SCALE,
-                name="delay_bound",
+            n = self.partition_bound
+            self._row_at_least(
+                range(self._d0, self._d0 + n), [1.0] * n, self.delay_bound * MODEL_TIME_SCALE
             )
+
+    def _matrix_form(self, upper: np.ndarray) -> MatrixForm:
+        """The finished model: objective (Eq. 8), bounds and the rows, with
+        zero coefficients (a zero-delay task on a path) dropped."""
+        n = self.partition_bound
+        columns = len(upper)
+        objective = np.zeros(columns)
+        objective[self._d0 : self._d0 + n] = 1.0
+        integrality = np.zeros(columns, dtype=np.uint8)
+        integrality[: self._d0] = 1
+        indptr = np.array(self._indptr)
+        indices = np.array(self._indices)
+        data = np.array(self._data, dtype=float)
+        nonzero = data != 0.0
+        if not nonzero.all():
+            rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+            kept = np.bincount(rows[nonzero], minlength=len(indptr) - 1)
+            indptr = np.concatenate(([0], np.cumsum(kept)))
+            indices, data = indices[nonzero], data[nonzero]
+        return MatrixForm(
+            objective=objective,
+            objective_constant=float(
+                n * self.problem.reconfiguration_time * MODEL_TIME_SCALE
+            ),
+            lower=np.zeros(columns),
+            upper=upper,
+            integrality=integrality,
+            indptr=indptr,
+            indices=indices,
+            data=data,
+            row_lower=np.array(self._row_lower),
+            row_upper=np.array(self._row_upper),
+        )
 
     # ------------------------------------------------------------------
     # Solution extraction
     # ------------------------------------------------------------------
 
-    def extract_assignment(self, solution) -> Dict[str, int]:
-        """Read the task -> partition assignment out of a solver solution."""
+    def extract_assignment(self, values: np.ndarray) -> Dict[str, int]:
+        """Read the task -> partition assignment out of a solution's value
+        vector (indexed by :attr:`form` column)."""
+        n = self.partition_bound
+        placed = np.round(np.asarray(values[: len(self._task_names) * n])) != 0
         assignment: Dict[str, int] = {}
-        for task_name in self.problem.graph.task_names():
-            chosen = None
-            for p in range(1, self.partition_bound + 1):
-                if solution.binary_value(self.y[(task_name, p)]):
-                    if chosen is not None:
-                        raise PartitioningError(
-                            f"task {task_name!r} assigned to two partitions "
-                            f"({chosen} and {p}) — solver returned an invalid point"
-                        )
-                    chosen = p
-            if chosen is None:
+        for task_name, row in zip(self._task_names, placed.reshape(-1, n)):
+            chosen = [int(p) + 1 for p in np.flatnonzero(row)]
+            if not chosen:
                 raise PartitioningError(
                     f"task {task_name!r} is not assigned to any partition"
                 )
-            assignment[task_name] = chosen
+            if len(chosen) > 1:
+                raise PartitioningError(
+                    f"task {task_name!r} assigned to two partitions "
+                    f"({chosen[0]} and {chosen[1]}) — solver returned an invalid point"
+                )
+            assignment[task_name] = chosen[0]
         return assignment
-
-    def statistics(self) -> Dict[str, int]:
-        """Model-size statistics (variables/constraints) for reporting."""
-        return self.model.statistics()
-

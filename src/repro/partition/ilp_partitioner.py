@@ -16,9 +16,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..errors import PartitioningError
+from ..ilp.scipy_backend import BACKEND_NAME, solve_milp_scipy
 from ..ilp.solution import SolveStatus
-from ..ilp.solver import solve
-from .ilp_formulation import FormulationOptions, TemporalPartitioningFormulation
+from .ilp_formulation import (
+    MODEL_TIME_SCALE,
+    FormulationOptions,
+    TemporalPartitioningFormulation,
+)
 from .result import TemporalPartitioning
 from .spec import PartitionProblem
 
@@ -109,27 +113,23 @@ class IlpTemporalPartitioner:
         self, problem: PartitionProblem, bound: int, report: IlpPartitionerReport
     ) -> Optional[TemporalPartitioning]:
         formulation = TemporalPartitioningFormulation(problem, bound, self.options)
-        stats = formulation.statistics()
-        report.model_variables = stats["variables"]
-        report.model_constraints = stats["constraints"]
+        form = formulation.form
+        report.model_variables = form.num_variables
+        report.model_constraints = form.num_constraints
         report.delay_bound = formulation.delay_bound
-        solution = solve(formulation.model, time_limit=self.time_limit)
+        solution = solve_milp_scipy(form, time_limit=self.time_limit)
         report.solve_time += solution.solve_time
         if solution.status is SolveStatus.INFEASIBLE:
             return None
         if solution.status is not SolveStatus.OPTIMAL:
             raise PartitioningError(
                 f"ILP solve for N={bound} ended with status "
-                f"{solution.status.value!r} (backend {solution.backend!r})"
+                f"{solution.status.value!r} (backend {BACKEND_NAME!r})"
             )
-        assignment = formulation.extract_assignment(solution)
+        assignment = formulation.extract_assignment(solution.values)
         assignment, used = _compress_assignment(assignment)
-        objective_seconds = None
-        if solution.objective is not None:
-            # The model works in scaled time units (ns); report seconds.
-            from .ilp_formulation import MODEL_TIME_SCALE
-
-            objective_seconds = solution.objective / MODEL_TIME_SCALE
+        # The model works in scaled time units (ns); report seconds.
+        objective_seconds = solution.objective / MODEL_TIME_SCALE
         return TemporalPartitioning(
             graph=problem.graph,
             assignment=assignment,
@@ -138,7 +138,7 @@ class IlpTemporalPartitioner:
             method="ilp",
             objective_value=objective_seconds,
             solve_time=solution.solve_time,
-            solver_backend=solution.backend,
+            solver_backend=BACKEND_NAME,
         )
 
 

@@ -1,6 +1,10 @@
 """Targeted tests for less-travelled paths: error handling, edge cases, reports."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
+from ilp_helpers import make_form
 
 from repro import errors
 from repro.arch import xc4044
@@ -17,7 +21,7 @@ from repro.errors import (
 )
 from repro.fission import SequencerPlan, SequencingStrategy
 from repro.hls import TaskEstimator, minimal_allocation, xc4000_library
-from repro.ilp import Model, SolveStatus, solve, solve_lp_relaxation
+from repro.ilp import SolveStatus, solve_milp_scipy
 from repro.simulate import SimulationEvent, EventKind
 from repro.units import ns
 
@@ -54,48 +58,37 @@ class TestErrorHierarchy:
 
 class TestIlpEdgeCases:
     def test_unbounded_lp_detected_by_relaxation(self):
-        model = Model()
-        x = model.add_continuous("x", 0, float("inf"))
-        model.maximize(x)
-        assert solve_lp_relaxation(model).status is SolveStatus.UNBOUNDED
+        # max x over a continuous x >= 0.
+        form = make_form([-1], upper=[np.inf], integrality=[0])
+        assert solve_milp_scipy(form).status is SolveStatus.UNBOUNDED
 
     def test_unbounded_milp_detected(self):
         # HiGHS answers "infeasible or unbounded" here; a zero-objective
         # re-solve finds x = 0 feasible, so the model is unbounded.
-        model = Model()
-        x = model.add_integer("x", 0, float("inf"))
-        model.maximize(x)
-        result = solve(model)
+        form = make_form([-1], upper=[np.inf])
+        result = solve_milp_scipy(form)
         assert result.status is SolveStatus.UNBOUNDED
 
     def test_integer_infeasible_milp_with_unbounded_relaxation(self):
         # 2x - 2y = 1 has real solutions along an unbounded ray, none integral.
-        model = Model()
-        x = model.add_integer("x", 0, float("inf"))
-        y = model.add_integer("y", 0, float("inf"))
-        model.add_constraint(2 * x - 2 * y == 1)
-        model.maximize(x + y)
-        assert solve_lp_relaxation(model).status is SolveStatus.UNBOUNDED
-        assert solve(model).status is SolveStatus.INFEASIBLE
+        form = make_form([-1, -1], [[2, -2]], [1], [1], upper=[np.inf, np.inf])
+        relaxation = replace(form, integrality=np.zeros(2))
+        assert solve_milp_scipy(relaxation).status is SolveStatus.UNBOUNDED
+        assert solve_milp_scipy(form).status is SolveStatus.INFEASIBLE
 
     def test_model_with_no_constraints(self):
-        model = Model()
-        x = model.add_binary("x")
-        model.minimize(x)
-        assert solve(model).objective == pytest.approx(0.0)
+        form = make_form([1])
+        assert solve_milp_scipy(form).objective == pytest.approx(0.0)
 
     def test_objective_with_constant_term(self):
-        model = Model()
-        x = model.add_binary("x")
-        model.add_constraint(x >= 1)
-        model.minimize(x + 10)
-        assert solve(model).objective == pytest.approx(11.0)
+        # min x + 10  s.t.  x >= 1.
+        form = make_form([1], [[1]], [1], [np.inf], constant=10.0)
+        assert solve_milp_scipy(form).objective == pytest.approx(11.0)
 
     def test_maximization_with_constant(self):
-        model = Model()
-        x = model.add_binary("x")
-        model.maximize(2 * x + 5)
-        assert solve(model).objective == pytest.approx(7.0)
+        # max 2x + 5, as min -2x - 5.
+        form = make_form([-2], constant=-5.0)
+        assert -solve_milp_scipy(form).objective == pytest.approx(7.0)
 
 
 class TestEstimatorInternals:

@@ -1,10 +1,15 @@
 """Tests for temporal partitioning (repro.partition)."""
 
+import hashlib
+import re
+
+import numpy as np
 import pytest
 
-from repro.arch import clbs
-from repro.errors import PartitioningError, PartitionValidationError
-from repro.ilp import SolveStatus, solve
+from repro.arch import clbs, paper_case_study_system
+from repro.errors import PartitioningError, PartitionValidationError, ReproError
+from repro.ilp import SolveStatus, solve_milp_scipy
+from repro.jpeg import build_dct_task_graph
 from repro.partition import (
     MULTILEVEL_INNER_CHOICES,
     FormulationOptions,
@@ -22,10 +27,19 @@ from repro.partition import (
     partition_summary_rows,
     validate_partitioning,
 )
+from repro.synth import DesignFlow, workload_flow_jobs
 from repro.taskgraph import Task, TaskGraph, clb_cost, linear_pipeline, random_dsp_task_graph
 from repro.units import ms, ns
+from repro.verify.scenarios import generate_scenarios
 
 from partition_helpers import make_problem
+
+#: sha256 of everything scipy's ``milp`` hands HiGHS for each model of
+#: :func:`_formulation_corpus` (see ``test_highs_inputs_match_the_pinned_digest``).
+#: Recorded while the formulation was still written through an algebraic
+#: expression layer and exported to dense matrices; the direct build must
+#: reproduce those inputs bit for bit.
+GOLDEN_HIGHS_INPUTS = "0cc8538a63cd0dd77529b929fb45fcaed2a7e806d41e52443e7b1e8da51c7ea9"
 
 
 class TestPartitionProblem:
@@ -108,29 +122,20 @@ class TestResultObject:
 class TestFormulation:
     def test_model_sizes_scale_with_bound(self, dct_graph, paper_system):
         problem = PartitionProblem.from_system(dct_graph, paper_system)
-        small = TemporalPartitioningFormulation(problem, 3).statistics()
-        large = TemporalPartitioningFormulation(problem, 4).statistics()
-        assert large["variables"] > small["variables"]
-        assert large["constraints"] > small["constraints"]
+        small = TemporalPartitioningFormulation(problem, 3).form
+        large = TemporalPartitioningFormulation(problem, 4).form
+        assert large.num_variables > small.num_variables
+        assert large.num_constraints > small.num_constraints
 
     def test_single_partition_infeasible_for_dct(self, dct_graph, paper_system):
         problem = PartitionProblem.from_system(dct_graph, paper_system)
         formulation = TemporalPartitioningFormulation(problem, 1)
-        assert solve(formulation.model).status is SolveStatus.INFEASIBLE
+        assert solve_milp_scipy(formulation.form).status is SolveStatus.INFEASIBLE
 
     def test_two_partitions_infeasible_for_dct(self, dct_graph, paper_system):
         problem = PartitionProblem.from_system(dct_graph, paper_system)
         formulation = TemporalPartitioningFormulation(problem, 2)
-        assert solve(formulation.model).status is SolveStatus.INFEASIBLE
-
-    @pytest.mark.parametrize("order_form", ["paper", "position"])
-    @pytest.mark.parametrize("linkage_form", ["aggregated", "pairwise"])
-    def test_formulation_variants_agree(self, small_problem, order_form, linkage_form):
-        options = FormulationOptions(order_form=order_form, linkage_form=linkage_form)
-        partitioner = IlpTemporalPartitioner(options=options)
-        result = partitioner.partition(small_problem)
-        reference = IlpTemporalPartitioner().partition(small_problem)
-        assert result.total_latency == pytest.approx(reference.total_latency)
+        assert solve_milp_scipy(formulation.form).status is SolveStatus.INFEASIBLE
 
     @pytest.mark.parametrize("delay_form", ["path", "chain"])
     def test_delay_forms_agree(self, small_problem, delay_form):
@@ -141,9 +146,113 @@ class TestFormulation:
 
     def test_invalid_options_rejected(self):
         with pytest.raises(PartitioningError):
-            FormulationOptions(order_form="bogus")
-        with pytest.raises(PartitioningError):
             FormulationOptions(delay_form="bogus")
+
+    def test_extract_assignment_rejects_a_task_in_two_partitions(self, small_problem):
+        formulation = TemporalPartitioningFormulation(small_problem, 3)
+        values = np.zeros(formulation.form.num_variables)
+        values[[0, 2]] = 1.0  # y[first task, 1] and y[first task, 3]
+        first = small_problem.graph.task_names()[0]
+        message = (
+            f"task {first!r} assigned to two partitions (1 and 3) — "
+            "solver returned an invalid point"
+        )
+        with pytest.raises(PartitioningError, match=re.escape(message)):
+            formulation.extract_assignment(values)
+
+    def test_extract_assignment_rejects_an_unplaced_task(self, small_problem):
+        formulation = TemporalPartitioningFormulation(small_problem, 3)
+        names = small_problem.graph.task_names()
+        values = np.zeros(formulation.form.num_variables)
+        values[: 3 * len(names) : 3] = 1.0  # y[t, 1] for every task
+        assert formulation.extract_assignment(values) == dict.fromkeys(names, 1)
+        values[0] = 0.0  # ... but the first
+        message = f"task {names[0]!r} is not assigned to any partition"
+        with pytest.raises(PartitioningError, match=re.escape(message)):
+            formulation.extract_assignment(values)
+
+
+class _Captured(Exception):
+    """Stops a solve once ``scipy.optimize.milp`` has been called."""
+
+
+def _formulation_corpus():
+    """Every catalog design variant after estimation, the HLS-estimated DCT
+    and the first 80 verify scenarios, as partition problems."""
+    for job in workload_flow_jobs(variants=True):
+        graph = DesignFlow(job.system, job.options).estimate(job.graph)
+        yield f"{job.workload}/{job.tag}", PartitionProblem.from_system(graph, job.system)
+    system = paper_case_study_system()
+    graph = build_dct_task_graph(attach_dfgs=True)
+    for name in graph.task_names():
+        graph.task(name).cost = None
+    yield "dct-hls", PartitionProblem.from_system(DesignFlow(system).estimate(graph), system)
+    for scenario in generate_scenarios(80, base_seed=0):
+        system = scenario.build_system()
+        graph = DesignFlow(system, scenario.flow_options()).estimate(scenario.build_graph())
+        yield scenario.name, PartitionProblem.from_system(graph, system)
+
+
+def _highs_arrays(c, integrality, bounds, constraints):
+    """The arrays scipy's ``milp`` hands HiGHS for these arguments: its
+    documented input conversion (each constraint matrix to CSC, stacked by
+    rows), in fixed dtypes."""
+    from scipy.optimize import LinearConstraint
+    from scipy.sparse import csc_array, vstack
+
+    c = np.atleast_1d(c).astype(np.float64)
+    if isinstance(constraints, LinearConstraint):
+        constraints = [constraints]
+    if not constraints:
+        constraints = [LinearConstraint(np.empty((0, c.size)), np.empty(0), np.empty(0))]
+    blocks = [csc_array(constraint.A) for constraint in constraints]
+    matrix = vstack(blocks, format="csc") if len(blocks) > 1 else blocks[0]
+    return (
+        c,
+        np.broadcast_to(integrality, c.shape).astype(np.uint8),
+        np.broadcast_to(bounds.lb, c.shape).astype(np.float64),
+        np.broadcast_to(bounds.ub, c.shape).astype(np.float64),
+        matrix.indptr.astype(np.int64),
+        matrix.indices.astype(np.int64),
+        matrix.data.astype(np.float64),
+        np.concatenate([np.atleast_1d(x.lb).astype(np.float64) for x in constraints]),
+        np.concatenate([np.atleast_1d(x.ub).astype(np.float64) for x in constraints]),
+    )
+
+
+def test_highs_inputs_match_the_pinned_digest(monkeypatch):
+    """Objective, constant, CSC matrix, row and column bounds and
+    integrality of every corpus model, for N from the preprocessing bound to
+    two above it under each delay form, are byte-identical to the pinned
+    ones.  A build that raises contributes its exception instead."""
+    import scipy.optimize
+
+    captured = []
+
+    def milp(c, *, integrality=None, bounds=None, constraints=None, options=None):
+        captured.append(_highs_arrays(c, integrality, bounds, constraints))
+        raise _Captured
+
+    monkeypatch.setattr(scipy.optimize, "milp", milp)
+    digest = hashlib.sha256()
+    for label, problem in _formulation_corpus():
+        low = problem.minimum_partitions()
+        for bound in range(low, min(low + 2, problem.partition_cap()) + 1):
+            for delay_form in ("path", "chain", "auto"):
+                digest.update(repr((label, bound, delay_form)).encode())
+                options = FormulationOptions(delay_form=delay_form)
+                try:
+                    form = TemporalPartitioningFormulation(problem, bound, options).form
+                except ReproError as error:
+                    digest.update(repr((type(error).__name__, str(error))).encode())
+                    continue
+                with pytest.raises(_Captured):
+                    solve_milp_scipy(form)
+                for array in captured.pop():
+                    digest.update(str(array.shape).encode())
+                    digest.update(array.tobytes())
+                digest.update(float(form.objective_constant).hex().encode())
+    assert digest.hexdigest() == GOLDEN_HIGHS_INPUTS
 
 
 class TestIlpPartitioner:

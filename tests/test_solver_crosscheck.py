@@ -1,89 +1,83 @@
-"""Cross-checks of the ILP layer on randomly generated instances.
+"""Cross-checks of the HiGHS call on randomly generated instances.
 
-HiGHS LP relaxations are checked for feasibility and for bounding the MILP
-optimum on random (but always feasible and bounded) instances, and the ILP
-temporal partitioner is checked against exhaustive enumeration
+Pure-LP solves are checked for feasibility and LP relaxations for bounding
+the MILP optimum on random (but always feasible and bounded) instances, and
+the ILP temporal partitioner is checked against exhaustive enumeration
 (``tests/exhaustive_reference.py``) on drawn graphs of up to seven tasks.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from exhaustive_reference import MAX_TASKS, exhaustive_optimum
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from ilp_helpers import is_feasible, make_form
 
 import strategies as strat
 from repro.arch.device import ResourceVector
 from repro.errors import PartitioningError
-from repro.ilp import Model, SolveStatus, linear_sum, solve, solve_lp_relaxation
-from repro.ilp.scipy_backend import solve_lp_scipy
+from repro.ilp import SolveStatus, solve_milp_scipy
 from repro.partition import IlpTemporalPartitioner, PartitionProblem, validate_partitioning
 from repro.units import ms, ns, us
 from repro.verify.scenarios import FAMILIES
 
 
-def random_bounded_lp(seed: int, variables: int, constraints: int) -> Model:
+def random_bounded_lp(seed: int, variables: int, constraints: int):
     """A random LP that is always feasible (x = 0) and bounded (box constraints)."""
     rng = np.random.default_rng(seed)
-    model = Model(f"lp-{seed}")
-    xs = [model.add_continuous(f"x{i}", 0.0, float(rng.uniform(1.0, 10.0))) for i in range(variables)]
-    for row in range(constraints):
-        coefficients = rng.uniform(0.0, 5.0, size=variables)
-        bound = float(rng.uniform(1.0, 20.0))
-        model.add_constraint(
-            linear_sum(float(c) * x for c, x in zip(coefficients, xs)) <= bound,
-            name=f"c{row}",
-        )
-    objective_coefficients = rng.uniform(-5.0, 5.0, size=variables)
-    model.minimize(linear_sum(float(c) * x for c, x in zip(objective_coefficients, xs)))
-    return model
+    upper = [float(rng.uniform(1.0, 10.0)) for _ in range(variables)]
+    rows, bounds = [], []
+    for _ in range(constraints):
+        rows.append(rng.uniform(0.0, 5.0, size=variables))
+        bounds.append(float(rng.uniform(1.0, 20.0)))
+    objective = rng.uniform(-5.0, 5.0, size=variables)
+    return make_form(
+        objective, rows, [-np.inf] * constraints, bounds,
+        upper=upper, integrality=np.zeros(variables),
+    )
 
 
-def random_knapsack_milp(seed: int, items: int) -> Model:
-    """A random 0-1 knapsack-style MILP (always feasible: take nothing)."""
+def random_knapsack_milp(seed: int, items: int):
+    """A random 0-1 knapsack-style MILP (always feasible: take nothing),
+    written as the minimisation of the negated value."""
     rng = np.random.default_rng(seed)
-    model = Model(f"milp-{seed}")
-    xs = [model.add_binary(f"x{i}") for i in range(items)]
     weights = rng.integers(1, 10, size=items)
     values = rng.integers(1, 12, size=items)
     capacity = int(max(1, weights.sum() // 2))
-    model.add_constraint(
-        linear_sum(int(w) * x for w, x in zip(weights, xs)) <= capacity
-    )
-    model.maximize(linear_sum(int(v) * x for v, x in zip(values, xs)))
-    return model
+    return make_form(-values, [weights], [-np.inf], [capacity])
 
 
 class TestLpCrossCheck:
     @pytest.mark.parametrize("seed", range(8))
     def test_relaxation_solution_is_feasible(self, seed):
-        model = random_bounded_lp(seed, variables=5, constraints=5)
-        result = solve_lp_relaxation(model)
+        form = random_bounded_lp(seed, variables=5, constraints=5)
+        result = solve_milp_scipy(form)
         assert result.is_optimal
-        assert model.is_feasible(result.values, tolerance=1e-6)
+        assert is_feasible(form, result.values, tolerance=1e-6)
 
 
 class TestMilpCrossCheck:
     @pytest.mark.parametrize("seed", range(4))
     def test_relaxation_bounds_the_milp(self, seed):
-        model = random_knapsack_milp(seed, items=12)
-        relaxed = solve_lp_relaxation(model)
-        exact = solve(model)
+        form = random_knapsack_milp(seed, items=12)
+        relaxed = solve_milp_scipy(replace(form, integrality=np.zeros(12)))
+        exact = solve_milp_scipy(form)
         # Maximisation: the LP relaxation is an upper bound on the MILP optimum.
-        assert relaxed.objective >= exact.objective - 1e-6
+        assert -relaxed.objective >= -exact.objective - 1e-6
 
     def test_lp_matrix_solver_direct(self):
-        """Drive solve_lp_scipy directly on a matrix form with equalities and bounds."""
-        model = Model()
-        x = model.add_continuous("x", 0, 8)
-        y = model.add_continuous("y", 1, 5)
-        model.add_constraint(x + y == 6)
-        model.add_constraint(2 * x - y <= 4)
-        model.minimize(x - 3 * y)
-        result = solve_lp_scipy(model.to_matrix_form())
+        """Drive solve_milp_scipy directly on a continuous matrix form with
+        equalities and column bounds."""
+        # min x - 3y  s.t.  x + y == 6,  2x - y <= 4;  x in [0, 8], y in [1, 5].
+        form = make_form(
+            [1, -3], [[1, 1], [2, -1]], [6, -np.inf], [6, 4],
+            lower=[0, 1], upper=[8, 5], integrality=[0, 0],
+        )
+        result = solve_milp_scipy(form)
         assert result.status is SolveStatus.OPTIMAL
-        values = {model.variable("x"): result.x[0], model.variable("y"): result.x[1]}
-        assert model.is_feasible(values, tolerance=1e-6)
+        assert is_feasible(form, result.values, tolerance=1e-6)
         assert result.objective == pytest.approx(1 - 3 * 5)
 
 

@@ -14,7 +14,7 @@ from repro.synth import (
     static_design_from_estimator,
     static_design_from_parameters,
 )
-from repro.taskgraph import Task, TaskGraph, image_pipeline_task_graph
+from repro.taskgraph import image_pipeline_task_graph
 from repro.units import ns
 
 
