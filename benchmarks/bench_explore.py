@@ -9,6 +9,13 @@ Explores the JPEG-DCT design space with the ``grid`` strategy three ways:
 * **store-warm** — the same exploration against the persistent run store,
   which must evaluate zero flow jobs.
 
+A second test counts solver work rather than time: a grid over
+``jpeg_dct`` and ``wavelet_pyramid`` x CT {1, 2, 5, 10, 20} ms x {ilp,
+anneal, portfolio} (FDH sequencing) through one in-process flow engine.
+It records the HiGHS ``milp`` runs (``ct_sweep_highs_runs``) and the
+annealing loops (``ct_sweep_anneal_loops``, the engine's anneal memo
+misses) that sweep needs; both are machine-independent counts.
+
 Run standalone (``python benchmarks/bench_explore.py [--smoke]``) or under
 pytest.  Environment knobs for constrained CI runners:
 
@@ -127,6 +134,45 @@ def test_explore_throughput_cold_warm_and_store(tmp_path):
             f"warm exploration took {warm.wall_time:.2f} s vs. cold "
             f"{cold_time:.2f} s; expected under 50%"
         )
+
+
+CT_SWEEP_MS = (1, 2, 5, 10, 20)
+
+
+def test_ct_sweep_solver_runs(monkeypatch):
+    # Imported here, not at module level: the cold throughput test above
+    # times the first solve's scipy import, as a user's first run does.
+    import scipy.optimize
+
+    space = SearchSpace.for_workloads(
+        ["jpeg_dct", "wavelet_pyramid"],
+        ct_values=tuple(ms(ct) for ct in CT_SWEEP_MS),
+        partitioners=("ilp", "anneal", "portfolio"),
+        sequencings=("fdh",),
+    )
+    milp = scipy.optimize.milp
+    highs_runs = []
+
+    def counting_milp(*args, **kwargs):
+        highs_runs.append(1)
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", counting_milp)
+    engine = FlowEngine(workers=0)
+    config = ExploreConfig(strategy="grid", budget=space.size)
+    result = Explorer(space, config=config, flow_engine=engine).run()
+    assert result.ok and result.visited == space.size == 30
+    stats = engine.stats.snapshot()
+    print()
+    print(f"CT sweep of {space.size} points: {len(highs_runs)} HiGHS runs, "
+          f"{stats['memo_anneal_misses']} annealing loops "
+          f"(memo hits: milp {stats['memo_milp_hits']}, "
+          f"anneal {stats['memo_anneal_hits']})")
+    record(
+        "explore",
+        ct_sweep_highs_runs=len(highs_runs),
+        ct_sweep_anneal_loops=stats["memo_anneal_misses"],
+    )
 
 
 def main(argv=None) -> int:

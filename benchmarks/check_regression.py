@@ -114,6 +114,12 @@ GATES: Dict[str, List[Gate]] = {
         # A resumed exploration must run zero flow jobs — any nonzero value
         # means the run store stopped resuming, so zero tolerance.
         Gate("store_warm_flow_jobs", "max", 0.0),
+        # Solver work of a 30-point CT sweep through one engine.  The
+        # engine's solve memo runs each distinct HiGHS model and annealing
+        # loop once (2 and 10); without it the sweep repeats them (7 and
+        # 20).  Machine-independent counts, so zero tolerance.
+        Gate("ct_sweep_highs_runs", "max", 0.0),
+        Gate("ct_sweep_anneal_loops", "max", 0.0),
     ],
     "explore_sharded": [
         # The merged N-shard frontier must be byte-identical to the

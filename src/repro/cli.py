@@ -557,7 +557,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
         f"partition cache: {stats.get('cache_memory_hits', 0)} memory hits, "
         f"{stats.get('cache_disk_hits', 0)} disk hits, "
         f"{stats.get('cache_misses', 0)} misses; "
-        f"{stats.get('deduped', 0)} deduped",
+        f"{stats.get('deduped', 0)} deduped; solve memo: "
+        f"milp {stats.get('memo_milp_hits', 0)} hits, "
+        f"{stats.get('memo_milp_misses', 0)} misses, "
+        f"anneal {stats.get('memo_anneal_hits', 0)} hits, "
+        f"{stats.get('memo_anneal_misses', 0)} misses",
         file=sys.stderr,
     )
     return 0 if len(result.front) else 1

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import SolverError
+from ..memo import digest, run_kernel
 from .solution import Solution, SolveStatus
 
 #: The ``solver_backend`` recorded on results solved here.
@@ -68,14 +69,59 @@ _ZERO_OBJECTIVE_STATUS = {
     2: SolveStatus.INFEASIBLE,
 }
 
+#: Outcomes that depend on more than the model (the clock, a solver fault).
+_NOT_MEMOISED = (SolveStatus.ITERATION_LIMIT, SolveStatus.ERROR)
+
 
 def solve_milp_scipy(form: MatrixForm, time_limit: Optional[float] = None) -> Solution:
     """Solve *form* exactly with scipy's HiGHS ``milp``, within an optional
-    wall-clock limit (seconds)."""
+    wall-clock limit (seconds).
+
+    Inside a :func:`repro.memo.scope` the HiGHS run is memoised, keyed by
+    everything ``milp`` receives (the objective constant is not among it),
+    valued by the status and the raw ``x``.  An ``ITERATION_LIMIT`` or
+    ``ERROR`` outcome is never stored.
+    """
+    import scipy.optimize  # noqa: F401 - loaded before the clock starts
+
+    start = time.perf_counter()
+    options = None if time_limit is None else {"time_limit": float(time_limit)}
+    status, raw = run_kernel(
+        "milp",
+        key=lambda: _milp_key(form, options),
+        compute=lambda: _run_highs(form, options),
+        keep=lambda result: result[0] not in _NOT_MEMOISED,
+    )
+    elapsed = time.perf_counter() - start
+
+    values = None
+    objective = None
+    if raw is not None:
+        # Round integral columns to absorb the solver's tolerance.
+        values = np.where(form.integrality == 1, np.round(raw), raw)
+        objective = float(form.objective @ raw) + form.objective_constant
+    elif status is SolveStatus.OPTIMAL:
+        raise SolverError("scipy milp reported success but returned no solution")
+
+    return Solution(status=status, objective=objective, values=values, solve_time=elapsed)
+
+
+def _milp_key(form: MatrixForm, options: Optional[dict]) -> str:
+    """Digest of every input ``milp`` receives for *form* under *options*."""
+    parts = [repr(options).encode()]
+    for array in (
+        form.objective, form.lower, form.upper, form.integrality,
+        form.indptr, form.indices, form.data, form.row_lower, form.row_upper,
+    ):
+        parts += [array.dtype.str.encode(), repr(array.shape).encode(), array.tobytes()]
+    return digest(parts)
+
+
+def _run_highs(form: MatrixForm, options: Optional[dict]):
+    """One HiGHS solve of *form*: its status and its raw ``x`` (or ``None``)."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_array
 
-    start = time.perf_counter()
     constraints = None
     if form.num_constraints:
         matrix = csr_array(
@@ -83,7 +129,6 @@ def solve_milp_scipy(form: MatrixForm, time_limit: Optional[float] = None) -> So
             shape=(form.num_constraints, form.num_variables),
         )
         constraints = LinearConstraint(matrix, form.row_lower, form.row_upper)
-    options = None if time_limit is None else {"time_limit": float(time_limit)}
 
     def run(objective):
         return milp(
@@ -102,16 +147,8 @@ def solve_milp_scipy(form: MatrixForm, time_limit: Optional[float] = None) -> So
         status = _ZERO_OBJECTIVE_STATUS.get(
             run(np.zeros_like(form.objective)).status, SolveStatus.ERROR
         )
-    elapsed = time.perf_counter() - start
-
-    values = None
-    objective = None
-    if result.x is not None:
-        raw = np.asarray(result.x, dtype=float)
-        # Round integral columns to absorb the solver's tolerance.
-        values = np.where(form.integrality == 1, np.round(raw), raw)
-        objective = float(form.objective @ raw) + form.objective_constant
-    elif status is SolveStatus.OPTIMAL:
-        raise SolverError("scipy milp reported success but returned no solution")
-
-    return Solution(status=status, objective=objective, values=values, solve_time=elapsed)
+    if result.x is None:
+        return status, None
+    raw = np.array(result.x, dtype=float)
+    raw.flags.writeable = False  # shared by every memo hit
+    return status, raw

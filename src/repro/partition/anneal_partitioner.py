@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Container, Dict, List, Mapping, Optional
+from array import array
+from typing import Container, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import PartitioningError
+from ..memo import digest, run_kernel
 from .list_partitioner import ListTemporalPartitioner
 from .result import TemporalPartitioning
 from .spec import PartitionProblem
@@ -75,9 +77,42 @@ class AnnealTemporalPartitioner:
     def partition(self, problem: PartitionProblem) -> TemporalPartitioning:
         """Refine the list-scheduler solution by annealed single-task moves."""
         start = ListTemporalPartitioner().partition(problem)
-        bound = start.partition_count
-        state = _MoveState(problem, start.assignment, bound)
+        state = _MoveState(problem, start.assignment, start.partition_count)
+        best_assignment = run_kernel(
+            "anneal", key=lambda: self._loop_key(state), compute=lambda: self._anneal(state)
+        )
+
+        position = state.position
+        compressed, used = _compress(
+            {name: best_assignment[position[name]] for name in start.assignment}
+        )
+        return TemporalPartitioning(
+            graph=problem.graph,
+            assignment=compressed,
+            partition_count=used,
+            reconfiguration_time=problem.reconfiguration_time,
+            method=f"anneal[seed={self.seed}]",
+        )
+
+    def _loop_key(self, state: "_MoveState") -> str:
+        """Digest of every input of :meth:`_anneal` on *state*: the index
+        structure and integers by ``repr``, the floats by their IEEE bits."""
+        structure = (
+            state.order, state.preds, state.succs, state.amounts, state.capacity,
+            state.memory_words, state.bound, state.assignment,
+            self.seed, self.iterations,
+        )
+        floats = array(
+            "d",
+            [*state.delays, state.reconfiguration_time,
+             self.initial_temperature, self.cooling],
+        )
+        return digest([repr(structure).encode(), floats.tobytes()])
+
+    def _anneal(self, state: "_MoveState") -> Tuple[int, ...]:
+        """The best assignment the annealing loop visits from *state*."""
         assignment = state.assignment
+        bound = state.bound
         rng = random.Random(self.seed)
 
         best_assignment = list(assignment)
@@ -110,18 +145,7 @@ class AnnealTemporalPartitioner:
             else:
                 assignment[task] = previous
             temperature *= self.cooling
-
-        position = state.position
-        compressed, used = _compress(
-            {name: best_assignment[position[name]] for name in start.assignment}
-        )
-        return TemporalPartitioning(
-            graph=problem.graph,
-            assignment=compressed,
-            partition_count=used,
-            reconfiguration_time=problem.reconfiguration_time,
-            method=f"anneal[seed={self.seed}]",
-        )
+        return tuple(best_assignment)
 
 
 class _MoveState:

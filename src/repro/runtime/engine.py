@@ -10,6 +10,9 @@ blocking single call into a throughput-oriented service primitive:
 * **caching** — solved outcomes land in the ``partition`` stage of an
   :class:`~repro.runtime.artifacts.ArtifactStore`: a bounded in-memory LRU
   and, optionally, an on-disk JSON layer shared across processes and runs;
+* **solve memo** — misses solved in-process run inside the engine's
+  :class:`~repro.memo.SolveMemo`, so jobs whose HiGHS models or annealing
+  runs coincide (a CT sweep's) run each of them once;
 * **parallelism** — cache misses fan out across a ``ProcessPoolExecutor``
   with per-job solver selection, per-job wall-clock timeouts and structured
   crash reports (a dead worker marks its job ``crashed``, it does not take
@@ -29,11 +32,13 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..errors import PartitioningError, ReproError
+from ..memo import MemoStats, SolveMemo
+from ..memo import scope as memo_scope
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
 from ..taskgraph.graph import TaskGraph
 from .artifacts import ArtifactStore
-from .cache import CacheStats, ResultCache
+from .cache import CacheStats, LruCache, ResultCache
 from .jobs import (
     JobOutcome,
     JobReport,
@@ -65,7 +70,8 @@ class EngineConfig:
         each individual solve from inside the worker). Requires
         ``workers >= 2`` — in-process solves cannot be interrupted.
     lru_capacity:
-        Entries kept per stage in the in-memory artifact store.
+        Entries kept per stage in the in-memory artifact store, and per
+        kernel in the engine's solve memo (:mod:`repro.memo`).  At least 1.
     cache_dir:
         Optional shared cache root: outcomes land under
         ``<cache_dir>/stages/partition/`` (and a flow engine's stage
@@ -86,6 +92,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise PartitioningError("workers must be non-negative")
+        if self.lru_capacity < 1:
+            raise PartitioningError("lru_capacity must be at least 1")
         if self.max_disk_entries is not None and self.max_disk_entries < 1:
             raise PartitioningError("max_disk_entries must be at least 1")
         if self.job_timeout is not None and self.job_timeout <= 0:
@@ -112,9 +120,10 @@ class EngineStats:
     crashes: int = 0
     deduped: int = 0
     cache: CacheStats = field(default_factory=CacheStats)
+    memo: MemoStats = field(default_factory=MemoStats)
 
     def snapshot(self) -> Dict[str, int]:
-        """Flat dict of every counter (cache counters prefixed)."""
+        """Flat dict of every counter (cache and memo counters prefixed)."""
         return {
             "jobs": self.jobs,
             "solved": self.solved,
@@ -128,6 +137,7 @@ class EngineStats:
             "cache_stores": self.cache.stores,
             "cache_disk_write_errors": self.cache.disk_write_errors,
             "cache_disk_pruned": self.cache.disk_pruned,
+            **self.memo.snapshot(),
         }
 
 
@@ -189,7 +199,10 @@ class PartitionEngine:
             max_entries=config.max_disk_entries,
         )
         self.cache = ResultCache(self.store)
-        self.stats = EngineStats(cache=self.cache.stats)
+        # The solve memo of the in-process path: kernel results that a CT
+        # sweep asks for again (see repro.memo).  It dies with the engine.
+        self.memo = SolveMemo(lambda: LruCache(config.lru_capacity))
+        self.stats = EngineStats(cache=self.cache.stats, memo=self.memo.stats)
         self.last_batch: Optional[BatchReport] = None
 
     # ------------------------------------------------------------------
@@ -318,7 +331,8 @@ class PartitionEngine:
 
     def _run_inline(self, job: PartitionJob, fingerprint: str) -> JobOutcome:
         try:
-            return execute_job(job, fingerprint)
+            with memo_scope(self.memo):
+                return execute_job(job, fingerprint)
         except ReproError as error:  # pragma: no cover - execute_job catches these
             return _failure_outcome(fingerprint, JobStatus.FAILED, error)
         except Exception as error:  # noqa: BLE001 - worker bug -> structured report

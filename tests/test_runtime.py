@@ -449,6 +449,12 @@ class TestEngine:
         with pytest.raises(PartitioningError, match="workers >= 2"):
             EngineConfig(workers=1, job_timeout=1.0)
 
+    def test_lru_capacity_below_one_is_rejected_up_front(self):
+        # Not at the first cache lookup, in the middle of a batch.
+        for capacity in (0, -3):
+            with pytest.raises(PartitioningError, match="lru_capacity"):
+                EngineConfig(lru_capacity=capacity)
+
     def test_disk_write_failure_does_not_lose_the_batch(self, tmp_path, monkeypatch):
         engine = PartitionEngine(EngineConfig(cache_dir=tmp_path))
 
