@@ -272,11 +272,16 @@ def cmd_workloads_list(args: argparse.Namespace) -> int:
         return 0
     print("Registered workloads:")
     for workload in registered:
-        try:
-            graph = workload.build_graph()
-            stats = f"{len(graph):>3} tasks, {graph.edge_count():>3} edges"
-        except Exception as error:  # noqa: BLE001 - keep listing the rest
-            stats = f"unavailable ({type(error).__name__}: {error})"
+        task_count = workload.default_params.get("task_count")
+        if "huge" in workload.tags and isinstance(task_count, int):
+            # A huge tier takes seconds to build; its size is a parameter.
+            stats = f"{task_count:>3} tasks, built on demand"
+        else:
+            try:
+                graph = workload.build_graph()
+                stats = f"{len(graph):>3} tasks, {graph.edge_count():>3} edges"
+            except Exception as error:  # noqa: BLE001 - keep listing the rest
+                stats = f"unavailable ({type(error).__name__}: {error})"
         variants = len(workload.variants())
         suffix = f"  [{variants} variants]" if variants > 1 else ""
         print(f"  {workload.name:<16} {stats:<22} {workload.description}{suffix}")

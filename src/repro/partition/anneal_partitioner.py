@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from functools import cached_property
 from typing import Container, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import PartitioningError
@@ -110,41 +111,79 @@ class AnnealTemporalPartitioner:
         return digest([repr(structure).encode(), floats.tobytes()])
 
     def _anneal(self, state: "_MoveState") -> Tuple[int, ...]:
-        """The best assignment the annealing loop visits from *state*."""
+        """The best assignment the annealing loop visits from *state*.
+
+        Both indices of a move are drawn the way ``rng.randrange(count)``
+        and ``rng.randint(1, bound)`` draw them (CPython's
+        ``Random._randbelow_with_getrandbits``: redraw ``getrandbits(k)``,
+        ``k = n.bit_length()``, until it is below ``n``), so the stream and
+        every decision are theirs, without their argument checks.
+
+        A move's check and score read nothing but the assignment (usage and
+        crossing words follow from it), so a proposal repeated from an
+        assignment visited before reuses its verdict: ``None`` for an
+        illegal move, else its boundary words and score.
+        """
         assignment = state.assignment
         bound = state.bound
+        if bound == 1:
+            # randint(1, 1) proposes every task's own partition: no move is
+            # ever tried, so the start is the best assignment.
+            return tuple(assignment)
         rng = random.Random(self.seed)
+        getrandbits, uniform, exp = rng.getrandbits, rng.random, math.exp
+        check_move, commit_move, score_of = state.check_move, state.commit_move, state.score
+        cooling = self.cooling
+        count = len(assignment)
+        task_bits, target_bits = count.bit_length(), bound.bit_length()
+        # Assignments are numbered in the order they are first visited.
+        visited = {tuple(assignment): 0}
+        here = 0
+        verdicts: Dict[int, Optional[Tuple[List[int], float]]] = {}
+        unseen = object()
 
         best_assignment = list(assignment)
-        current_score = state.score()
+        current_score = score_of()
         best_score = current_score
         temperature = max(current_score * self.initial_temperature, 1e-30)
 
         for _ in range(self.iterations):
-            task = rng.randrange(len(assignment))
-            target = rng.randint(1, bound)
+            task = getrandbits(task_bits)
+            while task >= count:
+                task = getrandbits(task_bits)
+            target = getrandbits(target_bits)
+            while target >= bound:
+                target = getrandbits(target_bits)
+            target += 1
             previous = assignment[task]
             if target == previous:
-                temperature *= self.cooling
+                temperature *= cooling
                 continue
-            boundary_words = state.check_move(task, target)
-            if boundary_words is None:
-                temperature *= self.cooling
+            proposal = (here * count + task) * bound + target - 1
+            verdict = verdicts.get(proposal, unseen)
+            if verdict is unseen:
+                verdict = boundary_words = check_move(task, target)
+                if boundary_words is not None:
+                    assignment[task] = target
+                    verdict = (boundary_words, score_of())
+                    assignment[task] = previous
+                verdicts[proposal] = verdict
+            if verdict is None:
+                temperature *= cooling
                 continue
-            assignment[task] = target
-            score = state.score()
+            boundary_words, score = verdict
             delta = score - current_score
             if delta <= 0 or (
-                temperature > 0.0 and rng.random() < math.exp(-delta / temperature)
+                temperature > 0.0 and uniform() < exp(-delta / temperature)
             ):
-                state.commit_move(task, previous, boundary_words)
+                assignment[task] = target
+                commit_move(task, previous, boundary_words)
+                here = visited.setdefault(tuple(assignment), len(visited))
                 current_score = score
                 if score < best_score - 1e-30:
                     best_score = score
                     best_assignment = list(assignment)
-            else:
-                assignment[task] = previous
-            temperature *= self.cooling
+            temperature *= cooling
         return tuple(best_assignment)
 
 
@@ -347,17 +386,49 @@ class _MoveState:
         chain.reverse()
         return chain
 
+    @cached_property
+    def _score_walk(self) -> List[Tuple[int, List[int], float]]:
+        """Every task in topological order with its pred indices and delay.
+
+        Built on the first :meth:`score`: multilevel refinement never
+        scores, so its 10k-task states never pay for it.
+        """
+        preds, delays = self.preds, self.delays
+        return [(task, [pred for pred, _ in preds[task]], delays[task]) for task in self.order]
+
     def score(self) -> float:
         """The paper's objective for ``assignment``, empty partitions dropped.
 
         Uses the longest-chain rule of :class:`TemporalPartitioning`'s
         partition delays, so accepting a move can never disagree with how
-        the final result will be measured.  The per-partition delays are
-        summed in the order the partitions first appear in the topological
-        order.
+        the final result will be measured.  The floats are those of
+        :meth:`partition_delays`, bit for bit: ``value > best`` keeps
+        ``best`` exactly when ``max(best, value)`` does (NaN and signed
+        zeros included), and ``sum()`` adds the delays in the order the
+        partitions first appear in the topological order.
         """
-        per_partition = self.partition_delays()
-        return len(per_partition) * self.reconfiguration_time + sum(per_partition.values())
+        assignment = self.assignment
+        longest = [0.0] * len(assignment)
+        slots: List[Optional[float]] = [None] * (self.bound + 1)
+        appeared = []
+        for task, preds, delay in self._score_walk:
+            partition = assignment[task]
+            best = 0.0
+            for pred in preds:
+                if assignment[pred] == partition:
+                    value = longest[pred]
+                    if value > best:
+                        best = value
+            chain = best + delay
+            longest[task] = chain
+            slot = slots[partition]
+            if slot is None:
+                appeared.append(partition)
+                slots[partition] = chain if chain > 0.0 else 0.0
+            elif chain > slot:
+                slots[partition] = chain
+        total = sum([slots[partition] for partition in appeared])
+        return len(appeared) * self.reconfiguration_time + total
 
 
 def _compress(assignment: Dict[str, int]):

@@ -214,6 +214,9 @@ class ArtifactStore:
         return data.get("payload")
 
     def _write_disk(self, path: Path, stage: str, version: int, payload) -> None:
+        # One-shot ``dumps`` runs CPython's C encoder; a streaming ``dump``
+        # walks the payload in pure Python.  The text is the same.
+        text = json.dumps({"stage": stage, "version": version, "payload": payload})
         path.parent.mkdir(parents=True, exist_ok=True)
         handle = tempfile.NamedTemporaryFile(
             "w",
@@ -225,7 +228,7 @@ class ArtifactStore:
         )
         try:
             with handle:
-                json.dump({"stage": stage, "version": version, "payload": payload}, handle)
+                handle.write(text)
             os.replace(handle.name, path)
         except OSError:
             self._unlink_quietly(Path(handle.name))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +32,9 @@ from repro.partition import (
     TemporalPartitioning,
     validate_partitioning,
 )
+from repro.partition import anneal_partitioner
 from repro.partition.anneal_partitioner import _MoveState
+from repro.runtime import PartitionEngine
 from repro.synth import DesignFlow
 from repro.taskgraph import Task, TaskCost, TaskGraph
 from repro.units import ms, ns
@@ -129,6 +132,122 @@ def test_move_state_tracks_the_reference_checks(graph, system, seed):
         assert state.usage[info.index] == [
             info.resources[kind] for kind in sorted(graph.total_resources().amounts)
         ]
+
+
+def _assert_scores_track_reference(problem, assignment, bound, moves):
+    """Apply each ``(task, target, undo)`` move to a move state, feasible or
+    not, and undo it when *undo* is set: after the move and after the undo
+    the score's bits equal the from-scratch reference's."""
+    names = problem.graph.task_names()
+    state = _MoveState(problem, assignment, bound)
+    assignment = dict(assignment)
+
+    def check():
+        expected = ReferenceAnnealPartitioner._score(problem, assignment)
+        assert state.score().hex() == expected.hex()
+
+    check()
+    for name, target, undo in moves:
+        task = names.index(name)
+        previous = assignment[name]
+        state.assignment[task] = assignment[name] = target
+        check()
+        if undo:
+            state.assignment[task] = assignment[name] = previous
+            check()
+
+
+@st.composite
+def _scored_moves(draw):
+    graph, assignment, count = draw(_assignments())
+    move = st.tuples(
+        st.sampled_from(graph.task_names()),
+        st.integers(min_value=1, max_value=count),
+        st.booleans(),
+    )
+    moves = draw(st.lists(move, max_size=30))
+    ct = draw(st.sampled_from([0.0, ns(50), ms(1)]))
+    problem = PartitionProblem(graph, graph.total_resources(), 1 << 20, ct)
+    return problem, assignment, count, moves
+
+
+@given(_scored_moves())
+@settings(max_examples=80, deadline=None)
+def test_score_matches_the_reference_after_every_move(case):
+    """Arbitrary assignments and moves: empty partitions, moves that empty
+    one, and partitions that first appear out of index order."""
+    _assert_scores_track_reference(*case)
+
+
+def test_score_sums_the_partitions_in_first_appearance_order():
+    """Three independent tasks whose partitions first appear as P3, P1, P2.
+    Before CPython 3.12 (whose ``sum()`` compensates), summing their delays
+    in index order would give other bits.  The moves empty P1, then P3."""
+    graph = TaskGraph("three-alone")
+    for name, delay in (("a", 764), ("b", 153), ("c", 260)):
+        graph.add_task(Task(name, cost=TaskCost(ResourceVector({"clb": 1}), ns(delay))))
+    first, second, third = graph.topological_order()
+    assignment = {first: 3, second: 1, third: 2}
+    problem = PartitionProblem(graph, ResourceVector({"clb": 3}), 64, ns(50))
+    moves = [(second, 2, True), (second, 3, False), (first, 1, False), (third, 1, True)]
+    _assert_scores_track_reference(problem, assignment, 3, moves)
+
+
+def _inline_below(getrandbits, n):
+    """``randrange(n)`` the way ``AnnealTemporalPartitioner._anneal`` draws it."""
+    bits = n.bit_length()
+    value = getrandbits(bits)
+    while value >= n:
+        value = getrandbits(bits)
+    return value
+
+
+def test_inline_draws_are_randrange_and_randint():
+    """The annealer draws its move indices with CPython's own rejection
+    sampler over ``getrandbits``.  Its moves are those of ``randrange`` and
+    ``randint`` only while CPython draws that way, so this pins it: every
+    n and b in 1..130 (each power of two and its neighbours), 60 seeds,
+    with ``random()`` interleaved as a worsening move's Metropolis step."""
+    for seed in range(60):
+        library, inline = random.Random(seed), random.Random(seed)
+        expected, drawn = [], []
+        for n in range(1, 131):
+            bound = (n * 7 + seed) % 130 + 1
+            for _ in range(3):
+                task, target = library.randrange(n), library.randint(1, bound)
+                expected.append((task, target, library.random() if task % 2 else None))
+                task = _inline_below(inline.getrandbits, n)
+                target = _inline_below(inline.getrandbits, bound) + 1
+                drawn.append((task, target, inline.random() if task % 2 else None))
+        assert drawn == expected
+
+
+def test_a_single_partition_loop_draws_nothing(monkeypatch):
+    """With one partition every proposed move is a no-op, so the loop
+    returns the list start without a draw, yet it still runs through the
+    memo: one miss per engine."""
+    draws = []
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            draws.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(anneal_partitioner, "random", SimpleNamespace(Random=CountingRandom))
+    matmul = get_workload("matmul_pipeline")
+    single = PartitionProblem.from_system(matmul.build_graph(dim=2), matmul.default_system())
+    start = ListTemporalPartitioner().partition(single)
+    assert start.partition_count == 1
+    for _ in range(2):
+        engine = PartitionEngine(workers=0)
+        assert engine.solve(single, partitioner="anneal").assignment == start.assignment
+        stats = engine.stats.snapshot()
+        assert (stats["memo_anneal_misses"], stats["memo_anneal_hits"]) == (1, 0)
+    assert draws == []
+    wavelet = get_workload("wavelet_pyramid")
+    several = PartitionProblem.from_system(wavelet.build_graph(), wavelet.default_system())
+    AnnealTemporalPartitioner().partition(several)
+    assert len(draws) >= 2000
 
 
 def _two_kind_graph() -> TaskGraph:

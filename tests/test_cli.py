@@ -143,6 +143,31 @@ class TestCommands:
         finally:
             unregister_workload("broken_for_list_test")
 
+    def test_workloads_list_never_builds_the_huge_tiers(self, capsys, monkeypatch):
+        """A huge tier's size is its ``task_count`` parameter: the listing
+        prints it and never builds the graph."""
+        from dataclasses import replace
+
+        from repro.workloads import iter_workloads, registry
+
+        built = []
+
+        def spy(**params):
+            built.append(params)
+            raise AssertionError("the listing built a huge tier")
+
+        huge = [workload for workload in iter_workloads() if "huge" in workload.tags]
+        for workload in huge:
+            monkeypatch.setitem(registry._REGISTRY, workload.name, replace(workload, builder=spy))
+        assert {"random_layered_10k", "random_layered_50k", "random_layered_100k"} <= {
+            workload.name for workload in huge
+        }
+        assert main(["workloads", "list"]) == 0
+        out = capsys.readouterr().out
+        assert built == []
+        assert "random_layered_100k 100000 tasks, built on demand" in out
+        assert "unavailable" not in out
+
     def test_workloads_show(self, capsys):
         assert main(["workloads", "show", "matmul_pipeline"]) == 0
         out = capsys.readouterr().out

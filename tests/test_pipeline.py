@@ -14,6 +14,7 @@ Covers the ISSUE-4 acceptance criteria directly:
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -222,6 +223,23 @@ class TestArtifactStore:
         value, source = reader.get("demo", 1, "e" * 64, decode=lambda v: v)
         assert value == {"y": 2} and source == "disk-cache"
         assert (tmp_path / "stages" / "demo" / f"{'e' * 64}.json").is_file()
+
+    def test_disk_entry_is_the_json_text_of_its_envelope(self, tmp_path):
+        """The bytes on disk are ``json.dumps`` of the envelope, the same
+        text a streaming ``json.dump`` writes."""
+        payload = {
+            "delays": [0.1, 1e-09, 2106.0000000000005, -0.0, 1e300, 7],
+            "nested": [[1, [2.5, "x"]], [], {"k": [None, True]}],
+            "name": "Übertragung – 変換 ✓",
+        }
+        writer = ArtifactStore(cache_dir=tmp_path)
+        writer.put("demo", 3, "b" * 64, payload, encode=lambda v: v)
+        envelope = {"stage": "demo", "version": 3, "payload": payload}
+        streamed = io.StringIO()
+        json.dump(envelope, streamed)
+        written = (tmp_path / "stages" / "demo" / f"{'b' * 64}.json").read_bytes()
+        assert written == json.dumps(envelope).encode("utf-8")
+        assert written == streamed.getvalue().encode("utf-8")
 
     def test_stale_version_on_disk_is_a_miss_and_removed(self, tmp_path):
         writer = ArtifactStore(cache_dir=tmp_path)
