@@ -8,11 +8,13 @@ largest flat-solvable tier and asserts the multilevel side wins by at least
 10x.  Every flow is built twice and the two designs must be bit-identical
 (same :func:`~repro.verify.oracles.design_fingerprint`): determinism at
 scale is part of the claim, not an afterthought.  It also times
-``TaskGraph.copy()`` and ``graph_content_digest`` on the largest tier's
-graph (the copy must stay linear; the digest serialises the canonical form
-without re-walking it), and the multilevel coarsening and refinement on
-that tier (coarsening merges on index arrays; refinement checks each trial
-move incrementally instead of re-validating a whole partitioning).
+``TaskGraph.copy()``, ``graph_content_digest`` and ``PartitionJob.fingerprint``
+on the largest tier's graph (the copy must stay linear; both hashes write
+their canonical text directly), and the multilevel coarsening and
+refinement on that tier (coarsening merges on index arrays; refinement
+checks each trial move incrementally instead of re-validating a whole
+partitioning).  Each of these is the median of :data:`REPEATS` runs: they
+last milliseconds, and the host's speed drifts within a run.
 
 Environment knobs for constrained CI runners:
 
@@ -44,8 +46,10 @@ from repro.partition import (
     ListTemporalPartitioner,
     MultilevelPartitioner,
     PartitionProblem,
+    SolverSpec,
     validate_partitioning,
 )
+from repro.runtime import PartitionJob
 from repro.synth.flow import DesignFlow, FlowOptions
 from repro.synth.stages import graph_content_digest
 from repro.taskgraph.builders import random_dsp_task_graph
@@ -59,6 +63,10 @@ TIERS = [
     ).split(",")
 ]
 FLAT_TIER = int(os.environ.get("REPRO_BENCH_HUGE_FLAT", "10000"))
+
+#: Runs behind each median of the largest tier's copy, hashes, coarsening
+#: and refinement.
+REPEATS = 7
 
 
 def _tier_graph(task_count: int):
@@ -124,29 +132,29 @@ def test_huge_tier_full_flow_throughput():
     )
 
 
-def test_largest_tier_graph_copy():
-    """``TaskGraph.copy()`` of the largest tier's graph, median of 3 runs."""
-    graph = _tier_graph(max(TIERS))
+def _median_seconds(call) -> float:
+    """Median wall time of :data:`REPEATS` calls of *call*."""
     repeats = []
-    for _ in range(3):
+    for _ in range(REPEATS):
         start = time.perf_counter()
-        graph.copy()
+        call()
         repeats.append(time.perf_counter() - start)
-    copy_seconds = statistics.median(repeats)
+    return statistics.median(repeats)
+
+
+def test_largest_tier_graph_copy():
+    """``TaskGraph.copy()`` of the largest tier's graph."""
+    graph = _tier_graph(max(TIERS))
+    copy_seconds = _median_seconds(graph.copy)
     print()
     print(f"  {len(graph):>7,} nodes: TaskGraph.copy() {copy_seconds * 1e3:.2f} ms")
     record("huge_graphs", copy_seconds=copy_seconds)
 
 
 def test_largest_tier_graph_digest():
-    """``graph_content_digest`` of the largest tier's graph, median of 3 runs."""
+    """``graph_content_digest`` of the largest tier's graph."""
     graph = _tier_graph(max(TIERS))
-    repeats = []
-    for _ in range(3):
-        start = time.perf_counter()
-        graph_content_digest(graph)
-        repeats.append(time.perf_counter() - start)
-    graph_digest_seconds = statistics.median(repeats)
+    graph_digest_seconds = _median_seconds(lambda: graph_content_digest(graph))
     print()
     print(
         f"  {len(graph):>7,} nodes: graph_content_digest "
@@ -155,16 +163,33 @@ def test_largest_tier_graph_digest():
     record("huge_graphs", graph_digest_seconds=graph_digest_seconds)
 
 
+def test_largest_tier_fingerprint():
+    """``PartitionJob.fingerprint`` (the engine's cache key) of the largest
+    tier's partition problem."""
+    task_count = max(TIERS)
+    problem = PartitionProblem.from_system(
+        _tier_graph(task_count), _tier_system(task_count)
+    )
+    job = PartitionJob(problem, SolverSpec(partitioner="multilevel"))
+    fingerprint_seconds = _median_seconds(job.fingerprint)
+    print()
+    print(
+        f"  {task_count:>7,} nodes: PartitionJob.fingerprint "
+        f"{fingerprint_seconds * 1e3:.2f} ms"
+    )
+    record("huge_graphs", fingerprint_seconds=fingerprint_seconds)
+
+
 def test_largest_tier_coarsening_and_refinement():
     """Multilevel coarsening, and uncoarsening with refinement, of the
-    largest tier: medians of 3 runs of ``MultilevelReport.coarsen_time`` and
+    largest tier: medians of ``MultilevelReport.coarsen_time`` and
     ``MultilevelReport.refine_time``."""
     task_count = max(TIERS)
     problem = PartitionProblem.from_system(
         _tier_graph(task_count), _tier_system(task_count)
     )
     coarsen, refine = [], []
-    for _ in range(3):
+    for _ in range(REPEATS):
         partitioner = MultilevelPartitioner()
         partitioner.partition(problem)
         coarsen.append(partitioner.last_report.coarsen_time)

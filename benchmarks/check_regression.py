@@ -161,6 +161,10 @@ GATES: Dict[str, List[Gate]] = {
         # the canonical form before serialising it takes two to three times
         # as long, past the ceiling on the same host.
         Gate("graph_digest_seconds", "max", ABSOLUTE_TOLERANCE),
+        # PartitionJob.fingerprint of the largest smoke tier's problem.
+        # Building a dict per task for json.dumps to walk again takes about
+        # twice as long as writing the canonical text, past the ceiling.
+        Gate("fingerprint_seconds", "max", ABSOLUTE_TOLERANCE),
     ],
 }
 

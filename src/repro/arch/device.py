@@ -11,7 +11,7 @@ clock constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from ..errors import ArchitectureError
 from ..units import as_integer, ns
@@ -57,6 +57,17 @@ class ResourceVector:
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         names = set(self.amounts) | set(other.amounts)
         return ResourceVector({n: self[n] + other[n] for n in names})
+
+    @classmethod
+    def total(cls, vectors: Iterable["ResourceVector"]) -> "ResourceVector":
+        """The sum of *vectors*, equal to ``sum(vectors, ResourceVector({}))``:
+        each kind is added up in plain ints, and one vector is built at
+        the end rather than one per addition."""
+        amounts: Dict[str, int] = {}
+        for vector in vectors:
+            for name, amount in vector.amounts.items():
+                amounts[name] = amounts.get(name, 0) + amount
+        return cls(amounts)
 
     def __mul__(self, factor: int) -> "ResourceVector":
         return ResourceVector({n: a * factor for n, a in self.amounts.items()})

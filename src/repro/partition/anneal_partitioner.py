@@ -77,7 +77,13 @@ class AnnealTemporalPartitioner:
 
     def partition(self, problem: PartitionProblem) -> TemporalPartitioning:
         """Refine the list-scheduler solution by annealed single-task moves."""
-        start = ListTemporalPartitioner().partition(problem)
+        return self._refine(problem, ListTemporalPartitioner().partition(problem))
+
+    def _refine(
+        self, problem: PartitionProblem, start: TemporalPartitioning
+    ) -> TemporalPartitioning:
+        """Refine *start*, the ``resource``-rule list scheduler's result on
+        *problem* (the portfolio hands over the one its own arm computed)."""
         state = _MoveState(problem, start.assignment, start.partition_count)
         best_assignment = run_kernel(
             "anneal", key=lambda: self._loop_key(state), compute=lambda: self._anneal(state)

@@ -161,26 +161,41 @@ class PortfolioPartitioner:
     # ------------------------------------------------------------------
 
     def _heuristic_arms(self, problem: PartitionProblem, report: PortfolioReport):
-        """Yield ``(arm_name, candidate-or-None)`` in the fixed ladder order."""
-        arms = (
-            ("list-resource", lambda: ListTemporalPartitioner("resource")),
-            ("list-delay", lambda: ListTemporalPartitioner("delay")),
-            ("level", lambda: LevelClusteringPartitioner()),
-            (
-                f"anneal[seed={self.anneal_seed}]",
-                lambda: AnnealTemporalPartitioner(
-                    seed=self.anneal_seed, iterations=self.anneal_iterations
-                ),
-            ),
+        """Yield ``(arm_name, candidate-or-None)`` in the fixed ladder order.
+
+        The anneal arm starts from the ``list-resource`` arm's result, the
+        start the annealer would otherwise pack again with the same rule;
+        when that packing failed, the arm has no start and yields ``None``.
+        """
+        start = self._run_arm(
+            report, "list-resource", lambda: ListTemporalPartitioner("resource").partition(problem)
         )
-        for arm_name, build in arms:
-            report.arms_run.append(arm_name)
-            try:
-                yield arm_name, build().partition(problem)
-            except PartitioningError:
-                # A heuristic may legitimately fail (e.g. level clustering
-                # violating the memory constraint); the ladder continues.
-                yield arm_name, None
+        yield "list-resource", start
+
+        def anneal() -> Optional[TemporalPartitioning]:
+            annealer = AnnealTemporalPartitioner(
+                seed=self.anneal_seed, iterations=self.anneal_iterations
+            )
+            return None if start is None else annealer._refine(problem, start)
+
+        arms = (
+            ("list-delay", lambda: ListTemporalPartitioner("delay").partition(problem)),
+            ("level", lambda: LevelClusteringPartitioner().partition(problem)),
+            (f"anneal[seed={self.anneal_seed}]", anneal),
+        )
+        for arm_name, run in arms:
+            yield arm_name, self._run_arm(report, arm_name, run)
+
+    @staticmethod
+    def _run_arm(report: PortfolioReport, arm_name: str, run) -> Optional[TemporalPartitioning]:
+        """Run one arm: its candidate, or ``None`` when it fails."""
+        report.arms_run.append(arm_name)
+        try:
+            return run()
+        except PartitioningError:
+            # A heuristic may legitimately fail (e.g. level clustering
+            # violating the memory constraint); the ladder continues.
+            return None
 
     @staticmethod
     def objective_lower_bound(problem: PartitionProblem) -> float:

@@ -95,15 +95,14 @@ class TemporalPartitioning:
             chains[self.assignment[name] - 1].append(chain)
         infos: List[PartitionInfo] = []
         for slot, tasks in enumerate(members):
-            resources = ResourceVector({})
-            for name in tasks:
-                resources = resources + self.graph.task(name).resources
             infos.append(
                 PartitionInfo(
                     index=slot + 1,
                     tasks=tasks,
                     delay=max(chains[slot], default=0.0),
-                    resources=resources,
+                    resources=ResourceVector.total(
+                        self.graph.task(name).resources for name in tasks
+                    ),
                 )
             )
         return infos

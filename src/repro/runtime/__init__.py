@@ -30,8 +30,8 @@ from .cache import CacheStats, LruCache, ResultCache
 from .canonical import (
     canonical_device_dict,
     canonical_fingerprint,
-    canonical_graph_dict,
-    canonical_problem_dict,
+    canonical_graph_text,
+    canonical_problem_text,
     canonical_value,
     problem_fingerprint,
 )
@@ -75,8 +75,8 @@ __all__ = [
     "StageStats",
     "canonical_device_dict",
     "canonical_fingerprint",
-    "canonical_graph_dict",
-    "canonical_problem_dict",
+    "canonical_graph_text",
+    "canonical_problem_text",
     "canonical_value",
     "clear_cache_dir",
     "configure_shared_engine",

@@ -93,6 +93,11 @@ class ArtifactStore:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        #: ``<cache_dir>/stages`` as a string: entry paths are joined as
+        #: strings, since pathlib interns every part of every path it builds.
+        self._stage_root = (
+            os.path.join(cache_dir, STAGE_SUBDIR) if cache_dir is not None else None
+        )
         self.lru_capacity = lru_capacity
         self.max_entries = max_entries
         self._memory: Dict[str, LruCache] = {}
@@ -123,10 +128,10 @@ class ArtifactStore:
             self._memory[stage] = LruCache(self.lru_capacity)
         return self._memory[stage]
 
-    def _disk_path(self, stage: str, digest: str) -> Optional[Path]:
-        if self.cache_dir is None:
+    def _disk_path(self, stage: str, digest: str) -> Optional[str]:
+        if self._stage_root is None:
             return None
-        return self.cache_dir / STAGE_SUBDIR / stage / f"{digest}.json"
+        return os.path.join(self._stage_root, stage, digest + ".json")
 
     def get(
         self, stage: str, version: int, digest: str, decode=None
@@ -146,8 +151,8 @@ class ArtifactStore:
         if cached is not None:
             stats.memory_hits += 1
             return cached, "memory-cache"
-        path = self._disk_path(stage, digest)
-        if path is not None and decode is not None:
+        path = self._disk_path(stage, digest) if decode is not None else None
+        if path is not None:
             payload = self._read_disk(path, stage, version)
             if payload is not None:
                 try:
@@ -155,7 +160,7 @@ class ArtifactStore:
                 except Exception as error:  # noqa: BLE001 - corrupt payload = miss
                     logger.warning(
                         "treating undecodable %s artifact %s as a miss (%s: %s)",
-                        stage, path.name, type(error).__name__, error,
+                        stage, os.path.basename(path), type(error).__name__, error,
                     )
                     self._unlink_quietly(path)
                 else:
@@ -172,8 +177,8 @@ class ArtifactStore:
         stats = self.stats_for(stage)
         stats.stores += 1
         self._memory_for(stage).put(digest, value)
-        path = self._disk_path(stage, digest)
-        if path is None or encode is None:
+        path = self._disk_path(stage, digest) if encode is not None else None
+        if path is None:
             return
         try:
             payload = encode(value)
@@ -184,45 +189,47 @@ class ArtifactStore:
             stats.disk_write_errors += 1
             return
         if self.max_entries is not None:
-            stats.disk_pruned += _prune_oldest(path.parent, self.max_entries, keep=path.name)
+            directory, name = os.path.split(path)
+            stats.disk_pruned += _prune_oldest(directory, self.max_entries, keep=name)
 
     # ------------------------------------------------------------------
     # Disk layer
     # ------------------------------------------------------------------
 
-    def _read_disk(self, path: Path, stage: str, version: int):
+    def _read_disk(self, path: str, stage: str, version: int):
         try:
-            with path.open("r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as error:
             logger.warning(
                 "treating corrupt %s artifact %s as a miss (%s: %s)",
-                stage, path.name, type(error).__name__, error,
+                stage, os.path.basename(path), type(error).__name__, error,
             )
             self._unlink_quietly(path)
             return None
         if not isinstance(data, dict) or data.get("version") != version:
             logger.info(
                 "dropping stale %s artifact %s (stored version %r, current %r)",
-                stage, path.name, data.get("version") if isinstance(data, dict) else None,
-                version,
+                stage, os.path.basename(path),
+                data.get("version") if isinstance(data, dict) else None, version,
             )
             self._unlink_quietly(path)
             return None
         return data.get("payload")
 
-    def _write_disk(self, path: Path, stage: str, version: int, payload) -> None:
+    def _write_disk(self, path: str, stage: str, version: int, payload) -> None:
         # One-shot ``dumps`` runs CPython's C encoder; a streaming ``dump``
         # walks the payload in pure Python.  The text is the same.
         text = json.dumps({"stage": stage, "version": version, "payload": payload})
-        path.parent.mkdir(parents=True, exist_ok=True)
+        directory, name = os.path.split(path)
+        os.makedirs(directory, exist_ok=True)
         handle = tempfile.NamedTemporaryFile(
             "w",
             encoding="utf-8",
-            dir=str(path.parent),
-            prefix=f".{path.stem[:12]}-",
+            dir=directory,
+            prefix=f".{os.path.splitext(name)[0][:12]}-",
             suffix=".tmp",
             delete=False,
         )
@@ -231,13 +238,13 @@ class ArtifactStore:
                 handle.write(text)
             os.replace(handle.name, path)
         except OSError:
-            self._unlink_quietly(Path(handle.name))
+            self._unlink_quietly(handle.name)
             raise
 
     @staticmethod
-    def _unlink_quietly(path: Path) -> None:
+    def _unlink_quietly(path: Union[str, Path]) -> None:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
 
@@ -289,7 +296,7 @@ def scan_cache_dir(root: Union[str, Path]) -> list:
     return areas
 
 
-def _prune_oldest(directory: Path, max_entries: int, keep: str = "") -> int:
+def _prune_oldest(directory: Union[str, Path], max_entries: int, keep: str = "") -> int:
     """Remove the oldest-mtime ``*.json`` files of *directory* beyond *max_entries*.
 
     The file named *keep* (the entry a store just wrote) counts towards the
@@ -299,18 +306,22 @@ def _prune_oldest(directory: Path, max_entries: int, keep: str = "") -> int:
     process are skipped.  Returns the number of files removed.
     """
     stamped = []
-    for path in directory.glob("*.json"):
-        if path.name == keep:
-            continue
-        try:
-            stamped.append((path.stat().st_mtime, path.name, path))
-        except OSError:
-            continue
+    try:
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                if not entry.name.endswith(".json") or entry.name == keep:
+                    continue
+                try:
+                    stamped.append((entry.stat().st_mtime, entry.name, entry.path))
+                except OSError:
+                    continue
+    except OSError:  # the directory itself is gone or unreadable
+        return 0
     excess = len(stamped) + (1 if keep else 0) - max_entries
     removed = 0
     for _mtime, _name, path in sorted(stamped)[: max(excess, 0)]:
         try:
-            path.unlink()
+            os.unlink(path)
             removed += 1
         except OSError:
             pass

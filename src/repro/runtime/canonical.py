@@ -6,39 +6,59 @@ graphs, or devices) that describe the same content must hash to the same
 key — in the same process, across processes, and across interpreter
 invocations (``PYTHONHASHSEED`` must not leak in).
 
-The canonical form is a plain nested dict of sorted, JSON-stable primitives;
-floats are encoded with ``float.hex`` so the digest captures the exact bit
-pattern rather than a rounded decimal rendering.  :func:`canonical_value`
-and :func:`canonical_fingerprint` are the generic entry points every stage
-of the design-flow pipeline keys itself with; the partition-problem helpers
-below them predate the generic layer and keep their historical shape.
+The canonical form is the compact, key-sorted JSON text of a nested dict of
+sorted, JSON-stable primitives; floats are encoded with ``float.hex`` so the
+digest captures the exact bit pattern rather than a rounded decimal
+rendering.  :func:`canonical_value` and :func:`canonical_fingerprint` are
+the generic entry points every stage of the design-flow pipeline keys
+itself with.
 
-The two graph forms are built in one pass over the tasks and one over the
-edges (:meth:`~repro.taskgraph.graph.TaskGraph.weighted_edges`).
-:func:`canonical_graph_dict` returns a form that is already canonical, so
-:func:`~repro.synth.stages.graph_content_digest` serialises it with
-:func:`json_digest` instead of re-walking it with :func:`canonical_value`.
-The bytes cannot change: :func:`canonical_value` returns a leaf that is
-exactly an ``int`` or a ``str`` unchanged, and word counts and resource
-amounts are plain ints by construction (``TaskGraph`` and
-``ResourceVector`` pass them through :func:`repro.units.as_integer`).
-Every other leaf — a name or task type of another type, a resource kind,
-a DFG operation's fields — still goes through :func:`canonical_value`
-(which is idempotent) where it is read, so every input hashes, or raises,
-exactly as a full re-walk would.
+The two graph forms — :func:`canonical_graph_text` behind
+:func:`~repro.synth.stages.graph_content_digest` and
+:func:`canonical_problem_text` behind :func:`problem_fingerprint` — are the
+hot ones: a 10k-task graph is hashed by both on every cold flow.  They
+write their JSON text directly instead of building a dict per task for
+``json.dumps`` to walk again.  Strings are not tracked by CPython's cyclic
+garbage collector, so the writers also stop the tens of thousands of live
+dicts that used to trigger collections in the middle of a flow.
+
+The text is byte for byte ``json.dumps(form, sort_keys=True,
+separators=(",", ":"))`` of the dict form each hash used to build (kept in
+``tests/canonical_reference.py``, which the property tests compare
+against).  That requires:
+
+* keys written in sorted order, with the same ``:`` and ``,`` separators;
+* a name, type or kind that is exactly a ``str`` written by
+  :func:`json.encoder.encode_basestring_ascii`, the function the encoder
+  itself uses (non-ASCII and control characters escaped, astral ones as
+  surrogate pairs), and an amount or word count that is exactly an ``int``
+  written by ``repr``;
+* every other leaf — a name of another type, a set task type, a resource
+  kind that is not exactly a ``str``, a DFG operation's fields, the memory
+  size, the solver fields — sent through the same transform as the dict
+  form (:func:`canonical_value`, or none) and then ``json.dumps``, so it
+  gives the same bytes or raises the same exception type;
+* edges in the order of ``sorted(graph.weighted_edges())``: producers in
+  sorted order, each producer's consumers in sorted order, which is the
+  same order for ``str`` names (any other names sort the triples as the
+  dict form did).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Mapping, Optional
+from json.encoder import encode_basestring_ascii as _string
+from typing import Dict, List, Mapping, Optional
 
 from ..partition.spec import PartitionProblem
 
 #: Version tag baked into every fingerprint; bump when the canonical form (or
 #: the meaning of a cached result) changes so stale disk caches never match.
 CANONICAL_VERSION = 1
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``.
+_json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _canonical_float(value: float) -> str:
@@ -79,10 +99,14 @@ def canonical_value(value: object) -> object:
     raise TypeError(f"cannot canonicalise a {type(value).__name__} value")
 
 
+def text_digest(text: str) -> str:
+    """sha256 hex digest of *text*'s UTF-8 bytes."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def json_digest(payload: object) -> str:
     """sha256 hex digest of *payload*'s compact, key-sorted JSON text."""
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return text_digest(_json_text(payload))
 
 
 def canonical_fingerprint(payload: object) -> str:
@@ -90,34 +114,98 @@ def canonical_fingerprint(payload: object) -> str:
     return json_digest(canonical_value(payload))
 
 
-def _leaf(value: object) -> object:
-    """*value* when it is exactly an ``int`` or a ``str``, which
-    :func:`canonical_value` would return unchanged; its canonical form
-    otherwise."""
-    if type(value) is str or type(value) is int:
-        return value
-    return canonical_value(value)
+# ---------------------------------------------------------------------------
+# Leaves of the graph forms
+# ---------------------------------------------------------------------------
+
+def _text(value: object) -> str:
+    """JSON text of a leaf the form passes through :func:`canonical_value`."""
+    if type(value) is str:
+        return _string(value)
+    if type(value) is int:
+        return repr(value)
+    return _json_text(canonical_value(value))
 
 
-def _sorted_amounts(resources) -> Dict[str, int]:
-    """A copy of a resource vector's amounts, sorted by kind."""
-    amounts = resources.amounts
-    return dict(sorted(amounts.items())) if len(amounts) > 1 else dict(amounts)
+def _raw(value: object) -> str:
+    """JSON text of a leaf the form hands to ``json.dumps`` as it is."""
+    return repr(value) if type(value) is int else _json_text(value)
 
 
-def _resources(resources) -> Dict[str, int]:
-    """The canonical amounts of a resource vector.  Amounts are plain ints
-    by construction; a kind that is not exactly a ``str`` sends the dict
-    through :func:`canonical_value`, which rejects a non-string key."""
-    amounts = _sorted_amounts(resources)
-    for kind in amounts:
+def _amounts_text(amounts: Mapping, canonical: bool) -> str:
+    """JSON text of a resource vector's amounts, sorted by kind.
+
+    A kind that is not exactly a ``str`` sends the whole vector through the
+    dict form's transform: :func:`canonical_value` (which rejects a key
+    that is not a string) when *canonical*, none otherwise.
+    """
+    items = sorted(amounts.items()) if len(amounts) > 1 else amounts.items()
+    pieces: List[str] = []
+    for kind, amount in items:
         if type(kind) is not str:
-            return canonical_value(amounts)
-    return amounts
+            form = dict(items)
+            return _json_text(canonical_value(form) if canonical else form)
+        if type(amount) is not int:
+            amount = _raw(amount)
+        pieces.append(f"{_string(kind)}:{amount}")
+    return "{" + ",".join(pieces) + "}"
 
 
-def canonical_graph_dict(graph) -> Dict[str, object]:
-    """The canonical description of a :class:`~repro.taskgraph.graph.TaskGraph`.
+def _graph_maps(graph):
+    """The graph's own task, env-word and successor maps, read (never
+    written) by the hashes: on a 10k-task graph the per-name accessors,
+    each re-checking its name, cost more than the rest of the walk."""
+    return graph._tasks, graph._env_input, graph._env_output, graph._succ
+
+
+def _edges_text(graph, succ, names: List, escaped: Mapping[str, str], leaf) -> str:
+    """The ``edges`` list: ``[producer, consumer, words]`` triples in
+    ``sorted(graph.weighted_edges())`` order.
+
+    When *escaped* holds the text of every name (each is exactly a
+    ``str``), the producers are walked in sorted *names* order and each
+    one's consumers (*succ*) sorted, which is that order without building
+    the triples.  Any other names are written by *leaf* from the sorted
+    triples.
+    """
+    if len(escaped) < len(names):
+        return ",".join(
+            f"[{leaf(producer)},{leaf(consumer)},{_raw(words)}]"
+            for producer, consumer, words in sorted(graph.weighted_edges())
+        )
+    edges: List[str] = []
+    for producer in names:
+        consumers = succ[producer]
+        if not consumers:
+            continue
+        head = f"[{escaped[producer]},"
+        for consumer in sorted(consumers):
+            words = consumers[consumer]
+            if type(words) is not int:
+                words = _raw(words)
+            edges.append(f"{head}{escaped[consumer]},{words}]")
+    return ",".join(edges)
+
+
+def _dfg_text(dfg) -> str:
+    """The ``"dfg":{...},`` member of a task: operations sorted by name,
+    dependency edges sorted."""
+    edges = ",".join(f"[{_text(producer)},{_text(consumer)}]"
+                     for producer, consumer in sorted(dfg.edges()))
+    operations = ",".join(
+        f'{{"kind":{_text(op.kind.value)},"name":{_text(op.name)},'
+        f'"value":{_text(op.value)},"width":{_text(op.width)}}}'
+        for op in sorted(dfg.operations(), key=lambda op: op.name)
+    )
+    return f'"dfg":{{"edges":[{edges}],"operations":[{operations}]}},'
+
+
+# ---------------------------------------------------------------------------
+# The two graph forms
+# ---------------------------------------------------------------------------
+
+def canonical_graph_text(graph) -> str:
+    """The canonical text of a :class:`~repro.taskgraph.graph.TaskGraph`.
 
     Captures everything estimation and partitioning can observe: per-task
     costs (when present), per-task data-flow graphs (operation kinds,
@@ -125,45 +213,39 @@ def canonical_graph_dict(graph) -> Dict[str, object]:
     input), environment I/O words, and the inter-task edges with their data
     volumes.  Task and edge order is sorted so insertion order never
     changes the key; the graph *name* is deliberately excluded (renaming a
-    graph does not change what any stage computes from it).  The result is
-    already canonical: ``canonical_value`` returns an equal value.
+    graph does not change what any stage computes from it).  Every leaf is
+    canonicalised (:func:`canonical_value`) as it is written.
     """
-    names = sorted(graph.task_names())
-    tasks = []
+    tasks, env_in, env_out, succ = _graph_maps(graph)
+    names = sorted(tasks)
+    escaped: Dict[str, str] = {}
+    entries: List[str] = []
     for name in names:
-        task = graph.task(name)
-        entry: Dict[str, object] = {
-            "name": _leaf(name),
-            "type": _leaf(task.task_type or ""),
-            "env_in": graph.env_input_words(name),
-            "env_out": graph.env_output_words(name),
-        }
-        if task.cost is not None:
-            entry["cost"] = {
-                "resources": _resources(task.cost.resources),
-                "delay": _canonical_float(task.cost.delay),
-            }
+        task = tasks[name]
+        if type(name) is str:
+            name_text = escaped[name] = _string(name)
+        else:
+            name_text = _text(name)
+        task_type = task.task_type or ""
+        type_text = _string(task_type) if type(task_type) is str else _text(task_type)
+        words_in, words_out = env_in[name], env_out[name]
+        if type(words_in) is not int:
+            words_in = _raw(words_in)
+        if type(words_out) is not int:
+            words_out = _raw(words_out)
+        head = ""
+        cost = task.cost
+        if cost is not None:
+            resources = _amounts_text(cost.resources.amounts, canonical=True)
+            head = f'"cost":{{"delay":"{_canonical_float(cost.delay)}","resources":{resources}}},'
         if task.dfg is not None:
-            entry["dfg"] = {
-                "operations": [
-                    {
-                        "name": _leaf(op.name),
-                        "kind": _leaf(op.kind.value),
-                        "width": _leaf(op.width),
-                        "value": canonical_value(op.value),
-                    }
-                    for op in sorted(task.dfg.operations(), key=lambda op: op.name)
-                ],
-                "edges": [
-                    [_leaf(producer), _leaf(consumer)]
-                    for producer, consumer in sorted(task.dfg.edges())
-                ],
-            }
-        tasks.append(entry)
-    edges = sorted(graph.weighted_edges())
-    if not all(type(name) is str for name in names):
-        edges = [(_leaf(producer), _leaf(consumer), words) for producer, consumer, words in edges]
-    return {"tasks": tasks, "edges": [list(edge) for edge in edges]}
+            head += _dfg_text(task.dfg)
+        entries.append(
+            f'{{{head}"env_in":{words_in},"env_out":{words_out},'
+            f'"name":{name_text},"type":{type_text}}}'
+        )
+    edges = _edges_text(graph, succ, names, escaped, _text)
+    return "".join(('{"edges":[', edges, '],"tasks":[', ",".join(entries), "]}"))
 
 
 def canonical_device_dict(device) -> Dict[str, object]:
@@ -185,38 +267,60 @@ def canonical_device_dict(device) -> Dict[str, object]:
     }
 
 
-def canonical_problem_dict(problem: PartitionProblem) -> Dict[str, object]:
-    """The canonical (sorted, primitive-only) description of *problem*.
+def canonical_problem_text(
+    problem: PartitionProblem,
+    solver: Optional[Dict[str, object]] = None,
+) -> str:
+    """The canonical text of *problem*, plus the solver configuration when
+    one is given.
 
     Task and edge order is sorted by name so insertion order — which does not
-    change the optimisation problem — does not change the key.
+    change the optimisation problem — does not change the key.  Leaves are
+    written as they are (names and types are not canonicalised), so a leaf
+    outside the JSON family raises ``TypeError``.
     """
     graph = problem.graph
-    tasks = []
-    for name in sorted(graph.task_names()):
-        task = graph.task(name)
-        tasks.append(
-            {
-                "name": name,
-                "resources": _sorted_amounts(task.resources),
-                "delay": _canonical_float(task.delay),
-                "type": task.task_type or "",
-                "env_in": graph.env_input_words(name),
-                "env_out": graph.env_output_words(name),
-            }
+    tasks, env_in, env_out, succ = _graph_maps(graph)
+    names = sorted(tasks)
+    escaped: Dict[str, str] = {}
+    entries: List[str] = []
+    for name in names:
+        task = tasks[name]
+        if type(name) is str:
+            name_text = escaped[name] = _string(name)
+        else:
+            name_text = _raw(name)
+        resources = _amounts_text(task.resources.amounts, canonical=False)
+        delay = _canonical_float(task.delay)
+        task_type = task.task_type or ""
+        type_text = _string(task_type) if type(task_type) is str else _raw(task_type)
+        words_in, words_out = env_in[name], env_out[name]
+        if type(words_in) is not int:
+            words_in = _raw(words_in)
+        if type(words_out) is not int:
+            words_out = _raw(words_out)
+        entries.append(
+            f'{{"delay":"{delay}","env_in":{words_in},"env_out":{words_out},'
+            f'"name":{name_text},"resources":{resources},"type":{type_text}}}'
         )
-    return {
-        "version": CANONICAL_VERSION,
-        "tasks": tasks,
-        "edges": [list(edge) for edge in sorted(graph.weighted_edges())],
-        "resource_capacity": {
-            kind: int(amount)
-            for kind, amount in sorted(problem.resource_capacity.as_dict().items())
-        },
-        "memory_words": problem.memory_words,
-        "reconfiguration_time": _canonical_float(problem.reconfiguration_time),
-        "max_partitions": problem.max_partitions,
+    edges = _edges_text(graph, succ, names, escaped, _raw)
+    capacity = {
+        kind: int(amount)
+        for kind, amount in sorted(problem.resource_capacity.as_dict().items())
     }
+    pieces = [
+        '{"problem":{"edges":[', edges,
+        '],"max_partitions":', _raw(problem.max_partitions),
+        ',"memory_words":', _raw(problem.memory_words),
+        ',"reconfiguration_time":"', _canonical_float(problem.reconfiguration_time),
+        '","resource_capacity":', _json_text(capacity),
+        ',"tasks":[', ",".join(entries),
+        '],"version":', repr(CANONICAL_VERSION), "}",
+    ]
+    if solver is not None:
+        pieces += [',"solver":', _json_text({str(k): solver[k] for k in sorted(solver)})]
+    pieces.append("}")
+    return "".join(pieces)
 
 
 def problem_fingerprint(
@@ -228,7 +332,4 @@ def problem_fingerprint(
     Passing the solver configuration keys the cache by (problem, solver) so a
     ``list`` solve never shadows an ``ilp`` solve of the same instance.
     """
-    payload = {"problem": canonical_problem_dict(problem)}
-    if solver is not None:
-        payload["solver"] = {str(k): solver[k] for k in sorted(solver)}
-    return json_digest(payload)
+    return text_digest(canonical_problem_text(problem, solver))

@@ -49,8 +49,8 @@ from ..runtime.cache import PARTITION_STAGE, PARTITION_VERSION
 from ..runtime.canonical import (
     canonical_device_dict,
     canonical_fingerprint,
-    canonical_graph_dict,
-    json_digest,
+    canonical_graph_text,
+    text_digest,
 )
 from ..runtime.jobs import JobOutcome
 from ..taskgraph.graph import TaskGraph
@@ -134,11 +134,8 @@ def _stage_digest(stage: str, version: int, payload: Dict[str, object]) -> str:
 # ---------------------------------------------------------------------------
 
 def graph_content_digest(graph: TaskGraph) -> str:
-    """Content digest of a task graph (hashes the canonical form).
-
-    :func:`canonical_graph_dict` is already canonical, so it is serialised
-    as it is: the digest equals ``canonical_fingerprint`` of the same dict
-    without a second walk over it.
+    """Content digest of a task graph: the sha256 of its canonical text
+    (:func:`~repro.runtime.canonical.canonical_graph_text`).
 
     Canonicalising walks every task's DFG, so batch drivers that submit one
     graph object under many jobs (CT sweeps, explore neighbourhoods) pass
@@ -149,7 +146,7 @@ def graph_content_digest(graph: TaskGraph) -> str:
     copy), never across caller turns, because no cheap salt can detect
     every in-place content mutation.
     """
-    return json_digest(canonical_graph_dict(graph))
+    return text_digest(canonical_graph_text(graph))
 
 
 def estimate_stage_key(

@@ -145,7 +145,7 @@ def partition_lower_bound(
     number at least the returned value.
     """
     selected = list(graph.tasks()) if tasks is None else [graph.task(n) for n in tasks]
-    totals = sum((task.resources for task in selected), ResourceVector({}))
+    totals = ResourceVector.total(task.resources for task in selected)
     bound = 1
     for name in totals.names():
         available = capacity[name]

@@ -1,17 +1,17 @@
-"""Canonical hashing as it was before the graph forms were built in one pass.
+"""The dict forms the canonical graph hashes serialised before they wrote
+their JSON text directly.
 
-``canonical_graph_dict``, ``canonical_problem_dict``,
-``canonical_fingerprint`` and ``problem_fingerprint`` are kept verbatim from
-the version that looked every edge's words up one by one and re-walked the
-whole graph form with :func:`~repro.runtime.canonical.canonical_value`
-before serialising it.  :func:`reference_graph_digest` is that version's
-``graph_content_digest``, so any divergence of the digests (or of which
-inputs they reject) shows up as a failed comparison.
+``canonical_graph_dict`` and ``canonical_problem_dict`` (with ``_leaf``,
+``_sorted_amounts`` and ``_resources``) are kept verbatim from
+``repro.runtime.canonical`` as it was then.  :func:`reference_graph_text`
+and :func:`reference_problem_text` are the texts those versions hashed,
+``json.dumps(form, sort_keys=True, separators=(",", ":"))``:
+``canonical_graph_text`` and ``canonical_problem_text`` must return them
+byte for byte, or raise the same exception type for an input those reject.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Dict, Optional
 
@@ -24,12 +24,30 @@ def _canonical_float(value: float) -> str:
     return float(value).hex()
 
 
-def canonical_fingerprint(payload: object) -> str:
-    """A stable sha256 hex digest of an arbitrary canonicalisable payload."""
-    encoded = json.dumps(
-        canonical_value(payload), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+def _leaf(value: object) -> object:
+    """*value* when it is exactly an ``int`` or a ``str``, which
+    :func:`canonical_value` would return unchanged; its canonical form
+    otherwise."""
+    if type(value) is str or type(value) is int:
+        return value
+    return canonical_value(value)
+
+
+def _sorted_amounts(resources) -> Dict[str, int]:
+    """A copy of a resource vector's amounts, sorted by kind."""
+    amounts = resources.amounts
+    return dict(sorted(amounts.items())) if len(amounts) > 1 else dict(amounts)
+
+
+def _resources(resources) -> Dict[str, int]:
+    """The canonical amounts of a resource vector.  Amounts are plain ints
+    by construction; a kind that is not exactly a ``str`` sends the dict
+    through :func:`canonical_value`, which rejects a non-string key."""
+    amounts = _sorted_amounts(resources)
+    for kind in amounts:
+        if type(kind) is not str:
+            return canonical_value(amounts)
+    return amounts
 
 
 def canonical_graph_dict(graph) -> Dict[str, object]:
@@ -41,44 +59,44 @@ def canonical_graph_dict(graph) -> Dict[str, object]:
     input), environment I/O words, and the inter-task edges with their data
     volumes.  Task and edge order is sorted so insertion order never
     changes the key; the graph *name* is deliberately excluded (renaming a
-    graph does not change what any stage computes from it).
+    graph does not change what any stage computes from it).  The result is
+    already canonical: ``canonical_value`` returns an equal value.
     """
+    names = sorted(graph.task_names())
     tasks = []
-    for name in sorted(graph.task_names()):
+    for name in names:
         task = graph.task(name)
         entry: Dict[str, object] = {
-            "name": name,
-            "type": task.task_type or "",
+            "name": _leaf(name),
+            "type": _leaf(task.task_type or ""),
             "env_in": graph.env_input_words(name),
             "env_out": graph.env_output_words(name),
         }
-        if task.has_cost:
+        if task.cost is not None:
             entry["cost"] = {
-                "resources": {
-                    kind: int(amount)
-                    for kind, amount in sorted(task.resources.as_dict().items())
-                },
-                "delay": _canonical_float(task.delay),
+                "resources": _resources(task.cost.resources),
+                "delay": _canonical_float(task.cost.delay),
             }
         if task.dfg is not None:
-            dfg = task.dfg
             entry["dfg"] = {
                 "operations": [
                     {
-                        "name": op.name,
-                        "kind": op.kind.value,
-                        "width": op.width,
+                        "name": _leaf(op.name),
+                        "kind": _leaf(op.kind.value),
+                        "width": _leaf(op.width),
                         "value": canonical_value(op.value),
                     }
-                    for op in sorted(dfg.operations(), key=lambda op: op.name)
+                    for op in sorted(task.dfg.operations(), key=lambda op: op.name)
                 ],
-                "edges": sorted(list(edge) for edge in dfg.edges()),
+                "edges": [
+                    [_leaf(producer), _leaf(consumer)]
+                    for producer, consumer in sorted(task.dfg.edges())
+                ],
             }
         tasks.append(entry)
-    edges = sorted(
-        (producer, consumer, graph.edge_words(producer, consumer))
-        for producer, consumer in graph.edges()
-    )
+    edges = sorted(graph.weighted_edges())
+    if not all(type(name) is str for name in names):
+        edges = [(_leaf(producer), _leaf(consumer), words) for producer, consumer, words in edges]
     return {"tasks": tasks, "edges": [list(edge) for edge in edges]}
 
 
@@ -95,24 +113,17 @@ def canonical_problem_dict(problem: PartitionProblem) -> Dict[str, object]:
         tasks.append(
             {
                 "name": name,
-                "resources": {
-                    kind: int(amount)
-                    for kind, amount in sorted(task.resources.as_dict().items())
-                },
+                "resources": _sorted_amounts(task.resources),
                 "delay": _canonical_float(task.delay),
                 "type": task.task_type or "",
                 "env_in": graph.env_input_words(name),
                 "env_out": graph.env_output_words(name),
             }
         )
-    edges = sorted(
-        (producer, consumer, graph.edge_words(producer, consumer))
-        for producer, consumer in graph.edges()
-    )
     return {
         "version": CANONICAL_VERSION,
         "tasks": tasks,
-        "edges": [list(edge) for edge in edges],
+        "edges": [list(edge) for edge in sorted(graph.weighted_edges())],
         "resource_capacity": {
             kind: int(amount)
             for kind, amount in sorted(problem.resource_capacity.as_dict().items())
@@ -123,22 +134,20 @@ def canonical_problem_dict(problem: PartitionProblem) -> Dict[str, object]:
     }
 
 
-def problem_fingerprint(
-    problem: PartitionProblem,
-    solver: Optional[Dict[str, object]] = None,
-) -> str:
-    """A stable sha256 hex digest of *problem* (plus optional solver config).
+def _dumps(payload: object) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    Passing the solver configuration keys the cache by (problem, solver) so a
-    ``list`` solve never shadows an ``ilp`` solve of the same instance.
-    """
+
+def reference_graph_text(graph) -> str:
+    """The text ``graph_content_digest`` hashed."""
+    return _dumps(canonical_graph_dict(graph))
+
+
+def reference_problem_text(
+    problem: PartitionProblem, solver: Optional[Dict[str, object]] = None
+) -> str:
+    """The text ``problem_fingerprint`` hashed."""
     payload = {"problem": canonical_problem_dict(problem)}
     if solver is not None:
         payload["solver"] = {str(k): solver[k] for k in sorted(solver)}
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
-def reference_graph_digest(graph) -> str:
-    """``graph_content_digest`` before it skipped the re-walk."""
-    return canonical_fingerprint(canonical_graph_dict(graph))
+    return _dumps(payload)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
@@ -354,3 +355,51 @@ def test_catalog_outcomes_match_the_pinned_digest():
         if portfolio.last_report.certified:
             update(variant, ct, None, result)
     assert digest.hexdigest() == GOLDEN_OUTCOMES
+
+
+def _count_list_runs(monkeypatch):
+    """Record the priority rule of every list-scheduler run from now on."""
+    runs = []
+    pack = ListTemporalPartitioner.partition
+
+    def counted(self, problem):
+        runs.append(self.priority)
+        return pack(self, problem)
+
+    monkeypatch.setattr(ListTemporalPartitioner, "partition", counted)
+    return runs
+
+
+def test_the_portfolio_packs_one_resource_rule_start(monkeypatch):
+    """The anneal arm refines the ``list-resource`` arm's result instead of
+    packing the same start again: one resource-rule list run per portfolio
+    problem, and the arm's candidate is the annealer's own result."""
+    problems = list(islice((problem for _, ct, problem in _catalog_problems() if ct == 5), 12))
+    annealed = [AnnealTemporalPartitioner().partition(problem) for problem in problems]
+    runs = _count_list_runs(monkeypatch)
+    for problem, expected in zip(problems, annealed):
+        portfolio = PortfolioPartitioner()
+        portfolio.partition(problem)
+        candidates = dict(portfolio.last_report.candidates)
+        assert candidates["anneal[seed=0]"].hex() == expected.total_latency.hex()
+    assert runs.count("resource") == len(problems)
+    assert runs.count("delay") == len(problems)
+
+
+def test_the_anneal_arm_has_no_start_when_the_list_arm_fails(monkeypatch):
+    """Memory too small for any two-partition split: the list scheduler
+    fails, and the anneal arm yields no candidate without packing again."""
+    graph = TaskGraph("no-start")
+    for name in "abc":
+        graph.add_task(Task(name, cost=TaskCost(ResourceVector({"clb": 60}), 1e-6)))
+    graph.add_edges([("a", "b", 100), ("b", "c", 100)])
+    problem = PartitionProblem(graph, ResourceVector({"clb": 100}), 10, 1e-3)
+    with pytest.raises(PartitioningError):
+        AnnealTemporalPartitioner().partition(problem)
+    runs = _count_list_runs(monkeypatch)
+    report = SimpleNamespace(arms_run=[])
+    arms = dict(PortfolioPartitioner()._heuristic_arms(problem, report))
+    assert arms["list-resource"] is None
+    assert arms["anneal[seed=0]"] is None
+    assert report.arms_run == ["list-resource", "list-delay", "level", "anneal[seed=0]"]
+    assert runs == ["resource", "delay"]

@@ -1,14 +1,20 @@
 """Canonical hashing, checked against its reference.
 
-``graph_content_digest`` and ``problem_fingerprint`` build their canonical
-forms in one pass and serialise the graph form without re-walking it.  For
-any graph — with or without data-flow graphs, with constants of every
-kind, non-ASCII or float names and set-valued task types — both must
-return exactly the digests of the versions in ``canonical_reference.py``,
-or raise the same exception type for an input those reject.
+``canonical_graph_text`` (behind ``graph_content_digest``) and
+``canonical_problem_text`` (behind ``problem_fingerprint``) write their JSON
+text directly.  For any graph — with or without data-flow graphs, with
+names, types and kinds holding quotes, backslashes, control, non-ASCII and
+astral characters, with non-str names or kinds, set task types and odd
+problem fields — both must return exactly the text of the dict forms in
+``canonical_reference.py``, or raise the same exception type for an input
+those reject.  A pinned digest over a fixed corpus ties every key to the
+one it had before the writers.
 """
 
 from __future__ import annotations
+
+import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,25 +22,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canonical_reference as reference
+from repro.arch import paper_case_study_system
 from repro.arch.device import ResourceVector
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.operations import OpKind, Operation
 from repro.errors import ArchitectureError, GraphError
+from repro.jpeg import build_dct_task_graph
 from repro.partition import PartitionProblem, SolverSpec
-from repro.runtime.canonical import problem_fingerprint
+from repro.runtime.canonical import (
+    canonical_graph_text,
+    canonical_problem_text,
+    problem_fingerprint,
+    text_digest,
+)
 from repro.runtime.jobs import PartitionJob
+from repro.synth import DesignFlow, FlowOptions, workload_flow_jobs
 from repro.synth.stages import graph_content_digest
-from repro.taskgraph import Task, TaskCost, TaskGraph
+from repro.taskgraph import Task, TaskCost, TaskGraph, random_dsp_task_graph
+from repro.verify.scenarios import generate_scenarios
+from repro.workloads import get_workload
 
-NAMES = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5
+
+class Name(str):
+    """A ``str`` subclass: written through ``canonical_value`` and ``json``."""
+
+
+#: Characters JSON escapes, or writes as ``\\uXXXX`` (astral ones as a
+#: surrogate pair), plus lone surrogates.
+ODD_CHARACTERS = st.sampled_from(
+    ('"', "\\", "/", "\n", "\x00", "\x1f", "\x7f", "é", "€", "\U0001f600", "\ud800", "\udfff")
 )
-#: Task types: strings, and in some graphs sets (sorted into lists by the
-#: graph form, rejected by the problem form's JSON encoder).
-TASK_TYPES = st.one_of(st.just(""), st.text(max_size=4))
-SET_TASK_TYPES = TASK_TYPES | st.sets(st.text(max_size=3), max_size=3) | st.frozensets(
-    st.text(max_size=3), max_size=2
+CHARACTERS = ODD_CHARACTERS | st.characters(blacklist_categories=())
+TEXT = st.lists(CHARACTERS, max_size=5).map("".join)
+NAMES = st.lists(CHARACTERS, min_size=1, max_size=5).map("".join)
+#: Task types: strings, empty or ``None``, and in some graphs sets (sorted
+#: into lists by the graph form, rejected by the problem form's JSON
+#: encoder).
+TASK_TYPES = st.one_of(st.none(), st.just(""), TEXT)
+SET_TASK_TYPES = TASK_TYPES | st.sets(TEXT, max_size=3) | st.frozensets(TEXT, max_size=2)
+AMOUNTS = st.one_of(
+    st.sampled_from((0, 1, 2**63 - 1, 2**63, 2**64 + 5)),
+    st.integers(min_value=0, max_value=1 << 70),
 )
+WORDS = st.one_of(st.just(0), st.integers(min_value=0, max_value=1 << 40))
 DELAYS = st.one_of(
     st.floats(min_value=0.0, allow_infinity=True),
     st.sampled_from((0.0, -0.0, float("nan"), 1e-9)),
@@ -43,22 +73,28 @@ DELAYS = st.one_of(
 OP_VALUES = st.one_of(
     st.integers(),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from((0.0, -0.0, float("inf"), float("-inf"), float("nan"), None)),
+    st.sampled_from((0.0, -0.0, float("inf"), float("-inf"), float("nan"), None, True)),
+    TEXT,
     st.tuples(st.floats(), st.integers()),
-    st.lists(st.one_of(st.none(), st.text(max_size=2)), max_size=2),
+    st.lists(st.one_of(st.none(), TEXT), max_size=2),
 )
-#: Kinds of graph that carry a leaf one of the forms rejects: an int
-#: resource kind (fine in the problem form, rejected by the graph form), a
-#: complex DFG constant, or a set task type.
-ODD_LEAVES = ("int kind", "complex constant", "set type")
+#: Kinds of graph that carry a leaf one of the forms treats specially: an
+#: int resource kind (fine in the problem form, rejected by the graph
+#: form), a ``str``-subclass kind, a complex DFG constant, or a set task
+#: type.
+ODD_LEAVES = ("int kind", "str-subclass kind", "complex constant", "set type")
 
 
 @st.composite
-def costs(draw, int_kind):
-    kinds = draw(st.lists(st.sampled_from(("clb", "dsp", "ram")), max_size=3, unique=True))
-    if int_kind:
-        kinds = draw(st.sampled_from(([7], kinds + [7], kinds)))
-    amounts = {kind: draw(st.integers(min_value=0, max_value=1 << 40)) for kind in kinds}
+def costs(draw, odd):
+    kinds = draw(
+        st.lists(st.sampled_from(("clb", "dsp", "ram")) | NAMES, max_size=3, unique=True)
+    )
+    if odd == "int kind":
+        kinds = draw(st.sampled_from(([7], [7, 3], kinds + [7], kinds)))
+    elif odd == "str-subclass kind":
+        kinds = [Name(kind) if draw(st.booleans()) else kind for kind in kinds]
+    amounts = {kind: draw(AMOUNTS) for kind in kinds}
     return TaskCost(resources=ResourceVector(amounts), delay=draw(DELAYS))
 
 
@@ -86,11 +122,13 @@ def dfgs(draw, complex_constant):
 
 @st.composite
 def task_graphs(draw):
-    # Task names are strings, or (rarely) floats, which canonicalise to
-    # their hex text.
+    # Task names are strings, or (rarely) str subclasses, floats (which the
+    # graph form canonicalises to their hex text) or ints.
     names = draw(
         st.lists(NAMES, min_size=1, max_size=8, unique=True)
+        | st.lists(NAMES.map(Name), min_size=1, max_size=4, unique=True)
         | st.lists(st.floats(min_value=0.5, max_value=1e6), min_size=1, max_size=4, unique=True)
+        | st.lists(st.integers(min_value=1, max_value=99), min_size=1, max_size=4, unique=True)
     )
     odd = draw(st.sampled_from(ODD_LEAVES + (None,) * 7))
     task_types = SET_TASK_TYPES if odd == "set type" else TASK_TYPES
@@ -99,11 +137,11 @@ def task_graphs(draw):
         graph.add_task(
             Task(
                 name,
-                cost=draw(st.none() | costs(odd == "int kind")),
+                cost=draw(st.none() | costs(odd)),
                 dfg=draw(st.none() | dfgs(odd == "complex constant")),
                 task_type=draw(task_types),
             ),
-            env_input_words=draw(st.integers(min_value=0, max_value=1 << 33)),
+            env_input_words=draw(WORDS),
             env_output_words=draw(st.integers(min_value=0, max_value=9)),
         )
     edges = {}
@@ -112,7 +150,7 @@ def task_graphs(draw):
             st.tuples(
                 st.integers(min_value=0, max_value=len(names) - 1),
                 st.integers(min_value=0, max_value=len(names) - 1),
-                st.integers(min_value=0, max_value=1 << 40),
+                WORDS,
             ),
             max_size=12,
         )
@@ -124,37 +162,57 @@ def task_graphs(draw):
     return graph
 
 
+#: The memory size is not coerced by ``PartitionProblem``: a float is
+#: written as a JSON number, a numpy integer is rejected by the encoder.
+MEMORY_WORDS = st.one_of(
+    st.integers(min_value=0, max_value=1 << 40),
+    st.floats(min_value=0.0, max_value=1e12),
+    st.integers(min_value=0, max_value=1 << 40).map(np.int64),
+)
+SOLVERS = st.one_of(
+    st.none(),
+    st.sampled_from(("ilp", "list", "anneal", "portfolio", "multilevel:list")).map(
+        lambda name: SolverSpec(partitioner=name).cache_key_fields()
+    ),
+    st.dictionaries(
+        TEXT | st.integers(min_value=0, max_value=9),
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), TEXT),
+        max_size=4,
+    ),
+)
+
+
 def _outcome(function, *args):
     try:
-        return "digest", function(*args)
+        return "text", function(*args)
     except Exception as error:  # the comparison is about which inputs raise
         return "error", type(error)
 
 
-@given(task_graphs(), st.booleans())
+@given(task_graphs())
 @settings(max_examples=200, deadline=None)
-def test_digests_match_the_reference(graph, costed):
-    assert _outcome(graph_content_digest, graph) == _outcome(
-        reference.reference_graph_digest, graph
+def test_graph_text_matches_the_reference(graph):
+    assert _outcome(canonical_graph_text, graph) == _outcome(
+        reference.reference_graph_text, graph
     )
-    if costed:
-        for task in graph.tasks():
-            if task.cost is None:
-                graph.set_cost(task.name, TaskCost(ResourceVector({"clb": 1}), 1e-9))
-    if not graph.all_estimated():
-        return
+
+
+@given(task_graphs(), MEMORY_WORDS, st.none() | st.integers(min_value=1, max_value=50),
+       SOLVERS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_problem_text_matches_the_reference(graph, memory_words, max_partitions, solver, data):
+    for task in graph.tasks():
+        if task.cost is None:
+            graph.set_cost(task.name, TaskCost(ResourceVector({"clb": 1}), 1e-9))
     problem = PartitionProblem(
         graph=graph,
         resource_capacity=ResourceVector({"clb": 100, "dsp": 4}),
-        memory_words=1024,
-        reconfiguration_time=1e-3,
+        memory_words=memory_words,
+        reconfiguration_time=data.draw(DELAYS),
+        max_partitions=max_partitions,
     )
-    solver = SolverSpec(partitioner="list").cache_key_fields()
-    assert _outcome(problem_fingerprint, problem, solver) == _outcome(
-        reference.problem_fingerprint, problem, solver
-    )
-    assert _outcome(problem_fingerprint, problem) == _outcome(
-        reference.problem_fingerprint, problem
+    assert _outcome(canonical_problem_text, problem, solver) == _outcome(
+        reference.reference_problem_text, problem, solver
     )
 
 
@@ -163,16 +221,42 @@ def test_a_resource_kind_that_is_not_a_string():
     encoder writes it as a string key."""
     graph = TaskGraph("int-kind")
     graph.add_task(Task("a", cost=TaskCost(ResourceVector({7: 2}), 1e-9)))
-    for digest in (graph_content_digest, reference.reference_graph_digest):
+    for text in (canonical_graph_text, reference.reference_graph_text):
         with pytest.raises(TypeError, match="keys must be strings"):
-            digest(graph)
+            text(graph)
     problem = PartitionProblem(
         graph=graph,
         resource_capacity=ResourceVector({7: 4}),
         memory_words=8,
         reconfiguration_time=0.0,
     )
-    assert problem_fingerprint(problem) == reference.problem_fingerprint(problem)
+    assert canonical_problem_text(problem) == reference.reference_problem_text(problem)
+    assert '"resources":{"7":2}' in canonical_problem_text(problem)
+
+
+def test_the_hashes_keep_no_container_alive():
+    """The writers build strings, which the cyclic collector does not track,
+    so hashing a 2000-task graph triggers no collection.  The dict forms
+    kept a few dicts per task alive until ``json.dumps`` had walked them:
+    several collections per hash at the default thresholds."""
+    graph = random_dsp_task_graph(
+        task_count=2000, seed=0, max_level_width=24, edge_probability=0.08
+    )
+    problem = PartitionProblem(graph, ResourceVector({"clb": 1 << 30}), 1 << 20, 0.0)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        graph_content_digest(graph)
+        problem_fingerprint(problem, SolverSpec(partitioner="list").cache_key_fields())
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
 
 
 def test_fractional_amounts_are_rejected_before_they_reach_a_cache_key():
@@ -193,8 +277,8 @@ def test_fractional_amounts_are_rejected_before_they_reach_a_cache_key():
         reconfiguration_time=0.0,
     )
     job = PartitionJob(problem, SolverSpec(partitioner="list"))
-    assert job.fingerprint() == reference.problem_fingerprint(
-        problem, job.solver.cache_key_fields()
+    assert job.fingerprint() == text_digest(
+        reference.reference_problem_text(problem, job.solver.cache_key_fields())
     )
 
 
@@ -219,3 +303,47 @@ def test_word_counts_must_be_integers():
     assert type(graph.edge_words("a", "b")) is int
     vector = ResourceVector({"clb": np.int64(7)})
     assert type(vector["clb"]) is int
+
+
+#: sha256 over every key of :func:`_key_corpus`, recorded before the hashes
+#: wrote their text directly.  Any change to a digest or fingerprint of the
+#: corpus — which a stored stage, cache entry or run store is keyed by —
+#: changes it.
+GOLDEN_CANONICAL_KEYS = "df2b1b445937ddb96b273ee44ff7aa912a70f34516f779e73e8386a140b0aa64"
+
+#: The solver configurations each corpus problem is fingerprinted under.
+KEY_SOLVERS = ("ilp", "list", "anneal", "portfolio", "multilevel:portfolio")
+
+
+def _key_corpus():
+    """``(label, graph, system, options)`` of every catalog design variant,
+    the HLS-estimated DCT (DFGs attached, costs stripped), the first 80
+    verify scenarios and the 10k-task tier."""
+    for job in workload_flow_jobs(variants=True):
+        yield f"{job.workload}/{job.tag}", job.graph, job.system, job.options
+    graph = build_dct_task_graph(attach_dfgs=True)
+    for name in graph.task_names():
+        graph.task(name).cost = None
+    yield "dct-hls", graph, paper_case_study_system(), FlowOptions()
+    for scenario in generate_scenarios(80, base_seed=0):
+        yield (scenario.name, scenario.build_graph(), scenario.build_system(),
+               scenario.flow_options())
+    workload = get_workload("random_layered_10k")
+    yield (workload.name, workload.build_graph(seed=0), workload.default_system(),
+           workload.flow_options())
+
+
+def test_keys_match_the_pinned_digest():
+    """The graph digest before and after estimation, the bare problem
+    fingerprint and the job fingerprint under each solver, for every corpus
+    entry, are the keys they were."""
+    digest = hashlib.sha256()
+    for label, graph, system, options in _key_corpus():
+        estimated = DesignFlow(system, options).estimate(graph)
+        problem = PartitionProblem.from_system(estimated, system)
+        keys = [graph_content_digest(graph), graph_content_digest(estimated),
+                problem_fingerprint(problem)]
+        keys += [PartitionJob(problem, SolverSpec(partitioner=name)).fingerprint()
+                 for name in KEY_SOLVERS]
+        digest.update(repr((label, keys)).encode())
+    assert digest.hexdigest() == GOLDEN_CANONICAL_KEYS

@@ -1,13 +1,16 @@
 """Tests for temporal partitioning (repro.partition)."""
 
 import hashlib
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch import clbs, paper_case_study_system
-from repro.errors import PartitioningError, PartitionValidationError, ReproError
+from repro.arch import ResourceVector, clbs, paper_case_study_system
+from repro.errors import GraphError, PartitioningError, PartitionValidationError, ReproError
 from repro.ilp import SolveStatus, solve_milp_scipy
 from repro.jpeg import build_dct_task_graph
 from repro.partition import (
@@ -28,7 +31,15 @@ from repro.partition import (
     validate_partitioning,
 )
 from repro.synth import DesignFlow, workload_flow_jobs
-from repro.taskgraph import Task, TaskGraph, clb_cost, linear_pipeline, random_dsp_task_graph
+from repro.taskgraph import (
+    Task,
+    TaskCost,
+    TaskGraph,
+    clb_cost,
+    linear_pipeline,
+    partition_lower_bound,
+    random_dsp_task_graph,
+)
 from repro.units import ms, ns
 from repro.verify.scenarios import generate_scenarios
 
@@ -490,3 +501,86 @@ class TestValidationAndMetrics:
         rows = partition_summary_rows(case_study_ilp.partitioning)
         assert len(rows) == 3
         assert rows[0]["task_types"] == {"T1": 16}
+
+
+# ---------------------------------------------------------------------------
+# Resource sums
+# ---------------------------------------------------------------------------
+
+RESOURCE_KINDS = ("clb", "dsp", "bram")
+
+
+def _added(vectors):
+    """The sum of *vectors* one ``ResourceVector.__add__`` at a time."""
+    return sum(vectors, ResourceVector({}))
+
+
+def _added_lower_bound(graph, capacity, tasks=None):
+    """``partition_lower_bound`` with its totals summed by ``__add__``."""
+    selected = list(graph.tasks()) if tasks is None else [graph.task(n) for n in tasks]
+    totals = _added(task.resources for task in selected)
+    bound = 1
+    for name in totals.names():
+        available = capacity[name]
+        needed = totals[name]
+        if needed == 0:
+            continue
+        if available <= 0:
+            raise GraphError(
+                f"task graph {graph.name!r} needs resource {name!r} but the "
+                "device provides none"
+            )
+        bound = max(bound, math.ceil(needed / available))
+    for task in selected:
+        if not task.resources.fits_within(capacity):
+            raise GraphError(
+                f"task {task.name!r} does not fit on the device by itself; "
+                "temporal partitioning cannot help"
+            )
+    return bound
+
+
+def _amounts(draw):
+    kinds = draw(st.lists(st.sampled_from(RESOURCE_KINDS), unique=True, max_size=3))
+    return ResourceVector(
+        {kind: draw(st.sampled_from((0, 1, 2**63)) | st.integers(0, 90)) for kind in kinds}
+    )
+
+
+@st.composite
+def _costed_assignments(draw):
+    """A graph of 1-12 tasks with zero to three kinds each (zero amounts
+    included), an assignment to 1-4 partitions, a capacity and a subset."""
+    graph = TaskGraph("sums")
+    for index in range(draw(st.integers(1, 12))):
+        graph.add_task(Task(f"t{index}", cost=TaskCost(_amounts(draw), 1e-9)))
+    count = draw(st.integers(1, 4))
+    assignment = {name: draw(st.integers(1, count)) for name in graph.task_names()}
+    subset = draw(st.lists(st.sampled_from(graph.task_names()), unique=True))
+    return graph, assignment, count, _amounts(draw), subset
+
+
+def _outcome(function, *args):
+    try:
+        return "value", function(*args)
+    except Exception as error:  # the comparison is about which inputs raise
+        return "error", type(error), str(error)
+
+
+@given(_costed_assignments())
+@settings(max_examples=150, deadline=None)
+def test_resources_are_summed_like_vector_additions(case):
+    """Partition infos and the resource lower bound add amounts up in plain
+    ints; the sums, the bound and its errors are those of ``__add__``."""
+    graph, assignment, count, capacity, subset = case
+    result = TemporalPartitioning(graph, assignment, count, ms(1))
+    for info in result.partitions:
+        assert info.resources == _added(graph.task(name).resources for name in info.tasks)
+    all_tasks = list(graph.tasks())
+    assert ResourceVector.total(task.resources for task in all_tasks) == _added(
+        task.resources for task in all_tasks
+    )
+    for tasks in (None, subset):
+        assert _outcome(partition_lower_bound, graph, capacity, tasks) == _outcome(
+            _added_lower_bound, graph, capacity, tasks
+        )

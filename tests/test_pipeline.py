@@ -241,6 +241,23 @@ class TestArtifactStore:
         assert written == json.dumps(envelope).encode("utf-8")
         assert written == streamed.getvalue().encode("utf-8")
 
+    def test_memory_only_stage_never_builds_a_disk_path(self, tmp_path, monkeypatch):
+        """Without a codec a stage stays in memory, even in a store with a
+        cache root: no entry path is built, nothing lands on disk."""
+        store = ArtifactStore(cache_dir=tmp_path)
+        built = []
+        disk_path = store._disk_path
+        monkeypatch.setattr(
+            store, "_disk_path", lambda *args: built.append(args) or disk_path(*args)
+        )
+        store.put("demo", 1, "c" * 64, {"w": 4})
+        assert store.get("demo", 1, "c" * 64) == ({"w": 4}, "memory-cache")
+        assert ArtifactStore(cache_dir=tmp_path).get("demo", 1, "c" * 64) == (None, "")
+        assert built == [] and list(tmp_path.iterdir()) == []
+        store.put("demo", 1, "c" * 64, {"w": 4}, encode=lambda v: v)
+        assert built == [("demo", "c" * 64)]
+        assert [p.name for p in (tmp_path / "stages" / "demo").iterdir()] == [f"{'c' * 64}.json"]
+
     def test_stale_version_on_disk_is_a_miss_and_removed(self, tmp_path):
         writer = ArtifactStore(cache_dir=tmp_path)
         writer.put("demo", 1, "f" * 64, {"z": 3}, encode=lambda v: v)
