@@ -79,16 +79,16 @@ def build_memory_map(
     address generator can use concatenation instead of a multiplier
     (Section 3); the wastage is recorded per block.
     """
-    graph = partitioning.graph
+    tasks, env_input, env_output, succ, _ = partitioning.graph.maps()
     assignment = partitioning.assignment
     blocks = {
         index: MemoryBlock(partition_index=index)
         for index in range(1, partitioning.partition_count + 1)
     }
 
-    for name in graph.task_names():
+    for name in tasks:
         block = blocks[assignment[name]]
-        env_in = graph.env_input_words(name)
+        env_in = env_input[name]
         if env_in:
             block.add_segment(
                 MemorySegment(
@@ -98,7 +98,7 @@ def build_memory_map(
                     consumer_task=name,
                 )
             )
-        env_out = graph.env_output_words(name)
+        env_out = env_output[name]
         if env_out:
             block.add_segment(
                 MemorySegment(
@@ -109,26 +109,29 @@ def build_memory_map(
                 )
             )
 
-    for producer, consumer, words in graph.weighted_edges():
-        first, last = assignment[producer], assignment[consumer]
-        if words == 0 or first >= last:
-            continue
-        for index in range(first, last + 1):
-            if index == first:
-                kind = SegmentKind.CROSS_OUTPUT
-            elif index == last:
-                kind = SegmentKind.CROSS_INPUT
-            else:
-                kind = SegmentKind.PASSTHROUGH
-            blocks[index].add_segment(
-                MemorySegment(
-                    name=f"flow:{producer}->{consumer}",
-                    words=words,
-                    kind=kind,
-                    producer_task=producer,
-                    consumer_task=consumer,
+    for producer, consumers in succ.items():
+        first = assignment[producer]
+        for consumer, words in consumers.items():
+            last = assignment[consumer]
+            if words == 0 or first >= last:
+                continue
+            name = f"flow:{producer}->{consumer}"
+            for index in range(first, last + 1):
+                if index == first:
+                    kind = SegmentKind.CROSS_OUTPUT
+                elif index == last:
+                    kind = SegmentKind.CROSS_INPUT
+                else:
+                    kind = SegmentKind.PASSTHROUGH
+                blocks[index].add_segment(
+                    MemorySegment(
+                        name=name,
+                        words=words,
+                        kind=kind,
+                        producer_task=producer,
+                        consumer_task=consumer,
+                    )
                 )
-            )
 
     if round_to_power_of_two:
         for block in blocks.values():

@@ -213,24 +213,25 @@ class _MoveState:
         self, problem: PartitionProblem, assignment: Mapping[str, int], bound: int
     ) -> None:
         graph = problem.graph
-        names = graph.task_names()
+        tasks, _, _, succ, pred = graph.maps()
+        names = list(tasks)
         self.names = names
         self.position = {name: i for i, name in enumerate(names)}
         position = self.position
         self.order = [position[name] for name in graph.topological_order()]
         self.preds = [
-            [(position[pred], graph.edge_words(pred, name)) for pred in graph.predecessors(name)]
+            [(position[producer], words) for producer, words in pred[name].items()]
             for name in names
         ]
         self.succs = [
-            [(position[succ], graph.edge_words(name, succ)) for succ in graph.successors(name)]
+            [(position[consumer], words) for consumer, words in succ[name].items()]
             for name in names
         ]
-        tasks = [graph.task(name) for name in names]
-        self.delays = [task.delay for task in tasks]
-        kinds = sorted({kind for task in tasks for kind in task.resources.amounts})
+        self.delays = [task.delay for task in tasks.values()]
+        vectors = [task.resources.amounts for task in tasks.values()]
+        kinds = sorted({kind for vector in vectors for kind in vector})
         self.kinds = kinds
-        self.amounts = [[task.resources[kind] for kind in kinds] for task in tasks]
+        self.amounts = [[vector.get(kind, 0) for kind in kinds] for vector in vectors]
         self.capacity = [problem.resource_capacity[kind] for kind in kinds]
         self.memory_words = problem.memory_words
         self.reconfiguration_time = problem.reconfiguration_time

@@ -94,8 +94,7 @@ class LevelClusteringPartitioner:
     def _check_memory(problem: PartitionProblem, result: TemporalPartitioning) -> None:
         """Level clustering ignores the memory constraint while packing; verify
         it afterwards and fail loudly rather than return an invalid result."""
-        for boundary in range(1, result.partition_count):
-            words = result.boundary_words(boundary)
+        for boundary, words in enumerate(result.boundary_volumes(), start=1):
             if words > problem.memory_words:
                 raise PartitioningError(
                     f"level clustering produced a partitioning that needs {words} "

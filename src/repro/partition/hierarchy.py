@@ -171,9 +171,9 @@ class _Coarsening:
 
 def _read(problem: PartitionProblem, cap_fraction: float) -> Tuple[_Coarsening, _Level]:
     """The tasks of *problem* in name order, as the first level."""
-    graph = problem.graph
-    names = sorted(graph.task_names())
-    tasks = [graph.task(name) for name in names]
+    graph_tasks, env_input, env_output, succ, _ = problem.graph.maps()
+    names = sorted(graph_tasks)
+    tasks = [graph_tasks[name] for name in names]
     amounts = [task.resources.amounts for task in tasks]
     kind_orders: Dict[Tuple[str, ...], int] = {}
     kinds = [kind_orders.setdefault(tuple(vector), len(kind_orders)) for vector in amounts]
@@ -192,8 +192,8 @@ def _read(problem: PartitionProblem, cap_fraction: float) -> Tuple[_Coarsening, 
     }
     state = _Coarsening(
         names=names,
-        env_in=_int64([graph.env_input_words(name) for name in names], "env input words"),
-        env_out=_int64([graph.env_output_words(name) for name in names], "env output words"),
+        env_in=_int64([env_input[name] for name in names], "env input words"),
+        env_out=_int64([env_output[name] for name in names], "env output words"),
         columns=columns,
         cap=np.array(
             [min(cap.get(kind, 0), _INT64_LIMIT - 1) for kind in columns], dtype=np.int64
@@ -201,11 +201,20 @@ def _read(problem: PartitionProblem, cap_fraction: float) -> Tuple[_Coarsening, 
         kind_orders=kind_orders,
     )
 
+    # The edges in ``weighted_edges()`` order, read off the successor map.
     rank = {name: index for index, name in enumerate(names)}
-    triples = graph.weighted_edges()
-    src = np.array([rank[producer] for producer, _, _ in triples], dtype=np.int64)
-    dst = np.array([rank[consumer] for _, consumer, _ in triples], dtype=np.int64)
-    words = _int64([volume for _, _, volume in triples], "edge words")
+    src = np.repeat(
+        np.array([rank[producer] for producer in succ], dtype=np.int64),
+        [len(consumers) for consumers in succ.values()],
+    )
+    dst = np.array(
+        [rank[consumer] for consumers in succ.values() for consumer in consumers],
+        dtype=np.int64,
+    )
+    words = _int64(
+        [volume for consumers in succ.values() for volume in consumers.values()],
+        "edge words",
+    )
     order = np.lexsort((dst, src))
     level = _Level(
         ident=np.arange(len(names)),

@@ -55,10 +55,7 @@ def compute_metrics(
     clb_capacity = max(1, capacity[CLB])
     partition_clbs = [info.clbs for info in result.partitions]
     utilisations = [clbs / clb_capacity for clbs in partition_clbs]
-    boundaries = [
-        result.boundary_words(boundary)
-        for boundary in range(1, result.partition_count)
-    ]
+    boundaries = result.boundary_volumes()
     return PartitioningMetrics(
         method=result.method,
         partition_count=result.partition_count,

@@ -9,6 +9,7 @@ metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Mapping, Optional
 
 from ..arch.device import ResourceVector
@@ -55,8 +56,7 @@ class TemporalPartitioning:
     def __post_init__(self) -> None:
         if self.partition_count < 1:
             raise PartitioningError("partition_count must be at least 1")
-        task_names = set(self.graph.task_names())
-        assigned = set(self.assignment)
+        task_names, assigned = self.graph.maps().tasks.keys(), self.assignment.keys()
         if assigned != task_names:
             missing = sorted(task_names - assigned)
             extra = sorted(assigned - task_names)
@@ -87,21 +87,22 @@ class TemporalPartitioning:
         partitions, so one walk over one topological order gives every
         partition's delay.
         """
+        tasks = self.graph.maps().tasks
         members: List[List[str]] = [[] for _ in range(self.partition_count)]
-        for name in self.graph.task_names():
+        for name in tasks:
             members[self.assignment[name] - 1].append(name)
         chains: List[List[float]] = [[] for _ in range(self.partition_count)]
         for name, chain in in_partition_chain_delays(self.graph, self.assignment).items():
             chains[self.assignment[name] - 1].append(chain)
         infos: List[PartitionInfo] = []
-        for slot, tasks in enumerate(members):
+        for slot, names in enumerate(members):
             infos.append(
                 PartitionInfo(
                     index=slot + 1,
-                    tasks=tasks,
+                    tasks=names,
                     delay=max(chains[slot], default=0.0),
                     resources=ResourceVector.total(
-                        self.graph.task(name).resources for name in tasks
+                        tasks[name].resources for name in names
                     ),
                 )
             )
@@ -162,23 +163,31 @@ class TemporalPartitioning:
             raise PartitioningError(
                 f"boundary {boundary} outside 1..{self.partition_count - 1}"
             )
-        total = 0
-        for producer, consumer, words in self.graph.weighted_edges():
-            if (
-                self.assignment[producer] <= boundary
-                < self.assignment[consumer]
-            ):
-                total += words
-        return total
+        return self.boundary_volumes()[boundary - 1]
+
+    def boundary_volumes(self) -> List[int]:
+        """:meth:`boundary_words` of every boundary ``1..N-1``, in order,
+        from one walk over the edges.
+
+        Each forward edge adds its words where its producer's partition
+        starts and takes them off where its consumer's starts; the running
+        sum at boundary ``b`` is then the words of every edge with
+        ``producer <= b < consumer``.
+        """
+        assignment = self.assignment
+        change = [0] * (self.partition_count + 1)
+        for producer, consumers in self.graph.maps().succ.items():
+            first = assignment[producer]
+            for consumer, words in consumers.items():
+                last = assignment[consumer]
+                if first < last:
+                    change[first] += words
+                    change[last] -= words
+        return list(accumulate(change[1:self.partition_count]))
 
     def max_boundary_words(self) -> int:
         """Largest inter-partition data volume across any boundary."""
-        if self.partition_count <= 1:
-            return 0
-        return max(
-            self.boundary_words(boundary)
-            for boundary in range(1, self.partition_count)
-        )
+        return max(self.boundary_volumes(), default=0)
 
     def cut_edges(self, boundary: int) -> List[tuple]:
         """Edges whose data is live across boundary *boundary*."""
@@ -211,13 +220,19 @@ def in_partition_chain_delays(
     keyed in topological order.
 
     The per-partition maximum of these is the partition's Eq. 7 delay ``d_p``.
+    A predecessor's chain replaces the best one so far when it is strictly
+    longer, which is what ``max(best, chain)`` keeps (NaN and signed zeros
+    included), without a call per edge.
     """
+    tasks, _, _, _, preds = graph.maps()
     longest: Dict[str, float] = {}
     for name in graph.topological_order():
         partition = assignment[name]
         best_pred = 0.0
-        for pred in graph.predecessors(name):
+        for pred in preds[name]:
             if assignment[pred] == partition:
-                best_pred = max(best_pred, longest[pred])
-        longest[name] = best_pred + graph.task(name).delay
+                chain = longest[pred]
+                if chain > best_pred:
+                    best_pred = chain
+        longest[name] = best_pred + tasks[name].delay
     return longest

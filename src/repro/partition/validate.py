@@ -69,8 +69,7 @@ def validate_partitioning(
                 )
 
     # Memory constraint (Eq. 3) per boundary.
-    for boundary in range(1, result.partition_count):
-        words = result.boundary_words(boundary)
+    for boundary, words in enumerate(result.boundary_volumes(), start=1):
         if words > problem.memory_words:
             report.violations.append(
                 f"boundary {boundary} stores {words} words, exceeding the memory "

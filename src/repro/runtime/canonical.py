@@ -151,13 +151,6 @@ def _amounts_text(amounts: Mapping, canonical: bool) -> str:
     return "{" + ",".join(pieces) + "}"
 
 
-def _graph_maps(graph):
-    """The graph's own task, env-word and successor maps, read (never
-    written) by the hashes: on a 10k-task graph the per-name accessors,
-    each re-checking its name, cost more than the rest of the walk."""
-    return graph._tasks, graph._env_input, graph._env_output, graph._succ
-
-
 def _edges_text(graph, succ, names: List, escaped: Mapping[str, str], leaf) -> str:
     """The ``edges`` list: ``[producer, consumer, words]`` triples in
     ``sorted(graph.weighted_edges())`` order.
@@ -216,7 +209,7 @@ def canonical_graph_text(graph) -> str:
     graph does not change what any stage computes from it).  Every leaf is
     canonicalised (:func:`canonical_value`) as it is written.
     """
-    tasks, env_in, env_out, succ = _graph_maps(graph)
+    tasks, env_in, env_out, succ, _ = graph.maps()
     names = sorted(tasks)
     escaped: Dict[str, str] = {}
     entries: List[str] = []
@@ -280,7 +273,7 @@ def canonical_problem_text(
     outside the JSON family raises ``TypeError``.
     """
     graph = problem.graph
-    tasks, env_in, env_out, succ = _graph_maps(graph)
+    tasks, env_in, env_out, succ, _ = graph.maps()
     names = sorted(tasks)
     escaped: Dict[str, str] = {}
     entries: List[str] = []

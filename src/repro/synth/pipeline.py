@@ -94,7 +94,11 @@ class StagePipeline:
         """Run (or rehydrate) the estimation stage; returns ``(graph, source)``.
 
         The cached artifact is the cost table, not the graph object, so one
-        artifact rehydrates onto any content-equal graph instance.
+        artifact rehydrates onto any content-equal graph instance.  When
+        estimation passed a fully costed graph straight through, the table
+        stored is empty: the key hashes every task's cost, so any graph
+        that hits that entry already carries them all and is returned
+        untouched (as it is on a hit on a full table).
         """
         key = plan.key(stages.ESTIMATE)
         stats = self.store.stats_for(stages.ESTIMATE)
@@ -111,7 +115,7 @@ class StagePipeline:
             key.stage,
             key.version,
             key.digest,
-            stages.estimate_artifact(estimated),
+            {} if estimated is graph else stages.estimate_artifact(estimated),
             encode=lambda value: value,
         )
         return estimated, COMPUTED

@@ -13,7 +13,7 @@ restructures.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .. import dag
 from ..arch.device import ResourceVector
@@ -29,6 +29,18 @@ def _words(value: int, what: str) -> int:
     if value < 0:
         raise GraphError(f"{what} must be non-negative, got {value}")
     return value
+
+
+class GraphMaps(NamedTuple):
+    """A task graph's own insertion-ordered maps (see :meth:`TaskGraph.maps`)."""
+
+    tasks: Dict[str, Task]
+    env_input: Dict[str, int]
+    env_output: Dict[str, int]
+    #: ``succ[producer][consumer]`` and ``pred[consumer][producer]`` both
+    #: hold ``B(producer, consumer)``.
+    succ: Dict[str, Dict[str, int]]
+    pred: Dict[str, Dict[str, int]]
 
 
 class TaskGraph:
@@ -241,6 +253,17 @@ class TaskGraph:
         """Whether the edge ``producer -> consumer`` exists."""
         return consumer in self._succ.get(producer, ())
 
+    def maps(self) -> GraphMaps:
+        """The graph's own task, env-word, successor and predecessor maps.
+
+        These are the live dicts, not copies, so a whole-graph walk reads
+        every task and edge end without a name check per lookup; each map
+        iterates in the order the per-name queries above return.  Callers
+        must treat them, and every inner dict, as read-only: only the
+        graph's own methods may change them.
+        """
+        return GraphMaps(self._tasks, self._env_input, self._env_output, self._succ, self._pred)
+
     # ------------------------------------------------------------------
     # Aggregates used by the partitioner
     # ------------------------------------------------------------------
@@ -251,10 +274,7 @@ class TaskGraph:
 
     def total_resources(self) -> ResourceVector:
         """Sum of ``R(t)`` over all tasks (the partition lower bound numerator)."""
-        total = ResourceVector({})
-        for task in self.tasks():
-            total = total + task.resources
-        return total
+        return ResourceVector.total(task.resources for task in self.tasks())
 
     def total_delay(self) -> float:
         """Sum of ``D(t)`` over all tasks (an upper bound on any latency)."""

@@ -450,8 +450,7 @@ class MemoryLegalityOracle(Oracle):
         capacity = artifacts.system.memory_capacity_words
         violations: List[str] = []
 
-        for boundary in range(1, partitioning.partition_count):
-            words = partitioning.boundary_words(boundary)
+        for boundary, words in enumerate(partitioning.boundary_volumes(), start=1):
             if words > capacity:
                 violations.append(
                     f"boundary {boundary} stores {words} words, exceeding the "

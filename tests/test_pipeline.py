@@ -565,3 +565,97 @@ class TestPipelinePlumbing:
         )
         text = engine.pipeline.describe_stats()
         assert "estimate 1/2" in text
+
+
+# ---------------------------------------------------------------------------
+# The estimate entry of a graph that needed no estimation
+# ---------------------------------------------------------------------------
+
+def _estimate_entry(engine, job, cache_dir):
+    """The estimate entry of *job* in *engine*'s memory layer and on disk."""
+    key = engine.pipeline.plan(job.graph, job.system, job.options).key(stages.ESTIMATE)
+    memory = engine.pipeline.store._memory_for(stages.ESTIMATE).get(key.digest)
+    path = cache_dir / "stages" / stages.ESTIMATE / f"{key.digest}.json"
+    return memory, path
+
+
+def _cost_bits(graph):
+    return [
+        (name, graph.task(name).resources.as_dict(), graph.task(name).delay.hex(),
+         graph.task(name).cost.cycles, graph.task(name).cost.clock_period)
+        for name in graph.task_names()
+    ]
+
+
+class TestPassThroughEstimate:
+    """A fully costed graph passes estimation untouched, so its entry is an
+    empty table; the entry is still stored, looked up and counted."""
+
+    def test_costed_graph_stores_an_empty_table(self, tmp_path):
+        job = workload_flow_jobs(names=["matmul_pipeline"])[0]
+        assert job.graph.all_estimated()
+        engine = FlowEngine(config=EngineConfig(cache_dir=tmp_path))
+        report = engine.run_batch([job])[0]
+        assert report.stage_sources["estimate"] == "computed"
+        memory, path = _estimate_entry(engine, job, tmp_path)
+        assert memory == {}
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            {"stage": "estimate", "version": stages.STAGE_VERSIONS[stages.ESTIMATE],
+             "payload": {}}
+        )
+        assert engine.stage_stats["estimate"]["runs"] == 1
+
+    def test_second_flow_hits_the_empty_table(self, tmp_path):
+        from repro.verify import design_fingerprint
+
+        first = FlowEngine(config=EngineConfig(cache_dir=tmp_path))
+        cold = first.run_batch(workload_flow_jobs(names=["matmul_pipeline"]))[0]
+        warm = first.run_batch(workload_flow_jobs(names=["matmul_pipeline"]))[0]
+        assert warm.stage_sources["estimate"] == "memory-cache"
+        assert first.stage_stats["estimate"]["runs"] == 1
+        second = FlowEngine(config=EngineConfig(cache_dir=tmp_path))
+        disk = second.run_batch(workload_flow_jobs(names=["matmul_pipeline"]))[0]
+        assert disk.stage_sources["estimate"] == "disk-cache"
+        assert disk.row()["cached_estimate"] is True
+        assert second.stage_stats["estimate"]["runs"] == 0
+        assert second.stage_stats["estimate"]["disk_hits"] == 1
+        prints = {design_fingerprint(r.design) for r in (cold, warm, disk)}
+        assert len(prints) == 1 and "" not in prints
+
+    def test_uncosted_graph_round_trips_its_full_table(self, tmp_path):
+        job = workload_flow_jobs(names=["fir_filterbank"])[0]
+        assert not job.graph.all_estimated()
+        estimated = stages.run_estimate(job.graph, job.system, job.options)
+        table = stages.estimate_artifact(estimated)
+        assert table and len(table) == len(job.graph)
+
+        writer = FlowEngine(config=EngineConfig(cache_dir=tmp_path))
+        assert writer.run_batch([job]).ok
+        memory, path = _estimate_entry(writer, job, tmp_path)
+        assert memory == table
+        assert json.loads(path.read_text(encoding="utf-8"))["payload"] == table
+
+        reader = FlowEngine(config=EngineConfig(cache_dir=tmp_path))
+        plan = reader.pipeline.plan(job.graph, job.system, job.options)
+        rehydrated, source = reader.pipeline.estimate(plan, job.graph, job.system, job.options)
+        assert source == "disk-cache"
+        assert _cost_bits(rehydrated) == _cost_bits(estimated)
+        assert not job.graph.all_estimated()
+
+    def test_full_table_on_disk_is_still_a_hit(self, tmp_path):
+        """An entry that holds a costed graph's full table, as stores written
+        before the empty table do, is a hit that returns the graph as is."""
+        job = workload_flow_jobs(names=["matmul_pipeline"])[0]
+        engine = FlowEngine(config=EngineConfig(cache_dir=tmp_path))
+        _, path = _estimate_entry(engine, job, tmp_path)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "stage": "estimate", "version": stages.STAGE_VERSIONS[stages.ESTIMATE],
+            "payload": stages.estimate_artifact(job.graph),
+        }), encoding="utf-8")
+        plan = engine.pipeline.plan(job.graph, job.system, job.options)
+        graph, source = engine.pipeline.estimate(plan, job.graph, job.system, job.options)
+        assert source == "disk-cache" and graph is job.graph
+        report = engine.run_batch([job])[0]
+        assert report.stage_sources["estimate"] == "memory-cache"
+        assert engine.stage_stats["estimate"]["runs"] == 0
