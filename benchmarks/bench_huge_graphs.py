@@ -14,7 +14,12 @@ their canonical text directly), and the multilevel coarsening and
 refinement on that tier (coarsening merges on index arrays; refinement
 checks each trial move incrementally instead of re-validating a whole
 partitioning).  Each of these is the median of :data:`REPEATS` runs: they
-last milliseconds, and the host's speed drifts within a run.
+last milliseconds, and the host's speed drifts within a run.  Two counts
+on that tier need no median: the cyclic-GC collections one annealer move
+state build sets off (``move_state_gc_collections``; its edges are flat
+lists) and the sorts of the tier's graph one ``DesignFlow.build`` runs
+after the graph is built (``flow_graph_sorts``; ``add_edges`` keeps the
+sort it checks acyclicity with).
 
 Environment knobs for constrained CI runners:
 
@@ -34,6 +39,7 @@ runs (2000 tasks >> the 48-task coarse target).
 
 from __future__ import annotations
 
+import gc
 import os
 import statistics
 import sys
@@ -41,6 +47,7 @@ import time
 
 from bench_utils import record
 
+from repro import dag
 from repro.arch.catalog import generic_system
 from repro.partition import (
     ListTemporalPartitioner,
@@ -49,6 +56,7 @@ from repro.partition import (
     SolverSpec,
     validate_partitioning,
 )
+from repro.partition.anneal_partitioner import _MoveState
 from repro.runtime import PartitionJob
 from repro.synth.flow import DesignFlow, FlowOptions
 from repro.synth.stages import graph_content_digest
@@ -204,6 +212,43 @@ def test_largest_tier_coarsening_and_refinement():
         f"({partitioner.last_report.refinement_moves} moves)"
     )
     record("huge_graphs", coarsen_seconds=coarsen_seconds, refine_seconds=refine_seconds)
+
+
+def test_largest_tier_move_state_gc_and_flow_sorts(monkeypatch):
+    """Machine-independent counts on the largest tier: GC collections
+    during one ``_MoveState`` build of the multilevel result (after
+    ``gc.collect()``), and sorts of a graph the tier's size during one
+    ``DesignFlow.build`` of a freshly built tier graph."""
+    task_count = max(TIERS)
+    system = _tier_system(task_count)
+    problem = PartitionProblem.from_system(_tier_graph(task_count), system)
+    result = MultilevelPartitioner().partition(problem)
+    gc.collect()
+    before = sum(stats["collections"] for stats in gc.get_stats())
+    _MoveState(problem, result.assignment, result.partition_count)
+    move_state_gc_collections = sum(stats["collections"] for stats in gc.get_stats()) - before
+
+    graph = _tier_graph(task_count)
+    sorts = []
+    sort = dag.topological_order
+
+    def counting(succ, pred):
+        if len(pred) == task_count:
+            sorts.append(len(pred))
+        return sort(succ, pred)
+
+    monkeypatch.setattr(dag, "topological_order", counting)
+    DesignFlow(system, FlowOptions(partitioner="multilevel")).build(graph)
+    print()
+    print(
+        f"  {task_count:>7,} nodes: {move_state_gc_collections} GC collections per "
+        f"move-state build, {len(sorts)} graph sorts per flow"
+    )
+    record(
+        "huge_graphs",
+        move_state_gc_collections=move_state_gc_collections,
+        flow_graph_sorts=len(sorts),
+    )
 
 
 def test_multilevel_vs_flat_speedup():

@@ -165,6 +165,14 @@ GATES: Dict[str, List[Gate]] = {
         # Building a dict per task for json.dumps to walk again takes about
         # twice as long as writing the canonical text, past the ceiling.
         Gate("fingerprint_seconds", "max", ABSOLUTE_TOLERANCE),
+        # GC collections during one annealer move-state build of the
+        # largest smoke tier, and sorts of its graph during one flow.  Flat
+        # edge lists allocate no per-edge tuples and the graph keeps the
+        # sort add_edges ran, so both read 0; a tuple per edge end sets off
+        # 19 collections and re-sorting the graph 3 sorts.  Machine-
+        # independent counts, so zero tolerance.
+        Gate("move_state_gc_collections", "max", 0.0),
+        Gate("flow_graph_sorts", "max", 0.0),
     ],
 }
 

@@ -32,6 +32,7 @@ import math
 import random
 from array import array
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Container, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import PartitioningError
@@ -105,8 +106,9 @@ class AnnealTemporalPartitioner:
         """Digest of every input of :meth:`_anneal` on *state*: the index
         structure and integers by ``repr``, the floats by their IEEE bits."""
         structure = (
-            state.order, state.preds, state.succs, state.amounts, state.capacity,
-            state.memory_words, state.bound, state.assignment,
+            state.order, state.pred_start, state.pred_task, state.pred_words,
+            state.succ_start, state.succ_task, state.succ_words, state.amounts,
+            state.capacity, state.memory_words, state.bound, state.assignment,
             self.seed, self.iterations,
         )
         floats = array(
@@ -193,15 +195,32 @@ class AnnealTemporalPartitioner:
         return tuple(best_assignment)
 
 
+#: One task's edges and amounts as :meth:`_MoveState.check_move` reads
+#: them: ``(preds, succs, amounts)``, each edge an ``(index, words)`` pair.
+_Row = Tuple[List[Tuple[int, int]], List[Tuple[int, int]], List[int]]
+
+
 class _MoveState:
-    """One problem as index arrays, plus the state a move is checked against.
+    """One problem as flat index lists, plus the state a move is checked against.
 
     Tasks are numbered in ``task_names()`` order and resource kinds by
-    name.  ``assignment[i]`` is task ``i``'s partition (1..bound),
-    ``usage[p][k]`` partition ``p``'s amount of kind ``k``, and
-    ``crossing[b]`` the words of every edge ``u -> v`` with
+    name.  The edges are kept once per direction in CSR form: task ``i``'s
+    predecessors are ``pred_task[pred_start[i]:pred_start[i + 1]]``, in
+    edge order, with their words at the same positions of ``pred_words``,
+    and ``succ_start``/``succ_task``/``succ_words`` hold its successors
+    the same way.  Task ``i``'s amount of kind ``k`` is
+    ``amounts[i * len(kinds) + k]``.  ``assignment[i]`` is task ``i``'s
+    partition (1..bound), ``usage[p][k]`` partition ``p``'s amount of kind
+    ``k``, and ``crossing[b]`` the words of every edge ``u -> v`` with
     ``assignment[u] <= b < assignment[v]``.  An assignment outside
-    1..bound raises :class:`PartitioningError`.
+    1..bound raises :class:`PartitioningError` before anything is summed.
+
+    :meth:`check_move` and :meth:`commit_move` read ``rows[i]``, task
+    ``i``'s edges and amounts as a :data:`_Row`.  A row is built from the
+    flat lists the first time a move of its task is checked, so a build
+    allocates a handful of lists whatever the graph's size, and multilevel
+    refinement of a 10k-task state builds rows only for the tasks it tries
+    to move.  Every other query reads the flat lists.
 
     :meth:`check_move` is exact only from a valid assignment: it checks the
     moving task's own edges, its target's resources and the boundaries it
@@ -219,54 +238,70 @@ class _MoveState:
         self.position = {name: i for i, name in enumerate(names)}
         position = self.position
         self.order = [position[name] for name in graph.topological_order()]
-        self.preds = [
-            [(position[producer], words) for producer, words in pred[name].items()]
-            for name in names
-        ]
-        self.succs = [
-            [(position[consumer], words) for consumer, words in succ[name].items()]
-            for name in names
-        ]
+        self.pred_start, self.pred_task, self.pred_words = _adjacency(pred, names, position)
+        self.succ_start, self.succ_task, self.succ_words = _adjacency(succ, names, position)
         self.delays = [task.delay for task in tasks.values()]
         vectors = [task.resources.amounts for task in tasks.values()]
         kinds = sorted({kind for vector in vectors for kind in vector})
         self.kinds = kinds
-        self.amounts = [[vector.get(kind, 0) for kind in kinds] for vector in vectors]
+        self.amounts = [vector.get(kind, 0) for vector in vectors for kind in kinds]
         self.capacity = [problem.resource_capacity[kind] for kind in kinds]
         self.memory_words = problem.memory_words
         self.reconfiguration_time = problem.reconfiguration_time
+        self.rows: List[Optional[_Row]] = [None] * len(names)
 
         self.bound = bound
         self.assignment = [assignment[name] for name in names]
-        self.usage = [[0] * len(kinds) for _ in range(bound + 1)]
-        self.crossing = [0] * (bound + 1)
         for task, partition in enumerate(self.assignment):
             if not 1 <= partition <= bound:
                 raise PartitioningError(
                     f"task {names[task]!r} assigned to partition {partition}, "
                     f"outside 1..{bound}"
                 )
-            row = self.usage[partition]
-            for kind, amount in enumerate(self.amounts[task]):
-                row[kind] += amount
-            for succ, words in self.succs[task]:
-                for boundary in range(partition, self.assignment[succ]):
-                    self.crossing[boundary] += words
+        width = len(kinds)
+        usage = self.usage = [[0] * width for _ in range(bound + 1)]
+        for kind in range(width):
+            for partition, amount in zip(self.assignment, self.amounts[kind::width]):
+                usage[partition][kind] += amount
+        # Each forward edge adds its words from its producer's partition on
+        # and takes them off from its consumer's: the running sum at ``b``
+        # is then the words of every edge with ``producer <= b < consumer``.
+        # The walk reads *assignment* by name, every value now in range.
+        change = [0] * (bound + 1)
+        for producer, consumers in succ.items():
+            first = assignment[producer]
+            for consumer, words in consumers.items():
+                last = assignment[consumer]
+                if first < last:
+                    change[first] += words
+                    change[last] -= words
+        self.crossing = list(accumulate(change))
+
+    def _row(self, task: int) -> _Row:
+        """Build and keep task *task*'s row (see the class docstring)."""
+        start, end = self.pred_start[task], self.pred_start[task + 1]
+        preds = list(zip(self.pred_task[start:end], self.pred_words[start:end]))
+        start, end = self.succ_start[task], self.succ_start[task + 1]
+        succs = list(zip(self.succ_task[start:end], self.succ_words[start:end]))
+        width = len(self.kinds)
+        row = self.rows[task] = (preds, succs, self.amounts[task * width:(task + 1) * width])
+        return row
 
     def check_move(self, task: int, target: int) -> Optional[List[int]]:
         """The crossing words of the boundaries between *task*'s partition
         and *target* after the move, or ``None`` if the move breaks the
         temporal order (Eq. 2), the resource capacity of *target* (Eq. 6)
         or the memory size on one of those boundaries (Eq. 3)."""
+        preds, succs, amounts = self.rows[task] or self._row(task)
         assignment = self.assignment
-        for pred, _ in self.preds[task]:
+        for pred, _ in preds:
             if assignment[pred] > target:
                 return None
-        for succ, _ in self.succs[task]:
+        for succ, _ in succs:
             if assignment[succ] < target:
                 return None
         row = self.usage[target]
-        for kind, amount in enumerate(self.amounts[task]):
+        for kind, amount in enumerate(amounts):
             if row[kind] + amount > self.capacity[kind]:
                 return None
         current = assignment[task]
@@ -275,10 +310,10 @@ class _MoveState:
             # Swap the task's own edges' contribution from its current
             # partition to *target*; every other edge is unchanged.
             words = self.crossing[boundary]
-            for pred, edge_words in self.preds[task]:
+            for pred, edge_words in preds:
                 if assignment[pred] <= boundary:
                     words += edge_words * ((boundary < target) - (boundary < current))
-            for succ, edge_words in self.succs[task]:
+            for succ, edge_words in succs:
                 if boundary < assignment[succ]:
                     words += edge_words * ((target <= boundary) - (current <= boundary))
             if words > self.memory_words:
@@ -289,10 +324,10 @@ class _MoveState:
     def commit_move(self, task: int, previous: int, boundary_words: List[int]) -> None:
         """Account for the accepted move of *task* out of partition *previous*
         (``assignment`` already holds its target); *boundary_words* is what
-        :meth:`check_move` returned for it."""
+        :meth:`check_move` returned for it, so the task's row is built."""
         target = self.assignment[task]
         source_row, target_row = self.usage[previous], self.usage[target]
-        for kind, amount in enumerate(self.amounts[task]):
+        for kind, amount in enumerate(self.rows[task][2]):
             source_row[kind] -= amount
             target_row[kind] += amount
         self.crossing[min(previous, target):max(previous, target)] = boundary_words
@@ -303,9 +338,10 @@ class _MoveState:
         temporal order (Eq. 2), resources (Eq. 6), memory (Eq. 3) and
         contiguous partition indices."""
         assignment, names = self.assignment, self.names
+        succ_start, succ_task = self.succ_start, self.succ_task
         found = []
-        for task, succs in enumerate(self.succs):
-            for succ, _ in succs:
+        for task in range(len(names)):
+            for succ in succ_task[succ_start[task]:succ_start[task + 1]]:
                 if assignment[task] > assignment[succ]:
                     found.append(
                         f"temporal order violated: {names[task]!r} "
@@ -329,6 +365,10 @@ class _MoveState:
             found.append(f"partition indices {used} are not contiguous 1..{self.bound}")
         return found
 
+    def _preds_of(self, task: int) -> List[int]:
+        """Task *task*'s predecessor indices, in edge order."""
+        return self.pred_task[self.pred_start[task]:self.pred_start[task + 1]]
+
     def partition_delays(
         self, partitions: Optional[Container[int]] = None
     ) -> Dict[int, float]:
@@ -343,7 +383,7 @@ class _MoveState:
         """
         assignment = self.assignment
         delays = self.delays
-        preds = self.preds
+        preds_of = self._preds_of
         longest = [0.0] * len(delays)
         per_partition: Dict[int, float] = {}
         for task in self.order:
@@ -351,7 +391,7 @@ class _MoveState:
             if partitions is not None and partition not in partitions:
                 continue
             best_pred = 0.0
-            for pred, _ in preds[task]:
+            for pred in preds_of(task):
                 if assignment[pred] == partition:
                     best_pred = max(best_pred, longest[pred])
             chain = best_pred + delays[task]
@@ -370,7 +410,7 @@ class _MoveState:
         """
         assignment = self.assignment
         delays = self.delays
-        preds = self.preds
+        preds_of = self._preds_of
         longest: Dict[int, float] = {}
         chain_pred: Dict[int, Optional[int]] = {}
         for task in self.order:
@@ -378,7 +418,7 @@ class _MoveState:
                 continue
             chosen: Optional[int] = None
             best = 0.0
-            for pred, _ in preds[task]:
+            for pred in preds_of(task):
                 if assignment[pred] == partition and longest[pred] > best:
                     best = longest[pred]
                     chosen = pred
@@ -400,8 +440,8 @@ class _MoveState:
         Built on the first :meth:`score`: multilevel refinement never
         scores, so its 10k-task states never pay for it.
         """
-        preds, delays = self.preds, self.delays
-        return [(task, [pred for pred, _ in preds[task]], delays[task]) for task in self.order]
+        preds_of, delays = self._preds_of, self.delays
+        return [(task, preds_of(task), delays[task]) for task in self.order]
 
     def score(self) -> float:
         """The paper's objective for ``assignment``, empty partitions dropped.
@@ -436,6 +476,18 @@ class _MoveState:
                 slots[partition] = chain
         total = sum([slots[partition] for partition in appeared])
         return len(appeared) * self.reconfiguration_time + total
+
+
+def _adjacency(
+    neighbours: Dict[str, Dict[str, int]], names: List[str], position: Dict[str, int]
+) -> Tuple[List[int], List[int], List[int]]:
+    """One direction of the edges as CSR lists: ``(start, task, words)``,
+    rows in *names* order and each row in edge order."""
+    rows = [neighbours[name] for name in names]
+    start = list(accumulate(map(len, rows), initial=0))
+    task = list(map(position.__getitem__, chain.from_iterable(rows)))
+    words = list(chain.from_iterable(map(dict.values, rows)))
+    return start, task, words
 
 
 def _compress(assignment: Dict[str, int]):

@@ -48,6 +48,9 @@ class TaskGraph:
 
     Tasks, environment volumes and both adjacency maps are insertion-ordered
     dicts, so every query returns a deterministic order (see :mod:`repro.dag`).
+    The topological order of the current structure is sorted once and kept
+    until :meth:`add_task`, :meth:`add_edge` or :meth:`add_edges` changes
+    the structure (see :meth:`topological_order`).
     """
 
     def __init__(self, name: str = "taskgraph") -> None:
@@ -61,6 +64,9 @@ class TaskGraph:
         #: both hold ``B(producer, consumer)``.
         self._succ: Dict[str, Dict[str, int]] = {}
         self._pred: Dict[str, Dict[str, int]] = {}
+        #: The sort of the current nodes and edges, or ``None`` until the
+        #: next one; only the three structural mutators clear it.
+        self._order: Optional[List[str]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -89,6 +95,7 @@ class TaskGraph:
         self._env_output[task.name] = env_output_words
         self._succ[task.name] = {}
         self._pred[task.name] = {}
+        self._order = None
         return task
 
     def _check_new_edge(self, producer: str, consumer: str, words: int) -> int:
@@ -116,6 +123,7 @@ class TaskGraph:
             )
         self._succ[producer][consumer] = words
         self._pred[consumer][producer] = words
+        self._order = None
 
     def add_edges(self, edges: Iterable[Tuple[str, str, int]]) -> None:
         """Bulk-add ``(producer, consumer, words)`` dependencies.
@@ -123,17 +131,20 @@ class TaskGraph:
         Equivalent to calling :meth:`add_edge` per triple, except that
         acyclicity is checked once, by one topological sort after all
         insertions, rather than by one reachability search per edge, so
-        10k+-node graph construction stays linear.  On any failure every
-        edge added by this call is rolled back.
+        10k+-node graph construction stays linear.  That sort becomes the
+        graph's kept order.  On any failure every edge added by this call
+        is rolled back.
         """
         added: List[Tuple[str, str]] = []
+        self._order = None
         try:
             for producer, consumer, words in edges:
                 words = self._check_new_edge(producer, consumer, words)
                 self._succ[producer][consumer] = words
                 self._pred[consumer][producer] = words
                 added.append((producer, consumer))
-            if len(dag.topological_order(self._succ, self._pred)) != len(self):
+            order = dag.topological_order(self._succ, self._pred)
+            if len(order) != len(self):
                 raise CycleError(
                     f"bulk edge insertion creates a cycle in task graph "
                     f"{self.name!r}"
@@ -143,6 +154,7 @@ class TaskGraph:
                 del self._succ[producer][consumer]
                 del self._pred[consumer][producer]
             raise
+        self._order = order
 
     def set_env_io(
         self,
@@ -293,14 +305,25 @@ class TaskGraph:
     # ------------------------------------------------------------------
 
     def topological_order(self) -> List[str]:
-        """Task names in generation order (see :func:`repro.dag.topological_order`)."""
-        return dag.topological_order(self._succ, self._pred)
+        """Task names in generation order (see :func:`repro.dag.topological_order`).
+
+        The order depends only on the nodes and edges, so it is sorted once
+        per structure and each call returns a copy; changing a task's cost
+        cannot make it stale.
+        """
+        return list(self._sorted())
+
+    def _sorted(self) -> List[str]:
+        """The kept topological order, sorted first if there is none."""
+        if self._order is None:
+            self._order = dag.topological_order(self._succ, self._pred)
+        return self._order
 
     def validate(self) -> None:
         """Check structural invariants (acyclicity, non-empty)."""
         if len(self) == 0:
             raise GraphError(f"task graph {self.name!r} has no tasks")
-        if len(dag.topological_order(self._succ, self._pred)) != len(self):
+        if len(self._sorted()) != len(self):
             raise CycleError(f"task graph {self.name!r} contains a cycle")
 
     def subgraph_copy(self, names: Iterable[str], name: Optional[str] = None) -> "TaskGraph":

@@ -106,15 +106,96 @@ def _hex(values):
     return [value.hex() for value in values]
 
 
-@given(walk_cases())
+#: The move state's flat adjacency and amounts, and the rows built from
+#: them; the reference holds per-task lists instead.
+FLAT_FIELDS = (
+    "pred_start", "pred_task", "pred_words", "succ_start", "succ_task", "succ_words",
+    "amounts", "rows",
+)
+
+
+def _csr_row(start, task, words, index):
+    """Task *index*'s ``(index, words)`` pairs in one CSR direction."""
+    begin, end = start[index], start[index + 1]
+    return list(zip(task[begin:end], words[begin:end]))
+
+
+@given(walk_cases(), st.randoms(use_true_random=False))
 @WALK_SETTINGS
-def test_move_state_matches_its_accessor_reference(case):
+def test_move_state_matches_its_accessor_reference(case, rng):
     problem, assignment, bound = case
     state = _MoveState(problem, assignment, bound)
     reference = ReferenceMoveState(problem, assignment, bound)
-    assert vars(state) == vars(reference)
+    fields = {key: value for key, value in vars(state).items() if key not in FLAT_FIELDS}
+    expected = {
+        key: value for key, value in vars(reference).items()
+        if key not in ("preds", "succs", "amounts")
+    }
+    assert fields == expected
     assert _hex(state.delays) == _hex(reference.delays)
+
+    count, width = len(state.names), len(state.kinds)
+    assert len(state.pred_start) == len(state.succ_start) == count + 1
+    assert state.pred_start[-1] == len(state.pred_task) == len(state.pred_words)
+    assert state.succ_start[-1] == len(state.succ_task) == len(state.succ_words)
+    assert len(state.amounts) == count * width
+    rows = [
+        (reference.preds[task], reference.succs[task], reference.amounts[task])
+        for task in range(count)
+    ]
+    for task, (preds, succs, amounts) in enumerate(rows):
+        assert _csr_row(state.pred_start, state.pred_task, state.pred_words, task) == preds
+        assert _csr_row(state.succ_start, state.succ_task, state.succ_words, task) == succs
+        assert state.amounts[task * width:(task + 1) * width] == amounts
     assert state.violations() == reference.violations()
+
+    # A row is built the first time a move of its task is checked, and
+    # only then.
+    assert state.rows == [None] * count
+    touched = set()
+    for task in rng.sample(range(count), count):
+        state.check_move(task, rng.randint(1, bound))
+        touched.add(task)
+        assert state.rows[task] == rows[task]
+        assert [row is not None for row in state.rows] == [
+            index in touched for index in range(count)
+        ]
+
+
+def _out_of_range_message(names, assignment, bound):
+    """The error for the first task, in task order, outside ``1..bound``."""
+    for name in names:
+        if not 1 <= assignment[name] <= bound:
+            return (
+                f"task {name!r} assigned to partition {assignment[name]}, "
+                f"outside 1..{bound}"
+            )
+
+
+def test_an_out_of_range_consumer_raises_before_the_crossing_walk():
+    graph = TaskGraph("range")
+    for name in ("a", "b"):
+        graph.add_task(Task(name, cost=TaskCost(ResourceVector({"clb": 1}), 1e-9)))
+    graph.add_edge("a", "b", 3)
+    problem = PartitionProblem(graph, ResourceVector({"clb": 10}), 100, 0.0)
+    with pytest.raises(PartitioningError) as raised:
+        _MoveState(problem, {"a": 1, "b": 5}, 2)
+    assert str(raised.value) == "task 'b' assigned to partition 5, outside 1..2"
+
+
+@given(walk_cases(), st.data())
+@WALK_SETTINGS
+def test_any_out_of_range_partition_raises_partitioning_error(case, data):
+    problem, assignment, bound = case
+    names = problem.graph.task_names()
+    moved = data.draw(st.lists(st.sampled_from(names), unique=True, min_size=1))
+    for name in moved:
+        assignment[name] = data.draw(
+            st.sampled_from((-1, 0, bound + 1, bound + 2, bound + 9))
+        )
+    with pytest.raises(PartitioningError) as raised:
+        _MoveState(problem, assignment, bound)
+    assert str(raised.value) == _out_of_range_message(names, assignment, bound)
 
 
 @given(walk_cases(), st.sampled_from((0.25, 0.5, 1.0)))

@@ -294,3 +294,21 @@ def test_the_result_is_built_once(monkeypatch):
     partitioner.partition(_tier_problem(400, 20, 1 << 20))
     assert partitioner.last_report.refinement_moves == 4
     assert len(built) == 1
+
+
+def test_refinement_builds_rows_only_for_the_tasks_it_tries(monkeypatch):
+    """The 2000-task move state keeps its edges flat: refinement builds a
+    task's row only when it checks a move of that task."""
+    tried = {}
+    check_move = _MoveState.check_move
+
+    def recording(state, task, target):
+        tried.setdefault(id(state), (state, set()))[1].add(task)
+        return check_move(state, task, target)
+
+    monkeypatch.setattr(_MoveState, "check_move", recording)
+    partitioner = MultilevelPartitioner(inner="list")
+    partitioner.partition(_tier_problem(2000, 20, 1 << 20))
+    [(state, tasks)] = tried.values()
+    assert len(state.names) == 2000 and partitioner.last_report.refinement_moves > 0
+    assert [task for task, row in enumerate(state.rows) if row is not None] == sorted(tasks)

@@ -21,15 +21,17 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from repro.errors import PartitioningError
-from repro.partition.anneal_partitioner import _MoveState
 from repro.partition.hierarchy import _INT64_LIMIT, _Coarsening, _int64, _Level
 from repro.partition.result import TemporalPartitioning
 from repro.partition.spec import PartitionProblem
 from repro.taskgraph.graph import TaskGraph
 
 
-class ReferenceMoveState(_MoveState):
-    """The move state built through the graph's per-name accessors."""
+class ReferenceMoveState:
+    """The annealer's move state built through the graph's per-name
+    accessors, in the layout it had then: one ``(index, words)`` list per
+    task and direction and one amounts list per task, with the
+    :meth:`violations` walk that read them."""
 
     def __init__(
         self, problem: PartitionProblem, assignment: Mapping[str, int], bound: int
@@ -73,6 +75,34 @@ class ReferenceMoveState(_MoveState):
             for succ, words in self.succs[task]:
                 for boundary in range(partition, self.assignment[succ]):
                     self.crossing[boundary] += words
+
+    def violations(self) -> List[str]:
+        assignment, names = self.assignment, self.names
+        found = []
+        for task, succs in enumerate(self.succs):
+            for succ, _ in succs:
+                if assignment[task] > assignment[succ]:
+                    found.append(
+                        f"temporal order violated: {names[task]!r} "
+                        f"(P{assignment[task]}) feeds {names[succ]!r} (P{assignment[succ]})"
+                    )
+        for partition in range(1, self.bound + 1):
+            for kind, used in enumerate(self.usage[partition]):
+                if used > self.capacity[kind]:
+                    found.append(
+                        f"partition {partition} uses {used} {self.kinds[kind]}, "
+                        f"exceeding the capacity of {self.capacity[kind]}"
+                    )
+        for boundary in range(1, self.bound):
+            if self.crossing[boundary] > self.memory_words:
+                found.append(
+                    f"boundary {boundary} stores {self.crossing[boundary]} words, "
+                    f"exceeding the memory constraint of {self.memory_words} words"
+                )
+        used = sorted(set(assignment))
+        if used != list(range(1, self.bound + 1)):
+            found.append(f"partition indices {used} are not contiguous 1..{self.bound}")
+        return found
 
 
 def reference_read(problem: PartitionProblem, cap_fraction: float) -> Tuple[_Coarsening, _Level]:
