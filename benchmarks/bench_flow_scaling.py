@@ -3,8 +3,9 @@
 Runs a batch of complete design flows (the case-study DCT graph swept
 across distinct reconfiguration times, so no two jobs dedup) three ways:
 
-* the plain serial loop over :class:`DesignFlow.build` (the baseline every
-  caller used before the flow engine existed);
+* the plain serial loop over ``DesignFlow.build``, each call a one-job run
+  of a fresh in-memory :class:`FlowEngine` (no cache or solve memo is
+  shared between flows, so it is the cold single-flow baseline);
 * a fresh :class:`FlowEngine` at 1, 2, 4 and 8 partition workers (cold
   cache);
 * the same engine again (warm cache).
@@ -60,7 +61,7 @@ def _flow_jobs(dct_graph, paper_system):
 def test_flow_engine_scaling_and_warm_cache(dct_graph, paper_system, tmp_path):
     jobs = _flow_jobs(dct_graph, paper_system)
 
-    # Baseline: the serial loop every caller used before the flow engine.
+    # Baseline: the serial loop of one-call builds, one fresh engine each.
     start = time.perf_counter()
     serial_designs = [
         DesignFlow(job.system, job.options).build(job.graph) for job in jobs

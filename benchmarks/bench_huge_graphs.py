@@ -2,10 +2,13 @@
 
 Runs the **full design flow** (estimation, partitioning, memory mapping,
 fission, timing) over the ``random_layered_10k/50k/100k`` workload shapes
-with the multilevel pre-partitioner and reports nodes/second per tier, then
-times the flat list scheduler against the multilevel partitioner on the
-largest flat-solvable tier and asserts the multilevel side wins by at least
-10x.  Every flow is built twice and the two designs must be bit-identical
+with the multilevel pre-partitioner and reports nodes/second per tier.  Each
+flow is one ``DesignFlow.build``: a one-job run of a fresh in-memory
+``FlowEngine``, so a tier's time also holds the engine's stage-plan graph
+digest, its job fingerprint, the validation of the partitioning and its
+rehydration.  It then times the flat list scheduler against the multilevel
+partitioner on the largest flat-solvable tier and asserts the multilevel
+side wins by at least 10x.  Every flow is built twice and the two designs must be bit-identical
 (same :func:`~repro.verify.oracles.design_fingerprint`): determinism at
 scale is part of the claim, not an afterthought.  It also times
 ``TaskGraph.copy()``, ``graph_content_digest`` and ``PartitionJob.fingerprint``

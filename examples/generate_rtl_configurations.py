@@ -31,8 +31,7 @@ def main(output_dir: str = "build/dct_rtr") -> None:
     system = paper_case_study_system()
     graph = build_dct_task_graph(attach_dfgs=True)
     # Use the library's own estimator end to end (generate_rtl needs the DFGs).
-    flow = DesignFlow(system, FlowOptions(generate_rtl=True))
-    design = flow.build(graph, name="dct4x4-rtr")
+    design = DesignFlow(system, FlowOptions(generate_rtl=True)).build(graph)
 
     print(design.describe())
     print()

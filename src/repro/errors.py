@@ -56,18 +56,6 @@ class IlpError(ReproError):
     """Base class for errors from the ILP modelling and solving layer."""
 
 
-class ModelError(IlpError):
-    """An ILP model is malformed (unknown variable, bad bounds, ...)."""
-
-
-class InfeasibleError(IlpError):
-    """The ILP/LP instance admits no feasible solution."""
-
-
-class UnboundedError(IlpError):
-    """The LP relaxation (and hence the problem) is unbounded."""
-
-
 class SolverError(IlpError):
     """The solver failed for a reason other than infeasibility."""
 

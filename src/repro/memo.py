@@ -13,7 +13,8 @@ a fresh run would return, bit for bit.
 The memo in scope is a :mod:`contextvars` variable.  Only
 :meth:`~repro.runtime.engine.PartitionEngine._run_inline` installs one (its
 engine's own, around ``execute_job``), so a memo lives exactly as long as
-its engine.  Pool workers, ``DesignFlow.build`` and bare partitioners run
+its engine.  ``DesignFlow.build`` runs one job through a fresh engine, so
+its memo serves that call alone.  Pool workers and bare partitioners run
 with none and always compute.
 """
 

@@ -1,13 +1,13 @@
 """The partitioner registry: the one place a partitioner name becomes a solver.
 
-Every driver — the one-call :class:`~repro.synth.flow.DesignFlow`, the
-engine's worker processes, ``repro partition``, the serve protocol, the
-exploration space and the multilevel scheme's inner engine — names,
-validates, keys and builds its partitioner through this module.  Adding a
-partitioner is one branch in :func:`make_partitioner` plus its two rules:
-whether its result depends on the seed (:meth:`SolverSpec.cache_key_fields`)
-and whether it depends on the reconfiguration time
-(:func:`ct_invariant_solver`).
+Every driver — the engine's in-process and pool solves (which every flow,
+the one-call :class:`~repro.synth.flow.DesignFlow` included, runs through),
+``repro partition``, the serve protocol, the exploration space and the
+multilevel scheme's inner engine — names, validates, keys and builds its
+partitioner through this module.  Adding a partitioner is one branch in
+:func:`make_partitioner` plus its two rules: whether its result depends on
+the seed (:meth:`SolverSpec.cache_key_fields`) and whether it depends on the
+reconfiguration time (:func:`ct_invariant_solver`).
 """
 
 from __future__ import annotations

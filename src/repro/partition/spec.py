@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..arch.board import ReconfigurableBoard, RtrSystem
+from ..arch.board import RtrSystem
 from ..arch.device import ResourceVector
 from ..errors import PartitioningError
 from ..taskgraph.analysis import cardinality_lower_bound, partition_lower_bound
@@ -130,22 +130,6 @@ class PartitionProblem:
             resource_capacity=system.resource_capacity,
             memory_words=system.memory_capacity_words,
             reconfiguration_time=system.reconfiguration_time,
-            max_partitions=max_partitions,
-        )
-
-    @classmethod
-    def from_board(
-        cls,
-        graph: TaskGraph,
-        board: ReconfigurableBoard,
-        max_partitions: Optional[int] = None,
-    ) -> "PartitionProblem":
-        """Build a problem from a task graph and a :class:`ReconfigurableBoard`."""
-        return cls(
-            graph=graph,
-            resource_capacity=board.resource_capacity,
-            memory_words=board.memory_capacity_words,
-            reconfiguration_time=board.reconfiguration_time,
             max_partitions=max_partitions,
         )
 

@@ -1,8 +1,9 @@
 """Validation of temporal partitionings against the problem constraints.
 
-Every partitioner (ILP, list, level-clustering) funnels its result through
-the same validator in tests and in the synthesis flow, so an invalid
-assignment can never silently reach RTL generation or the simulator.
+Every partitioner funnels its result through the same validator in tests
+and in :func:`~repro.runtime.worker.execute_job`, which every engine solve
+runs (and so every flow), so an invalid assignment can never silently reach
+a cache, RTL generation or the simulator.
 """
 
 from __future__ import annotations

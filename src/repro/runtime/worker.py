@@ -13,6 +13,7 @@ from ..errors import ReproError
 from ..partition.registry import SOLVER_TAG, make_partitioner
 from ..partition.result import TemporalPartitioning
 from ..partition.spec import PartitionProblem
+from ..partition.validate import assert_valid
 from .jobs import JobOutcome, JobStatus, PartitionJob, SolverSpec
 
 
@@ -45,16 +46,19 @@ def execute_job(job: PartitionJob, fingerprint: str) -> JobOutcome:
 
     *fingerprint* is ``job.fingerprint()``, which the engine has already
     computed to key its caches; it is stamped on the outcome, not
-    recomputed.  Library failures (infeasible instance, solver error, bad
-    spec) come back as structured ``FAILED`` outcomes so one poisoned
-    problem cannot take down a whole batch. Only non-library exceptions
-    propagate — those are bugs, and the engine converts them into
-    ``CRASHED`` reports.
+    recomputed.  Every result is validated against ``job.problem`` before
+    it becomes an outcome, so a fresh solve never hands an invalid
+    partitioning to a cache or a flow.  Library failures (infeasible
+    instance, solver error, bad spec, a result that breaks a constraint)
+    come back as structured ``FAILED`` outcomes so one poisoned problem
+    cannot take down a whole batch. Only non-library exceptions propagate —
+    those are bugs, and the engine converts them into ``CRASHED`` reports.
     """
     start = time.perf_counter()
     try:
         partitioner = make_partitioner(job.solver)
         result = partitioner.partition(job.problem)
+        assert_valid(job.problem, result)
         attempted = None
         last_report = getattr(partitioner, "last_report", None)
         if last_report is not None:

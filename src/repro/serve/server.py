@@ -28,7 +28,6 @@ import signal
 import tempfile
 import threading
 import time
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Set, Tuple
@@ -698,25 +697,6 @@ class ServerHandle:
     def url(self) -> str:
         """Base URL of the running daemon."""
         return self.server.url
-
-    def wait_schedule_done(self, timeout: Optional[float] = None) -> bool:
-        """Block until the attached schedule's last range completes.
-
-        Returns ``False`` on timeout (the schedule is still running).
-        Raises when the daemon has no schedule attached.
-        """
-        state = self.server.schedule
-        if state is None:
-            raise ReproError("this daemon has no exploration schedule attached")
-        future = asyncio.run_coroutine_threadsafe(
-            state.done.wait(), self._loop
-        )
-        try:
-            future.result(timeout)
-            return True
-        except FuturesTimeoutError:
-            future.cancel()
-            return False
 
     def shutdown(self, timeout: float = 60.0) -> None:
         """Gracefully drain the daemon and join its thread."""

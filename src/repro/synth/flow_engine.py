@@ -1,10 +1,11 @@
-"""The batch-capable design-flow service.
+"""The design-flow executor.
 
-:class:`FlowEngine` turns :class:`~repro.synth.flow.DesignFlow` from a
-one-problem-at-a-time call into a throughput-oriented service: a whole list
-of (graph, system, options) flow jobs is accepted at once and every job is
-reduced to a DAG of content-addressed stage keys
-(:class:`~repro.synth.stages.StagePlan`) executed through the cached
+:class:`FlowEngine` runs every flow in the repository — batch flows,
+explorations, ``repro serve`` requests, verify scenarios and the one-call
+:meth:`~repro.synth.flow.DesignFlow.build`, which is a one-job run of a
+fresh in-memory engine.  It accepts a whole list of (graph, system, options)
+flow jobs at once and reduces every job to a DAG of content-addressed stage
+keys (:class:`~repro.synth.stages.StagePlan`) executed through the cached
 :class:`~repro.synth.pipeline.StagePipeline`:
 
 * the **estimate** stage is served from the stage artifact store (memory +
@@ -13,14 +14,15 @@ reduced to a DAG of content-addressed stage keys
   :class:`~repro.runtime.engine.PartitionEngine` (canonical-hash dedup,
   the same artifact store's partition stage, process-pool fan-out), with
   CT-invariant solver configurations normalised so the whole
-  reconfiguration-time axis shares one solve;
+  reconfiguration-time axis shares one solve; every fresh solve is
+  validated against its problem before it is stored;
 * the **memory-map / fission / timing** stages are shared through the
-  in-memory artifact cache.
+  in-memory artifact cache;
+* RTL generation and assembly run per job, uncached.
 
-Stages run through the very transforms the single-call path uses —
-individually timed, per-stage cache sources recorded on every report, with
-structured per-stage failure reports so one broken scenario never takes a
-batch down.
+Every stage is individually timed, per-stage cache sources are recorded on
+every report, and failures are structured per stage, so one broken
+scenario never takes a batch down.
 
 Workload-catalog integration lives in :func:`workload_flow_jobs`, which
 expands registered workloads (optionally their deterministic parameter
@@ -41,7 +43,7 @@ from ..runtime.engine import EngineConfig, PartitionEngine
 from ..runtime.jobs import JobReport, ResultSource
 from ..taskgraph.graph import TaskGraph
 from . import stages
-from .flow import DesignFlow, FlowOptions
+from .flow import FlowOptions
 from .pipeline import StagePipeline
 from .rtr_design import RtrDesign
 
@@ -380,7 +382,8 @@ class FlowEngine:
         if report.design is None:
             raise SynthesisError(
                 f"flow job {report.job.name!r} failed at stage "
-                f"{report.failed_stage or 'unknown'}: {report.error or 'no detail'}"
+                f"{report.failed_stage or 'unknown'} "
+                f"({report.error_kind or 'unknown'}): {report.error or 'no detail'}"
             )
         return report.design
 
@@ -441,7 +444,6 @@ class FlowEngine:
     ) -> None:
         """Run memory map, fission, timing, RTL and assembly for one job."""
         job = report.job
-        flow = DesignFlow(job.system, job.options)
         partitioning = self._run_stage(
             report,
             FlowStage.PARTITION,
@@ -482,21 +484,23 @@ class FlowEngine:
             configurations = self._run_stage(
                 report,
                 FlowStage.RTL,
-                lambda: flow.generate_rtl(graph, partitioning, fission),
+                lambda: stages.generate_rtl(
+                    graph, partitioning, memory_map, fission, job.system, job.options
+                ),
             )
             if configurations is None:
                 return
         design = self._run_stage(
             report,
             FlowStage.ASSEMBLE,
-            lambda: flow.assemble(
-                graph,
+            lambda: stages.assemble(
+                f"{job.name}-rtr",
+                job.system,
                 partitioning,
-                name=f"{job.name}-rtr",
-                memory_map=memory_map,
-                fission=fission,
-                timing=timing,
-                configurations=configurations,
+                memory_map,
+                fission,
+                timing,
+                configurations,
             ),
         )
         report.design = design

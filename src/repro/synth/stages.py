@@ -5,9 +5,9 @@ is expressed here as a *pure, versioned transform* with canonically hashed
 inputs:
 
 * the **transform** is a plain function from input artifacts to an output
-  artifact, shared verbatim by the one-call :class:`~repro.synth.flow.DesignFlow`
-  and the cached batch :class:`~repro.synth.flow_engine.FlowEngine` — the two
-  paths run exactly the same code;
+  artifact; :class:`~repro.synth.flow_engine.FlowEngine` runs them (the
+  one-call :meth:`~repro.synth.flow.DesignFlow.build` is a one-job engine
+  run), and so can any driver that wants per-stage control;
 * the **stage key** is a content digest of everything the transform can
   observe, chained Merkle-style through the stage DAG (the partition key
   hashes the estimate key, the memory-map key hashes the partition key, and
@@ -16,6 +16,9 @@ inputs:
 * the **version tag** is baked into every digest; bumping a stage's entry in
   :data:`STAGE_VERSIONS` invalidates that stage's (and its dependents')
   cached entries without touching the rest of the cache.
+
+The two uncached finishing steps, :func:`generate_rtl` and :func:`assemble`,
+live here too.
 
 Reconfiguration time is the interesting axis: ``CT`` enters the ILP
 objective only as the constant ``N * CT`` per fixed bound, and the default
@@ -33,14 +36,20 @@ stages.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..arch.board import RtrSystem
 from ..arch.device import ResourceVector
 from ..errors import SynthesisError
 from ..fission.analysis import FissionAnalysis, analyse_fission
+from ..fission.strategies import RtrTimingSpec, SequencingStrategy
 from ..fission.throughput import rtr_timing_spec
-from ..hls.estimator import TaskEstimator
+from ..hls.allocation import minimal_allocation
+from ..hls.controller import controller_for_schedule
+from ..hls.datapath import build_datapath
+from ..hls.estimator import TaskEstimator, merge_dfgs
+from ..hls.library import library_for_family
+from ..hls.rtl import RtlDesign
 from ..memmap.mapper import MemoryMap, build_memory_map
 from ..partition.registry import ct_invariant_solver
 from ..partition.result import TemporalPartitioning
@@ -55,6 +64,7 @@ from ..runtime.canonical import (
 from ..runtime.jobs import JobOutcome
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.task import TaskCost
+from .rtr_design import RtrDesign
 
 #: Stage names, in flow order (the values of
 #: :class:`~repro.synth.flow_engine.FlowStage` for the cached stages).
@@ -428,3 +438,93 @@ def run_timing(
 ):
     """The timing transform: the RTR timing spec the analytic models use."""
     return rtr_timing_spec(partitioning, fission, memory_map)
+
+
+# ---------------------------------------------------------------------------
+# Finish: RTL generation and assembly (never cached)
+# ---------------------------------------------------------------------------
+
+def generate_rtl(
+    graph: TaskGraph,
+    partitioning: TemporalPartitioning,
+    memory_map: MemoryMap,
+    fission: FissionAnalysis,
+    system: RtrSystem,
+    options,
+) -> List[RtlDesign]:
+    """One RTL configuration per temporal partition.
+
+    *graph* is the estimated graph the partitioning was produced from; every
+    task needs its DFG.  Each configuration's memory layout is its block's
+    segment offsets in *memory_map* (rounding changes block sizes, never
+    offsets).
+    """
+    library = library_for_family(system.fpga.family)
+    configurations: List[RtlDesign] = []
+    for index in range(1, partitioning.partition_count + 1):
+        members = partitioning.tasks_in_partition(index)
+        dfgs = []
+        for task_name in members:
+            task = graph.task(task_name)
+            if task.dfg is None:
+                raise SynthesisError(
+                    f"task {task_name!r} has no DFG; RTL generation needs the "
+                    "operation-level behaviour (or disable generate_rtl)"
+                )
+            dfgs.append(task.dfg)
+        merged = merge_dfgs(dfgs, name=f"{graph.name}-p{index}")
+        estimator = TaskEstimator(
+            system.fpga, max_clock_period=options.max_clock_period
+        )
+        estimate = estimator.estimate_dfg(merged)
+        allocation = estimate.allocation or minimal_allocation(merged, library)
+        controller = controller_for_schedule(
+            name=f"{graph.name}-p{index}",
+            schedule_cycles=estimate.cycles,
+            iteration_bound=max(1, fission.computations_per_run),
+            counter_width=max(16, fission.computations_per_run.bit_length() + 1),
+        )
+        datapath = build_datapath(
+            name=f"{graph.name}-p{index}",
+            dfg=merged,
+            allocation=allocation,
+            schedule=estimate.schedule,
+            library=library,
+            needs_memory_port=True,
+            memory_port_width=system.board.memory.word_bits,
+        )
+        configurations.append(
+            RtlDesign(
+                name=f"{graph.name}-config{index}",
+                datapath=datapath,
+                controller=controller,
+                clock_period=estimate.clock_period,
+                estimated_clbs=estimate.clbs,
+                memory_layout=dict(memory_map.block(index).offsets),
+            )
+        )
+    return configurations
+
+
+def assemble(
+    name: str,
+    system: RtrSystem,
+    partitioning: TemporalPartitioning,
+    memory_map: MemoryMap,
+    fission: FissionAnalysis,
+    timing: RtrTimingSpec,
+    configurations: List[RtlDesign],
+) -> RtrDesign:
+    """The finished :class:`RtrDesign`, with its FDH and IDH host code."""
+    design = RtrDesign(
+        name=name,
+        system=system,
+        partitioning=partitioning,
+        memory_map=memory_map,
+        fission=fission,
+        timing_spec=timing,
+        configurations=configurations,
+    )
+    for strategy in (SequencingStrategy.FDH, SequencingStrategy.IDH):
+        design.host_code_for(strategy)  # generated once, kept on the design
+    return design

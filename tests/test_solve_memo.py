@@ -207,7 +207,14 @@ def test_only_an_engine_solve_sees_a_memo(monkeypatch):
     for _ in range(2):
         AnnealTemporalPartitioner().partition(problem)
         flow.build(problem.graph)
-    assert seen[1:] == [None] * 4
+    # A bare partitioner runs with none; each build is a one-job run of a
+    # fresh engine, so it sees that engine's memo, shared with no other call.
+    bare, built = seen[1::2], seen[2::2]
+    assert bare == [None, None]
+    assert all(isinstance(each, memo.SolveMemo) for each in built)
+    assert built[0] is not built[1]
+    assert all(each is not engine.memo for each in built)
+    assert memo.active() is None
 
 
 def test_bare_solves_run_highs_every_time(monkeypatch):

@@ -2,20 +2,31 @@
 
 import pytest
 
-from repro.arch import xc4044
+from repro.arch import generic_system, xc4044
 from repro.errors import SynthesisError
 from repro.fission import SequencingStrategy
 from repro.hls import emit_vhdl_like
 from repro.jpeg import build_dct_task_graph
+from repro.partition import (
+    ListTemporalPartitioner,
+    PartitionProblem,
+    TemporalPartitioning,
+    make_partitioner,
+)
+from repro.runtime import JobStatus, PartitionEngine, ResultSource
 from repro.synth import (
     DesignFlow,
+    FlowEngine,
+    FlowJob,
     FlowOptions,
     StaticDesign,
     static_design_from_estimator,
     static_design_from_parameters,
+    stages,
 )
-from repro.taskgraph import image_pipeline_task_graph
-from repro.units import ns
+from repro.taskgraph import image_pipeline_task_graph, linear_pipeline
+from repro.units import ms, ns
+from repro.verify.oracles import design_fingerprint
 
 
 class TestStaticDesign:
@@ -61,26 +72,25 @@ class TestDesignFlow:
         assert "for" in design.host_code_for(SequencingStrategy.IDH)
 
     def test_staged_flow_matches_build(self, paper_system):
-        """Driving the stage methods by hand equals the one-call build."""
-        flow = DesignFlow(paper_system)
-        graph = flow.estimate(build_dct_task_graph())
-        partitioning = flow.partition(graph)
-        memory_map = flow.map_memory(partitioning)
-        fission = flow.analyse(partitioning, memory_map)
-        timing = flow.timing(partitioning, fission, memory_map)
-        design = flow.assemble(
-            graph, partitioning,
-            memory_map=memory_map, fission=fission, timing=timing,
+        """Driving the stage transforms by hand equals the one-call build."""
+        options = FlowOptions()
+        graph = DesignFlow(paper_system, options).estimate(build_dct_task_graph())
+        problem = PartitionProblem.from_system(graph, paper_system)
+        partitioning = make_partitioner(options.solver_spec()).partition(problem)
+        memory_map = stages.run_memory_map(partitioning, options)
+        fission = stages.run_fission(partitioning, memory_map, paper_system, options)
+        timing = stages.run_timing(partitioning, fission, memory_map)
+        design = stages.assemble(
+            "dct4x4-rtr", paper_system, partitioning, memory_map, fission, timing, []
         )
-        # Precomputed artefacts are adopted, not recomputed.
+        # The artefacts handed in are adopted, not recomputed.
         assert design.memory_map is memory_map
         assert design.fission is fission
         assert design.timing_spec is timing
-        built = flow.build(build_dct_task_graph())
-        assert design.partition_count == built.partition_count
-        assert design.computations_per_run == built.computations_per_run
-        assert design.block_delay == pytest.approx(built.block_delay)
-        assert "for" in design.host_code_for(SequencingStrategy.IDH)
+        built = DesignFlow(paper_system, options).build(build_dct_task_graph())
+        assert design_fingerprint(design) == design_fingerprint(built)
+        assert design.describe() == built.describe()
+        assert design.host_code == built.host_code
 
     def test_flow_with_list_partitioner(self, paper_system):
         flow = DesignFlow(paper_system, FlowOptions(partitioner="list"))
@@ -148,3 +158,70 @@ class TestDesignFlow:
         design = DesignFlow(paper_system).build(build_dct_task_graph())
         with pytest.raises(SynthesisError):
             design.configuration(1)  # no RTL generated in this flow run
+
+
+def _backwards(partition):
+    """*partition* with every result's partitions run in reverse order: each
+    task stays with its partition-mates, but a producer now follows its
+    consumer."""
+
+    def run(self, problem):
+        result = partition(self, problem)
+        last = result.partition_count + 1
+        return TemporalPartitioning(
+            graph=result.graph,
+            assignment={name: last - index for name, index in result.assignment.items()},
+            partition_count=result.partition_count,
+            reconfiguration_time=result.reconfiguration_time,
+            method=result.method,
+        )
+
+    return run
+
+
+class TestInvalidPartitioning:
+    """Every fresh solve is validated against its problem: a partitioner
+    that breaks the temporal order yields a failed job, never a stored
+    outcome or a design."""
+
+    SYSTEM = generic_system(clb_capacity=500, memory_words=256, reconfiguration_time=ms(1))
+    OPTIONS = FlowOptions(partitioner="list")
+
+    @pytest.fixture(autouse=True)
+    def backwards_list_partitioner(self, monkeypatch):
+        monkeypatch.setattr(
+            ListTemporalPartitioner, "partition", _backwards(ListTemporalPartitioner.partition)
+        )
+
+    @staticmethod
+    def _graph():
+        # 300 CLBs per stage on a 500-CLB device: one stage per partition.
+        return linear_pipeline(
+            stage_clbs=[300] * 3, stage_delays=[ns(100)] * 3, words_per_edge=8
+        )
+
+    def test_an_inline_job_fails_and_is_never_stored(self):
+        engine = PartitionEngine(workers=0)
+        problem = PartitionProblem.from_system(self._graph(), self.SYSTEM)
+        job = engine.make_job(problem, partitioner="list")
+        for _ in range(2):
+            report = engine.solve_batch([job])[0]
+            assert report.source is ResultSource.SOLVE
+            assert report.outcome.status is JobStatus.FAILED
+            assert report.outcome.error_kind == "PartitionValidationError"
+            assert "temporal order violated" in report.outcome.error
+        stats = engine.stats.snapshot()
+        assert (stats["cache_misses"], stats["cache_stores"], stats["failed"]) == (2, 0, 2)
+
+    def test_a_flow_report_fails_at_the_partition_stage(self):
+        job = FlowJob(self._graph(), self.SYSTEM, self.OPTIONS)
+        report = FlowEngine(workers=0).run_batch([job])[0]
+        assert report.design is None
+        assert report.failed_stage == "partition"
+        assert report.error_kind == "PartitionValidationError"
+
+    def test_design_flow_build_raises(self):
+        with pytest.raises(
+            SynthesisError, match=r"failed at stage partition \(PartitionValidationError\)"
+        ):
+            DesignFlow(self.SYSTEM, self.OPTIONS).build(self._graph())

@@ -219,7 +219,10 @@ class TestFlowEngine:
 
         broken.add_task(Task("nocost"), env_input_words=1)
         system = get_workload("matmul_pipeline").default_system()
-        with pytest.raises(SynthesisError, match="estimate"):
+        with pytest.raises(
+            SynthesisError,
+            match=r"flow job 'broken' failed at stage estimate \(EstimationError\): task 'nocost'",
+        ):
             engine.run(FlowJob(graph=broken, system=system, tag="broken"))
 
     def test_engine_and_config_are_mutually_exclusive(self):
