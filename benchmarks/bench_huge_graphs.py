@@ -4,25 +4,29 @@ Runs the **full design flow** (estimation, partitioning, memory mapping,
 fission, timing) over the ``random_layered_10k/50k/100k`` workload shapes
 with the multilevel pre-partitioner and reports nodes/second per tier.  Each
 flow is one ``DesignFlow.build``: a one-job run of a fresh in-memory
-``FlowEngine``, so a tier's time also holds the engine's stage-plan graph
-digest, its job fingerprint, the validation of the partitioning and its
-rehydration.  It then times the flat list scheduler against the multilevel
+``FlowEngine``, so a tier's time also holds the one canonical walk that
+writes the text of both the stage-plan graph digest and the job
+fingerprint, the validation of the partitioning, and the re-tagging of
+that validated object with the job's CT (the flow does not rebuild it).
+It then times the flat list scheduler against the multilevel
 partitioner on the largest flat-solvable tier and asserts the multilevel
 side wins by at least 10x.  Every flow is built twice and the two designs must be bit-identical
 (same :func:`~repro.verify.oracles.design_fingerprint`): determinism at
 scale is part of the claim, not an afterthought.  It also times
 ``TaskGraph.copy()``, ``graph_content_digest`` and ``PartitionJob.fingerprint``
-on the largest tier's graph (the copy must stay linear; both hashes write
-their canonical text directly), and the multilevel coarsening and
-refinement on that tier (coarsening merges on index arrays; refinement
-checks each trial move incrementally instead of re-validating a whole
-partitioning).  Each of these is the median of :data:`REPEATS` runs: they
-last milliseconds, and the host's speed drifts within a run.  Two counts
+on the largest tier's graph (the copy must stay linear; both hashes, each
+timed alone outside any flow batch, write their canonical text directly),
+and the multilevel coarsening and refinement on that tier (coarsening
+merges on index arrays; refinement checks each trial move incrementally
+instead of re-validating a whole partitioning).  Each of these is the median of :data:`REPEATS` runs: they
+last milliseconds, and the host's speed drifts within a run.  Four counts
 on that tier need no median: the cyclic-GC collections one annealer move
 state build sets off (``move_state_gc_collections``; its edges are flat
-lists) and the sorts of the tier's graph one ``DesignFlow.build`` runs
+lists), the sorts of the tier's graph one ``DesignFlow.build`` runs
 after the graph is built (``flow_graph_sorts``; ``add_edges`` keeps the
-sort it checks acyclicity with).
+sort it checks acyclicity with), and that flow's partition-info builds
+and canonical walks of the tier's graph (``flow_partition_info_builds``
+and ``flow_canonical_walks``, 1 each).
 
 Environment knobs for constrained CI runners:
 
@@ -60,7 +64,8 @@ from repro.partition import (
     validate_partitioning,
 )
 from repro.partition.anneal_partitioner import _MoveState
-from repro.runtime import PartitionJob
+from repro.partition.result import TemporalPartitioning
+from repro.runtime import PartitionJob, canonical
 from repro.synth.flow import DesignFlow, FlowOptions
 from repro.synth.stages import graph_content_digest
 from repro.taskgraph.builders import random_dsp_task_graph
@@ -251,6 +256,44 @@ def test_largest_tier_move_state_gc_and_flow_sorts(monkeypatch):
         "huge_graphs",
         move_state_gc_collections=move_state_gc_collections,
         flow_graph_sorts=len(sorts),
+    )
+
+
+def test_largest_tier_flow_builds_and_walks(monkeypatch):
+    """Machine-independent counts of one ``DesignFlow.build`` of a freshly
+    built largest-tier graph: partition-info builds (``TemporalPartitioning``
+    deriving every partition's tasks, delay and resources) and canonical
+    walks (edge lists written) of a graph the tier's size.  The solver
+    builds the infos once and the flow re-tags its validated result, and
+    one walk writes both cache keys' text, so each reads 1 (2 when the
+    flow rebuilt the result and each hash walked the graph)."""
+    task_count = max(TIERS)
+    graph = _tier_graph(task_count)
+    builds, walks = [], []
+    build, write_edges = TemporalPartitioning._build_partition_infos, canonical._edges_text
+
+    def counting_build(self):
+        if len(self.graph) == task_count:
+            builds.append(task_count)
+        return build(self)
+
+    def counting_edges(graph, succ, names, escaped, leaf):
+        if len(names) == task_count:
+            walks.append(task_count)
+        return write_edges(graph, succ, names, escaped, leaf)
+
+    monkeypatch.setattr(TemporalPartitioning, "_build_partition_infos", counting_build)
+    monkeypatch.setattr(canonical, "_edges_text", counting_edges)
+    DesignFlow(_tier_system(task_count), FlowOptions(partitioner="multilevel")).build(graph)
+    print()
+    print(
+        f"  {task_count:>7,} nodes: {len(builds)} partition-info builds and "
+        f"{len(walks)} canonical walks per flow"
+    )
+    record(
+        "huge_graphs",
+        flow_partition_info_builds=len(builds),
+        flow_canonical_walks=len(walks),
     )
 
 

@@ -173,6 +173,14 @@ GATES: Dict[str, List[Gate]] = {
         # independent counts, so zero tolerance.
         Gate("move_state_gc_collections", "max", 0.0),
         Gate("flow_graph_sorts", "max", 0.0),
+        # Partition-info builds and canonical walks (edge lists written) of
+        # the largest smoke tier's graph during one flow.  The flow re-tags
+        # the solver's validated result and one walk writes both cache
+        # keys' text, so both read 1; rebuilding the result, or hashing the
+        # graph and the problem in separate walks, reads 2.  Machine-
+        # independent counts, so zero tolerance.
+        Gate("flow_partition_info_builds", "max", 0.0),
+        Gate("flow_canonical_walks", "max", 0.0),
     ],
 }
 

@@ -20,8 +20,16 @@ class DataFlowGraph:
 
     Operations and both adjacency maps are insertion-ordered dicts (each
     node's neighbours a dict used as an ordered set), so every query returns
-    a deterministic order (see :mod:`repro.dag`).
+    a deterministic order (see :mod:`repro.dag`).  The topological order of
+    the current structure is sorted once and kept until
+    :meth:`add_operation` or :meth:`add_dependency` changes the structure
+    (see :meth:`topological_order`).
     """
+
+    #: The sort of the current operations and edges, or ``None`` until the
+    #: next one; only the two structural mutators clear it.  A class-level
+    #: default, so a DFG pickled before it was kept reads ``None``.
+    _order: Optional[List[str]] = None
 
     def __init__(self, name: str = "dfg") -> None:
         if not name:
@@ -44,6 +52,7 @@ class DataFlowGraph:
         self._operations[operation.name] = operation
         self._succ[operation.name] = {}
         self._pred[operation.name] = {}
+        self._order = None
         return operation
 
     def add_dependency(self, producer: str, consumer: str) -> None:
@@ -69,6 +78,7 @@ class DataFlowGraph:
             )
         self._succ[producer][consumer] = None
         self._pred[consumer][producer] = None
+        self._order = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -142,8 +152,14 @@ class DataFlowGraph:
     # ------------------------------------------------------------------
 
     def topological_order(self) -> List[str]:
-        """Operation names in generation order (see :func:`repro.dag.topological_order`)."""
-        return dag.topological_order(self._succ, self._pred)
+        """Operation names in generation order (see :func:`repro.dag.topological_order`).
+
+        The order depends only on the operations and edges, so it is sorted
+        once per structure and each call returns a copy.
+        """
+        if self._order is None:
+            self._order = dag.topological_order(self._succ, self._pred)
+        return list(self._order)
 
     def validate(self) -> None:
         """Check structural invariants, raising :class:`GraphError` on failure.

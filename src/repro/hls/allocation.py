@@ -28,10 +28,6 @@ class Allocation:
     instances: Dict[str, int] = field(default_factory=dict)
     components: Dict[str, Component] = field(default_factory=dict)
 
-    def instance_count(self, unit_class: str) -> int:
-        """Instances allocated for *unit_class* (0 when the class is unused)."""
-        return self.instances.get(unit_class, 0)
-
     def total_functional_area(self) -> int:
         """CLBs occupied by all allocated functional-unit instances."""
         return sum(
@@ -163,23 +159,6 @@ class Binding:
     """Assignment of operations to functional-unit instances."""
 
     assignments: Dict[str, str] = field(default_factory=dict)
-
-    def instance_of(self, operation_name: str) -> str:
-        """Instance label (e.g. ``"multiplier#0"``) the operation is bound to."""
-        try:
-            return self.assignments[operation_name]
-        except KeyError:
-            raise AllocationError(f"operation {operation_name!r} is not bound")
-
-    def operations_on(self, instance_label: str) -> List[str]:
-        """Operations bound to *instance_label*, sorted by name."""
-        return sorted(
-            name for name, label in self.assignments.items() if label == instance_label
-        )
-
-    def instance_labels(self) -> List[str]:
-        """All instance labels used by the binding."""
-        return sorted(set(self.assignments.values()))
 
 
 def bind_schedule(schedule: Schedule, dfg: DataFlowGraph) -> Binding:

@@ -115,10 +115,6 @@ class JpegCodesign:
             raise CodecError("some output elements were never computed")
         return output
 
-    def execute_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Run many blocks through :meth:`execute_block`."""
-        return np.array([self.execute_block(block) for block in np.asarray(blocks)])
-
     def reference_block(self, block: np.ndarray) -> np.ndarray:
         """The direct (numpy) DCT of the same block, for comparison."""
         return forward_dct(np.asarray(block, dtype=np.float64), DCT_SIZE)

@@ -84,13 +84,6 @@ class PartitioningComparison:
     candidate_partitions: int
 
     @property
-    def latency_improvement(self) -> float:
-        """Fractional total-latency improvement of the candidate over the baseline."""
-        if self.baseline_latency == 0:
-            return 0.0
-        return (self.baseline_latency - self.candidate_latency) / self.baseline_latency
-
-    @property
     def computation_latency_improvement(self) -> float:
         """Fractional computation-latency improvement (reconfiguration excluded)."""
         if self.baseline_computation_latency == 0:

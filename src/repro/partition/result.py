@@ -10,11 +10,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..arch.device import ResourceVector
 from ..errors import PartitioningError
 from ..taskgraph.graph import TaskGraph
+
+
+def boundary_volumes_of(
+    assignment: Mapping[str, int],
+    succ: Mapping[str, Mapping[str, int]],
+    partition_count: int,
+    backward: Optional[List[Tuple[str, int, str, int]]] = None,
+) -> List[int]:
+    """The words stored at every boundary ``1..N-1`` of *assignment*, in
+    order, from one walk over the successor map *succ*.
+
+    Each forward edge adds its words where its producer's partition
+    starts and takes them off where its consumer's starts; the running
+    sum at boundary ``b`` is then the words of every edge with
+    ``producer <= b < consumer``.  An edge whose producer sits in a later
+    partition than its consumer stores nothing; when *backward* is given,
+    it is appended there as ``(producer, partition, consumer, partition)``.
+    """
+    change = [0] * (partition_count + 1)
+    for producer, consumers in succ.items():
+        first = assignment[producer]
+        for consumer, words in consumers.items():
+            last = assignment[consumer]
+            if first < last:
+                change[first] += words
+                change[last] -= words
+            elif first > last and backward is not None:
+                backward.append((producer, first, consumer, last))
+    return list(accumulate(change[1:partition_count]))
 
 
 @dataclass
@@ -167,23 +196,10 @@ class TemporalPartitioning:
 
     def boundary_volumes(self) -> List[int]:
         """:meth:`boundary_words` of every boundary ``1..N-1``, in order,
-        from one walk over the edges.
-
-        Each forward edge adds its words where its producer's partition
-        starts and takes them off where its consumer's starts; the running
-        sum at boundary ``b`` is then the words of every edge with
-        ``producer <= b < consumer``.
-        """
-        assignment = self.assignment
-        change = [0] * (self.partition_count + 1)
-        for producer, consumers in self.graph.maps().succ.items():
-            first = assignment[producer]
-            for consumer, words in consumers.items():
-                last = assignment[consumer]
-                if first < last:
-                    change[first] += words
-                    change[last] -= words
-        return list(accumulate(change[1:self.partition_count]))
+        from one walk over the edges (:func:`boundary_volumes_of`)."""
+        return boundary_volumes_of(
+            self.assignment, self.graph.maps().succ, self.partition_count
+        )
 
     def max_boundary_words(self) -> int:
         """Largest inter-partition data volume across any boundary."""

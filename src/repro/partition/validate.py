@@ -3,16 +3,18 @@
 Every partitioner funnels its result through the same validator in tests
 and in :func:`~repro.runtime.worker.execute_job`, which every engine solve
 runs (and so every flow), so an invalid assignment can never silently reach
-a cache, RTL generation or the simulator.
+a cache, RTL generation or the simulator.  It reads the graph's own maps
+(``TaskGraph.maps()``) and finds temporal-order violations and boundary
+volumes in one pass over the edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 from ..errors import PartitionValidationError
-from .result import TemporalPartitioning
+from .result import TemporalPartitioning, boundary_volumes_of
 from .spec import PartitionProblem
 
 
@@ -40,22 +42,25 @@ def validate_partitioning(
 ) -> ValidationReport:
     """Check *result* against every constraint of *problem*."""
     report = ValidationReport()
-    graph = problem.graph
+    tasks, _, _, succ, _ = problem.graph.maps()
+    assignment = result.assignment
 
     # The assignment must cover exactly the problem's task graph.
-    if set(result.assignment) != set(graph.task_names()):
+    if assignment.keys() != tasks.keys():
         report.violations.append(
             "assignment does not cover the problem's task set exactly"
         )
         return report
 
-    # Temporal order (Eq. 2): producer partition <= consumer partition.
-    for producer, consumer in graph.edges():
-        if result.partition_of(producer) > result.partition_of(consumer):
-            report.violations.append(
-                f"temporal order violated: {producer!r} (P{result.partition_of(producer)}) "
-                f"feeds {consumer!r} (P{result.partition_of(consumer)})"
-            )
+    # One walk over the edges finds both edge constraints: a backward edge
+    # breaks temporal order (Eq. 2), the forward ones fill the boundaries
+    # (Eq. 3).
+    backward: List[Tuple[str, int, str, int]] = []
+    volumes = boundary_volumes_of(assignment, succ, result.partition_count, backward)
+    for producer, first, consumer, last in backward:
+        report.violations.append(
+            f"temporal order violated: {producer!r} (P{first}) feeds {consumer!r} (P{last})"
+        )
 
     # Resource constraint (Eq. 6) per partition and resource type.
     capacity = problem.resource_capacity
@@ -70,7 +75,7 @@ def validate_partitioning(
                 )
 
     # Memory constraint (Eq. 3) per boundary.
-    for boundary, words in enumerate(result.boundary_volumes(), start=1):
+    for boundary, words in enumerate(volumes, start=1):
         if words > problem.memory_words:
             report.violations.append(
                 f"boundary {boundary} stores {words} words, exceeding the memory "
@@ -79,7 +84,7 @@ def validate_partitioning(
 
     # Partition indices must be contiguous starting at 1 (no empty partition
     # should survive — empty partitions only waste reconfiguration time).
-    used_indices = sorted(set(result.assignment.values()))
+    used_indices = sorted(set(assignment.values()))
     expected = list(range(1, result.partition_count + 1))
     if used_indices != expected:
         report.violations.append(

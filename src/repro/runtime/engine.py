@@ -29,7 +29,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import PartitioningError, ReproError
 from ..memo import MemoStats, SolveMemo
@@ -39,6 +39,7 @@ from ..partition.spec import PartitionProblem
 from ..taskgraph.graph import TaskGraph
 from .artifacts import ArtifactStore
 from .cache import CacheStats, LruCache, ResultCache
+from .canonical import release_shared_texts
 from .jobs import (
     JobOutcome,
     JobReport,
@@ -47,7 +48,7 @@ from .jobs import (
     ResultSource,
     SolverSpec,
 )
-from .worker import execute_job
+from .worker import execute_job, solve_job
 
 JobLike = Union[PartitionJob, PartitionProblem]
 
@@ -238,6 +239,8 @@ class PartitionEngine:
         start = time.perf_counter()
         jobs = self._coerce_jobs(submissions)
         fingerprints = [job.fingerprint() for job in jobs]
+        # Every key of the batch is written: no shared-walk text is read again.
+        release_shared_texts()
 
         # Cache pass: one lookup per *unique* fingerprint so the accounting
         # counts problems, not copies; copies become batch-dedup hits.
@@ -262,17 +265,21 @@ class PartitionEngine:
                 miss_jobs[fingerprint] = job
 
         workers_used = min(self.config.workers, len(miss_order))
-        solved = self._run_misses(miss_order, miss_jobs, workers_used)
+        solved, partitionings = self._run_misses(miss_order, miss_jobs, workers_used)
 
         reports: List[JobReport] = []
         seen: Dict[str, bool] = {}
         for job, fingerprint in zip(jobs, fingerprints):
+            partitioning = None
             if fingerprint in cached:
                 outcome = cached[fingerprint]
                 source = sources[fingerprint] if not seen.get(fingerprint) else ResultSource.BATCH_DEDUP
             else:
                 outcome = solved[fingerprint]
                 source = ResultSource.SOLVE if not seen.get(fingerprint) else ResultSource.BATCH_DEDUP
+                # Only the report that ran the solve keeps its object; a
+                # dedup copy may carry another CT, so it rebuilds its own.
+                partitioning = partitionings.pop(fingerprint, None)
             if seen.get(fingerprint):
                 self.stats.deduped += 1
             seen[fingerprint] = True
@@ -286,6 +293,7 @@ class PartitionEngine:
                     # Cached/deduped rows cost (next to) nothing this batch;
                     # the original solve time stays visible in solve_time_s.
                     wall_time=outcome.worker_time if source is ResultSource.SOLVE else 0.0,
+                    solved=partitioning,
                 )
             )
 
@@ -312,31 +320,40 @@ class PartitionEngine:
         miss_order: List[str],
         miss_jobs: Dict[str, PartitionJob],
         workers_used: int,
-    ) -> Dict[str, JobOutcome]:
+    ) -> Tuple[Dict[str, JobOutcome], Dict[str, TemporalPartitioning]]:
+        """Solve every miss and cache its outcome.  Returns the outcomes,
+        plus the validated partitionings of the in-process solves (the
+        pool sends back outcomes alone); those are never cached."""
+        partitionings: Dict[str, TemporalPartitioning] = {}
         if not miss_order:
-            return {}
+            return {}, partitionings
         # A configuration with >= 2 workers always dispatches through the
         # pool — even a single miss — so job_timeout and crash isolation
         # behave the same however large the batch happens to be.
         if self.config.workers >= 2:
             solved = self._run_pool(miss_order, miss_jobs, workers_used)
         else:
-            solved = {
-                fingerprint: self._run_inline(miss_jobs[fingerprint], fingerprint)
-                for fingerprint in miss_order
-            }
+            solved = {}
+            for fingerprint in miss_order:
+                solved[fingerprint], partitioning = self._run_inline(
+                    miss_jobs[fingerprint], fingerprint
+                )
+                if partitioning is not None:
+                    partitionings[fingerprint] = partitioning
         for fingerprint, outcome in solved.items():
             self.cache.put(fingerprint, outcome)
-        return solved
+        return solved, partitionings
 
-    def _run_inline(self, job: PartitionJob, fingerprint: str) -> JobOutcome:
+    def _run_inline(
+        self, job: PartitionJob, fingerprint: str
+    ) -> Tuple[JobOutcome, Optional[TemporalPartitioning]]:
         try:
             with memo_scope(self.memo):
-                return execute_job(job, fingerprint)
-        except ReproError as error:  # pragma: no cover - execute_job catches these
-            return _failure_outcome(fingerprint, JobStatus.FAILED, error)
+                return solve_job(job, fingerprint)
+        except ReproError as error:  # pragma: no cover - solve_job catches these
+            return _failure_outcome(fingerprint, JobStatus.FAILED, error), None
         except Exception as error:  # noqa: BLE001 - worker bug -> structured report
-            return _failure_outcome(fingerprint, JobStatus.CRASHED, error)
+            return _failure_outcome(fingerprint, JobStatus.CRASHED, error), None
 
     def _run_pool(
         self,

@@ -5,7 +5,8 @@ use on it (a :class:`~repro.partition.registry.SolverSpec`, re-exported
 here); a :class:`JobOutcome` is the flat, JSON-serialisable record a
 worker process sends back (and the unit the caches store); a
 :class:`JobReport` adds where the outcome came from (fresh solve, memory
-cache, disk cache, batch dedup) for accounting.
+cache, disk cache, batch dedup) for accounting, and an in-process solve's
+validated partitioning.
 """
 
 from __future__ import annotations
@@ -92,12 +93,21 @@ class JobOutcome:
 
 @dataclass
 class JobReport:
-    """One row of a batch result: the outcome plus provenance."""
+    """One row of a batch result: the outcome plus provenance.
+
+    *solved* is the validated partitioning an in-process solve produced,
+    kept only on the report whose source is ``solve``: cache hits, batch
+    dedup copies, pool results and failures carry ``None``.  Pool workers
+    send back outcomes alone, and only the outcome reaches the cache; a
+    flow re-tags this object instead of rebuilding it from the outcome
+    (:func:`~repro.synth.stages.rehydrate_partitioning`).
+    """
 
     job: PartitionJob
     outcome: JobOutcome
     source: ResultSource
     wall_time: float = 0.0
+    solved: Optional[TemporalPartitioning] = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:

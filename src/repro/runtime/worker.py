@@ -8,6 +8,7 @@ engine module itself never has to be imported by workers.
 from __future__ import annotations
 
 import time
+from typing import Optional, Tuple
 
 from ..errors import ReproError
 from ..partition.registry import SOLVER_TAG, make_partitioner
@@ -54,6 +55,19 @@ def execute_job(job: PartitionJob, fingerprint: str) -> JobOutcome:
     cannot take down a whole batch. Only non-library exceptions propagate —
     those are bugs, and the engine converts them into ``CRASHED`` reports.
     """
+    return solve_job(job, fingerprint)[0]
+
+
+def solve_job(
+    job: PartitionJob, fingerprint: str
+) -> Tuple[JobOutcome, Optional[TemporalPartitioning]]:
+    """:func:`execute_job`, plus the validated partitioning it solved
+    (``None`` when the job failed).
+
+    The in-process path keeps that object for the flow to re-tag instead
+    of rebuilding it from the outcome; the pool path sends back the
+    outcome alone.
+    """
     start = time.perf_counter()
     try:
         partitioner = make_partitioner(job.solver)
@@ -63,7 +77,7 @@ def execute_job(job: PartitionJob, fingerprint: str) -> JobOutcome:
         last_report = getattr(partitioner, "last_report", None)
         if last_report is not None:
             attempted = list(last_report.attempted_bounds)
-        return _solved_outcome(
+        outcome = _solved_outcome(
             fingerprint,
             job.problem,
             result,
@@ -71,6 +85,7 @@ def execute_job(job: PartitionJob, fingerprint: str) -> JobOutcome:
             attempted,
             time.perf_counter() - start,
         )
+        return outcome, result
     except ReproError as error:
         return JobOutcome(
             fingerprint=fingerprint,
@@ -78,4 +93,4 @@ def execute_job(job: PartitionJob, fingerprint: str) -> JobOutcome:
             error=str(error),
             error_kind=type(error).__name__,
             worker_time=time.perf_counter() - start,
-        )
+        ), None

@@ -15,14 +15,18 @@ keys (:class:`~repro.synth.stages.StagePlan`) executed through the cached
   the same artifact store's partition stage, process-pool fan-out), with
   CT-invariant solver configurations normalised so the whole
   reconfiguration-time axis shares one solve; every fresh solve is
-  validated against its problem before it is stored;
+  validated against its problem before it is stored, and an in-process
+  solve hands that validated partitioning to its job, which re-tags it
+  instead of rebuilding it from the outcome;
 * the **memory-map / fission / timing** stages are shared through the
   in-memory artifact cache;
 * RTL generation and assembly run per job, uncached.
 
 Every stage is individually timed, per-stage cache sources are recorded on
 every report, and failures are structured per stage, so one broken
-scenario never takes a batch down.
+scenario never takes a batch down.  Within one batch each graph object is
+hashed once: the walk behind its stage-plan digest also writes the problem
+form its partition jobs are keyed by (:func:`repro.runtime.canonical.shared_walks`).
 
 Workload-catalog integration lives in :func:`workload_flow_jobs`, which
 expands registered workloads (optionally their deterministic parameter
@@ -39,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..arch.board import RtrSystem
 from ..errors import ReproError, SynthesisError
 from ..partition.spec import PartitionProblem
+from ..runtime import canonical
 from ..runtime.engine import EngineConfig, PartitionEngine
 from ..runtime.jobs import JobReport, ResultSource
 from ..taskgraph.graph import TaskGraph
@@ -309,39 +314,49 @@ class FlowEngine:
         # Graph content digests are memoised per graph object for THIS
         # batch only — the engine never mutates a submitted graph, so the
         # memo cannot go stale within the batch, and it dies with it.
+        # ``canonical.shared_walks`` does the same for the problem form:
+        # the walk behind a costed graph's digest also writes it, and every
+        # engine job of the batch whose problem holds that graph object
+        # takes its fingerprint from that text (a graph the estimate stage
+        # copied writes its own).  The partition engine drops the texts
+        # once it has written its batch's keys, before it solves.
         plans: Dict[int, stages.StagePlan] = {}
         estimated: Dict[int, TaskGraph] = {}
         graph_digests: Dict[int, str] = {}
-        for index, job in enumerate(jobs):
+        with canonical.shared_walks():
+            for index, job in enumerate(jobs):
 
-            def plan_and_estimate(job=job, index=index):
-                graph_key = id(job.graph)
-                if graph_key not in graph_digests:
-                    graph_digests[graph_key] = stages.graph_content_digest(job.graph)
-                plan = self.pipeline.plan(
-                    job.graph,
-                    job.system,
-                    job.options,
-                    graph_digest=graph_digests[graph_key],
-                )
-                plans[index] = plan
-                graph, source = self.pipeline.estimate(
-                    plan, job.graph, job.system, job.options
-                )
-                reports[index].stage_sources[FlowStage.ESTIMATE.value] = source
-                return graph
+                def plan_and_estimate(job=job, index=index):
+                    graph_key = id(job.graph)
+                    if graph_key not in graph_digests:
+                        graph_digests[graph_key] = stages.graph_content_digest(job.graph)
+                    plan = self.pipeline.plan(
+                        job.graph,
+                        job.system,
+                        job.options,
+                        graph_digest=graph_digests[graph_key],
+                    )
+                    plans[index] = plan
+                    graph, source = self.pipeline.estimate(
+                        plan, job.graph, job.system, job.options
+                    )
+                    reports[index].stage_sources[FlowStage.ESTIMATE.value] = source
+                    return graph
 
-            graph = self._run_stage(
-                reports[index], FlowStage.ESTIMATE, plan_and_estimate
+                graph = self._run_stage(
+                    reports[index], FlowStage.ESTIMATE, plan_and_estimate
+                )
+                if graph is not None:
+                    estimated[index] = graph
+
+            # Stage 2: temporal partitioning, one engine batch for all
+            # survivors (dedup + caches + worker pool live inside the
+            # partition engine).  CT-invariant solver configurations are
+            # normalised to CT = 0, so the whole reconfiguration-time axis
+            # shares one solve.
+            partition_reports, problems = self._partition_batch(
+                jobs, reports, estimated
             )
-            if graph is not None:
-                estimated[index] = graph
-
-        # Stage 2: temporal partitioning, one engine batch for all survivors
-        # (dedup + caches + worker pool live inside the partition engine).
-        # CT-invariant solver configurations are normalised to CT = 0, so
-        # the whole reconfiguration-time axis shares one solve.
-        partition_reports, problems = self._partition_batch(jobs, reports, estimated)
 
         # Stage 3: the remaining stages, per job, individually timed.
         for index, partition_report in partition_reports.items():
@@ -451,6 +466,7 @@ class FlowEngine:
                 problem,
                 partition_report.outcome,
                 partition_report.job.problem.reconfiguration_time,
+                partition_report.solved,
             ),
             accumulate=True,
         )

@@ -30,7 +30,9 @@ solver configurations the partition stage therefore solves a CT-normalised
 problem (``CT = 0``) and re-attaches the job's true ``CT`` on rehydration —
 which is what lets a CT-only explore neighbour reuse the cached estimate
 *and* partition artifacts and re-run nothing but the cheap downstream
-stages.
+stages.  Rehydration re-tags the validated partitioning an in-process
+solve handed over and rebuilds every other one (a cache hit, a batch-dedup
+copy, a pool result) from its outcome; see :func:`rehydrate_partitioning`.
 """
 
 from __future__ import annotations
@@ -372,15 +374,24 @@ def normalised_partition_problem(
 
 
 def rehydrate_partitioning(
-    problem: PartitionProblem, outcome: JobOutcome, solved_ct: float
+    problem: PartitionProblem,
+    outcome: JobOutcome,
+    solved_ct: float,
+    solved: Optional[TemporalPartitioning] = None,
 ) -> TemporalPartitioning:
-    """Build the job's true partitioning from a (possibly normalised) outcome.
+    """The job's true partitioning from a (possibly normalised) outcome.
 
     *problem* carries the job's true reconfiguration time; *solved_ct* is
-    the reconfiguration time the outcome was solved under.  Per-partition
-    delays are recomputed from the assignment, and the solver's objective
-    value — whose only CT dependence is the additive constant ``N * CT`` —
-    is shifted accordingly.
+    the reconfiguration time the outcome was solved under.  *solved* is
+    the validated partitioning an in-process solve of this outcome
+    produced (:attr:`~repro.runtime.jobs.JobReport.solved`): it is
+    re-tagged with the job's CT and the outcome's method, backend,
+    objective and solve time, which makes it equal, field by field, to
+    the object rebuilt from the outcome.  Without one (a cache hit, a
+    batch-dedup copy, a pool result) the partitioning is rebuilt from the
+    assignment, its per-partition delays recomputed.  Either way the
+    solver's objective value — whose only CT dependence is the additive
+    constant ``N * CT`` — is shifted accordingly.
 
     The shift uses the *realised* partition count.  The solver's own
     objective charges ``N*CT`` for the relax-loop bound ``N``, which can
@@ -393,7 +404,15 @@ def rehydrate_partitioning(
     """
     from ..runtime.jobs import outcome_to_partitioning
 
-    partitioning = outcome_to_partitioning(problem, outcome)
+    if solved is None:
+        partitioning = outcome_to_partitioning(problem, outcome)
+    else:
+        partitioning = solved
+        partitioning.reconfiguration_time = problem.reconfiguration_time
+        partitioning.method = outcome.method
+        partitioning.solver_backend = outcome.backend
+        partitioning.objective_value = outcome.objective_value
+        partitioning.solve_time = outcome.solve_time
     if (
         partitioning.objective_value is not None
         and solved_ct != problem.reconfiguration_time

@@ -29,14 +29,17 @@ from repro.dfg.operations import OpKind, Operation
 from repro.errors import ArchitectureError, GraphError
 from repro.jpeg import build_dct_task_graph
 from repro.partition import PartitionProblem, SolverSpec
+from repro.runtime import canonical
 from repro.runtime.canonical import (
     canonical_graph_text,
     canonical_problem_text,
     problem_fingerprint,
     text_digest,
 )
+from repro.runtime.engine import PartitionEngine
 from repro.runtime.jobs import PartitionJob
 from repro.synth import DesignFlow, FlowOptions, workload_flow_jobs
+from repro.synth.flow_engine import FlowEngine, FlowJob
 from repro.synth.stages import graph_content_digest
 from repro.taskgraph import Task, TaskCost, TaskGraph, random_dsp_task_graph
 from repro.verify.scenarios import generate_scenarios
@@ -214,6 +217,119 @@ def test_problem_text_matches_the_reference(graph, memory_words, max_partitions,
     assert _outcome(canonical_problem_text, problem, solver) == _outcome(
         reference.reference_problem_text, problem, solver
     )
+
+
+#: The jobs drawn onto one graph object: capacity, memory size, CT, bound
+#: and solver all vary, the graph does not.
+SHARED_JOBS = st.lists(
+    st.tuples(
+        st.sampled_from(({"clb": 100, "dsp": 4}, {"clb": 7}, {})),
+        MEMORY_WORDS,
+        DELAYS,
+        st.none() | st.integers(min_value=1, max_value=50),
+        st.sampled_from(("ilp", "list", "anneal", "portfolio", "multilevel:list")),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(task_graphs(), SHARED_JOBS, st.sampled_from(("as drawn", "in place", "a copy")))
+@settings(max_examples=200, deadline=None)
+def test_one_walk_in_a_batch_writes_both_keys(graph, jobs, costing):
+    """Inside :func:`canonical.shared_walks`, the graph digest's walk of a
+    costed graph also writes the problem form, and every job whose problem
+    holds that graph object takes its fingerprint from it.  Both keys equal
+    the ones written outside the block and the reference texts, or raise
+    the same exception type (from ``PartitionJob.fingerprint`` too).  An
+    uncosted graph is partitioned as an estimated copy, which writes its
+    own problem form, unless the drawn tasks are costed *in place*."""
+    target = graph if costing == "in place" or graph.all_estimated() else graph.copy()
+    if costing == "a copy":
+        target = graph.copy()
+    for task in target.tasks():
+        if task.cost is None:
+            target.set_cost(task.name, TaskCost(ResourceVector({"clb": 1}), 1e-9))
+    problems = [
+        (PartitionProblem(target, ResourceVector(capacity), memory_words, ct, bound), name)
+        for capacity, memory_words, ct, bound, name in jobs
+    ]
+
+    def keys():
+        # The flow engine hashes each graph object once per batch.
+        texts = [_outcome(graph_content_digest, graph)]
+        for problem, name in problems:
+            spec = SolverSpec(partitioner=name)
+            texts.append(_outcome(canonical_problem_text, problem, spec.cache_key_fields()))
+            texts.append(_outcome(PartitionJob(problem, spec).fingerprint))
+        return texts
+
+    expected = [_outcome(lambda: text_digest(reference.reference_graph_text(graph)))]
+    for problem, name in problems:
+        fields = SolverSpec(partitioner=name).cache_key_fields()
+        expected.append(_outcome(reference.reference_problem_text, problem, fields))
+        expected.append(_outcome(
+            lambda: text_digest(reference.reference_problem_text(problem, fields))
+        ))
+    walks = []
+    walk = canonical._walk
+
+    def counting(*args, **kwargs):
+        walks.append((kwargs["graph_form"], kwargs["problem_form"]))
+        return walk(*args, **kwargs)
+
+    canonical._walk = counting
+    try:
+        alone = keys()
+        walks.clear()
+        with canonical.shared_walks():
+            shared = keys()
+    finally:
+        canonical._walk = walk
+    assert shared == alone == expected
+    assert canonical._shared.get() is None
+    if all(kind == "text" for kind, _ in alone):
+        # One walk writes both keys when the problems hold the graph itself;
+        # a copy's problem form is written by a walk of its own per call.
+        if target is graph:
+            assert walks == [(True, True)]
+        else:
+            first = (True, graph.all_estimated())
+            assert walks == [first] + [(False, True)] * 2 * len(problems)
+
+
+def test_a_flow_batch_walks_its_costed_graph_once(monkeypatch):
+    """Three flow jobs on one costed graph object, each with another
+    partitioner: one walk writes the graph digest and all three
+    fingerprints, which equal the keys written outside a batch, and the
+    texts are gone before the partition engine solves."""
+    graph = build_dct_task_graph()
+    jobs = [
+        FlowJob(graph, paper_case_study_system(), FlowOptions(partitioner=name))
+        for name in ("list", "level", "anneal")
+    ]
+    walks, held = [], []
+    walk, run_misses = canonical._walk, PartitionEngine._run_misses
+
+    def counting(*args, **kwargs):
+        walks.append((kwargs["graph_form"], kwargs["problem_form"]))
+        return walk(*args, **kwargs)
+
+    def solving(self, *args):
+        held.append(dict(canonical._shared.get()))
+        return run_misses(self, *args)
+
+    monkeypatch.setattr(canonical, "_walk", counting)
+    monkeypatch.setattr(PartitionEngine, "_run_misses", solving)
+    engine = FlowEngine()
+    assert all(report.ok for report in engine.run_batch(jobs))
+    assert walks == [(True, True)] and held == [{}]
+    assert canonical._shared.get() is None
+    reports = engine.engine.last_batch.reports
+    assert len({report.outcome.fingerprint for report in reports}) == 3
+    for report in reports:
+        assert report.job.problem.graph is graph
+        assert report.outcome.fingerprint == report.job.fingerprint()
 
 
 def test_a_resource_kind_that_is_not_a_string():

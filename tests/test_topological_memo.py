@@ -1,4 +1,4 @@
-"""The task graph's kept topological order equals a fresh sort after every change.
+"""The kept topological orders equal a fresh sort after every change.
 
 ``TaskGraph`` sorts its current nodes and edges once and hands out copies
 of that order until ``add_task``, ``add_edge`` or ``add_edges`` changes
@@ -7,7 +7,9 @@ Drawn interleavings of the three mutators and of cost changes, with
 refused self, duplicate and cycle edges and bulk inserts rolled back on a
 cycle or a duplicate, compare the order after every step with
 :func:`repro.dag.topological_order` over the graph's own maps.  A flow of
-a graph built with ``add_edges`` sorts it no more.
+a graph built with ``add_edges`` sorts it no more.  ``DataFlowGraph``
+keeps its order the same way, until ``add_operation`` or
+``add_dependency`` changes it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from hypothesis import strategies as st
 from repro import dag
 from repro.arch import ResourceVector
 from repro.arch.catalog import generic_system
+from repro.dfg.graph import DataFlowGraph
+from repro.dfg.operations import OpKind, Operation
 from repro.errors import GraphError
 from repro.synth.flow import FlowOptions
 from repro.synth.flow_engine import FlowEngine, FlowJob
@@ -125,4 +129,86 @@ def test_a_flow_of_a_bulk_built_graph_never_sorts_it(monkeypatch):
     )
     report = FlowEngine().run_batch([job])[0]
     assert report.ok and report.design.partition_count > 1
+    assert sorts == []
+
+
+DFG_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add_operation"), _INDEX),
+        st.tuples(st.just("add_dependency"), st.tuples(_INDEX, _INDEX)),
+    ),
+    max_size=40,
+)
+
+
+def _fresh_dfg(dfg: DataFlowGraph):
+    return dag.topological_order(dfg._succ, dfg._pred)
+
+
+def _apply_dfg(dfg: DataFlowGraph, step) -> None:
+    kind, argument = step
+    names = dfg.operation_names()
+    try:
+        if kind == "add_operation":
+            # Names are not inserted in name order; a repeated one is refused.
+            dfg.add_operation(Operation(f"op{(argument * 7) % 23:02d}", OpKind.ADD))
+        elif names:
+            first, second = argument
+            # An index past the end names an unknown operation, refused.
+            producer = names[first % len(names)] if first < 36 else "ghost"
+            dfg.add_dependency(producer, names[second % len(names)])
+    except GraphError:
+        pass  # a duplicate, unknown, self or cycle edge: the DFG is unchanged
+
+
+@given(DFG_STEPS, st.data())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_the_dfg_keeps_a_fresh_sort_after_every_step(steps, data):
+    dfg = DataFlowGraph("memo")
+    for step in steps:
+        _apply_dfg(dfg, step)
+        order = dfg.topological_order()
+        assert order == _fresh_dfg(dfg)
+        # The caller owns the list it was handed.
+        order.reverse()
+        order.append("ghost")
+        assert dfg.topological_order() == _fresh_dfg(dfg)
+
+    for copy in (dfg.copy(), dfg.subgraph_copy(data.draw(
+            st.lists(st.sampled_from(dfg.operation_names()), unique=True)
+            if len(dfg) else st.just([])))):
+        assert "_order" not in vars(copy)
+        assert copy.topological_order() == _fresh_dfg(copy)
+    restored = pickle.loads(pickle.dumps(dfg))
+    assert restored.topological_order() == _fresh_dfg(restored) == _fresh_dfg(dfg)
+    # A DFG pickled before the order was kept has no ``_order`` attribute.
+    vars(restored).pop("_order", None)
+    older = pickle.loads(pickle.dumps(restored))
+    assert "_order" not in vars(older)
+    assert older.topological_order() == _fresh_dfg(older) == _fresh_dfg(dfg)
+    _apply_dfg(older, ("add_operation", len(older) + 1))
+    assert older.topological_order() == _fresh_dfg(older)
+
+
+def test_an_hls_estimate_sorts_each_dfg_once(monkeypatch):
+    """Scheduling, controller and datapath estimation read each DFG's order
+    many times; the DCT's 16-operation DFGs are sorted when they are built
+    (their ``validate``), and the estimate of the cost-stripped graph reuses
+    those orders (192 sorts without a kept order)."""
+    from repro.arch import paper_case_study_system
+    from repro.jpeg import build_dct_task_graph
+    from repro.synth import DesignFlow, FlowOptions
+
+    graph = build_dct_task_graph(attach_dfgs=True)
+    for name in graph.task_names():
+        graph.task(name).cost = None
+    sorts = []
+    sort = dag.topological_order
+
+    def counting(succ, pred):
+        sorts.append(len(pred))
+        return sort(succ, pred)
+
+    monkeypatch.setattr(dag, "topological_order", counting)
+    DesignFlow(paper_case_study_system(), FlowOptions()).estimate(graph)
     assert sorts == []
