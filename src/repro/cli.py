@@ -449,7 +449,9 @@ def _parse_csv_list(text: str, what: str) -> List[str]:
     return items
 
 
-def _explore_space_and_config(args: argparse.Namespace, workers: int = 0):
+def _explore_space_and_config(
+    args: argparse.Namespace, workers: int = 0, cache_dir: Optional[str] = None
+):
     """Build the (space, config) pair an exploration invocation names."""
     from .explore import ExploreConfig, SearchSpace, resolve_objectives
     from .workloads import workload_names
@@ -480,18 +482,39 @@ def _explore_space_and_config(args: argparse.Namespace, workers: int = 0):
         objectives=objectives,
         eval_blocks=args.eval_blocks,
         workers=workers,
-        cache_dir=args.cache_dir,
+        cache_dir=cache_dir,
     )
     return space, config
 
 
+def _refuse_existing_stores(args: argparse.Namespace, paths, what: str) -> None:
+    """Refuse to overwrite a non-empty store unless --resume or --fresh says so."""
+    for path in paths:
+        if path.exists() and path.stat().st_size and not args.resume and not args.fresh:
+            raise ReproError(
+                f"{what} {path} already exists; pass --resume to continue "
+                "it or --fresh to overwrite it"
+            )
+
+
 def cmd_explore(args: argparse.Namespace) -> int:
-    from .explore import Explorer, RunStore, default_store_path
+    from pathlib import Path
+
+    from .explore import (
+        Explorer,
+        ShardSpec,
+        default_store_path,
+        open_run_store,
+        shard_store_path,
+        shard_store_paths,
+    )
 
     if args.scheduler:
         return _explore_scheduled_worker(args)
 
-    space, config = _explore_space_and_config(args, workers=args.workers)
+    space, config = _explore_space_and_config(
+        args, workers=args.workers, cache_dir=args.cache_dir
+    )
     if args.resume and args.fresh:
         raise ReproError("pass either --resume or --fresh, not both")
     if args.shards < 1:
@@ -501,41 +524,21 @@ def cmd_explore(args: argparse.Namespace) -> int:
             f"--shard-index {args.shard_index} outside 0..{args.shards - 1} "
             f"(--shards {args.shards})"
         )
-    from pathlib import Path
 
     store_base = Path(args.store or default_store_path(space))
     if args.shards > 1 and args.shard_index is None:
         return _explore_sharded(args, space, config, store_base)
 
     if args.shard_index is not None:
-        from .explore import ShardSpec, shard_store_path
-
         shard = ShardSpec(args.shard_index, args.shards)
         store_path = shard_store_path(store_base, args.shard_index, args.shards)
     else:
         shard = None
         store_path = store_base
-    if (
-        store_path.exists()
-        and store_path.stat().st_size
-        and not args.resume
-        and not args.fresh
-    ):
-        raise ReproError(
-            f"run store {store_path} already exists; pass --resume to continue "
-            "it or --fresh to overwrite it"
-        )
-    store = RunStore(
-        store_path,
-        space.fingerprint(),
-        resume=args.resume,
-        context={"eval_blocks": args.eval_blocks},
-    )
-    explorer = Explorer(space, config=config, store=store, shard=shard)
-    try:
+    _refuse_existing_stores(args, [store_path], "run store")
+    with open_run_store(store_path, space, config, resume=args.resume) as store:
+        explorer = Explorer(space, config=config, store=store, shard=shard)
         result = explorer.run()
-    finally:
-        store.close()
 
     if shard is not None:
         print(shard.describe(), file=sys.stderr)
@@ -543,7 +546,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "merge the shard stores with: repro frontier "
             + " ".join(
                 f"--store {path}"
-                for path in _shard_paths(store_base, args.shards)
+                for path in shard_store_paths(store_base, args.shards)
             ),
             file=sys.stderr,
         )
@@ -572,39 +575,22 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 0 if len(result.front) else 1
 
 
-def _shard_paths(store_base, shards: int):
-    from .explore import shard_store_paths
-
-    return shard_store_paths(store_base, shards)
-
-
 def _explore_sharded(args: argparse.Namespace, space, config, store_base) -> int:
     """``repro explore --shards N``: N parallel shard workers plus the merge."""
-    from .explore import run_sharded
+    from .explore import run_sharded, shard_store_paths
 
-    for path in _shard_paths(store_base, args.shards):
-        if path.exists() and path.stat().st_size and not args.resume and not args.fresh:
-            raise ReproError(
-                f"shard store {path} already exists; pass --resume to continue "
-                "the sharded run or --fresh to overwrite it"
-            )
-    result = run_sharded(
-        space,
-        config,
-        args.shards,
-        store_base,
-        resume=args.resume,
-        objectives=config.objectives,
-    )
+    paths = shard_store_paths(store_base, args.shards)
+    _refuse_existing_stores(args, paths, "shard store")
+    result = run_sharded(space, config, args.shards, store_base, resume=args.resume)
     _write_rows(result.front.rows(), args.format, args.output, "Pareto front",
                 empty="(empty Pareto front)")
     print(space.describe(), file=sys.stderr)
-    for shard in result.shards:
+    for index, (shard, path) in enumerate(zip(result.shards, paths)):
         print(
-            f"  shard {shard.index + 1}/{shard.count}: {shard.evaluated} "
+            f"  shard {index + 1}/{args.shards}: {shard.on_shard} "
             f"evaluated ({shard.flow_evaluated} flow, {shard.store_hits} store "
             f"hits, {shard.failures} failed, {shard.off_shard} off-shard) in "
-            f"{shard.wall_time:.2f} s -> {shard.store_path}",
+            f"{shard.wall_time:.2f} s -> {path}",
             file=sys.stderr,
         )
     print(result.merge.describe(), file=sys.stderr)
@@ -975,6 +961,48 @@ def _add_system_arguments(
                         help="reconfiguration time in milliseconds (overrides the preset)")
 
 
+def _add_exploration_arguments(
+    parser: argparse.ArgumentParser, strategies: List[str]
+) -> None:
+    """The space, strategy and output arguments of ``explore`` and ``schedule``."""
+    from .explore import objective_names
+
+    parser.add_argument("--workload", default="jpeg_dct",
+                        help="registered workload name, or 'all' (default: jpeg_dct)")
+    parser.add_argument("--variants", action="store_true",
+                        help="expand each workload's deterministic parameter sweep")
+    parser.add_argument("--strategy", default="grid", choices=strategies,
+                        help="search strategy (default: grid)")
+    parser.add_argument("--budget", type=int, default=64,
+                        help="maximum design points to visit (default: 64)")
+    parser.add_argument("--batch-size", type=int, default=8,
+                        help="points proposed/evaluated per round (default: 8)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="RNG seed; same seed + budget = identical trajectory")
+    parser.add_argument("--objectives", default="latency,throughput",
+                        help="comma-separated objectives (known: "
+                             f"{','.join(objective_names())})")
+    parser.add_argument("--eval-blocks", type=int, default=16384,
+                        help="loop iterations the overhead/throughput objectives "
+                             "are evaluated at (default: 16384)")
+    parser.add_argument("--systems", default="workload-default",
+                        help="comma-separated system presets to sweep "
+                             "('workload-default' = each workload's own board)")
+    parser.add_argument("--ct-sweep", default="1,5,10,50,100",
+                        help="comma-separated reconfiguration times in "
+                             "milliseconds (default: 1,5,10,50,100)")
+    parser.add_argument("--partitioners", default="ilp,list,level",
+                        help="comma-separated partitioners to sweep")
+    parser.add_argument("--sequencing", default="fdh,idh",
+                        help="comma-separated sequencing strategies to sweep")
+    parser.add_argument("--store", default=None,
+                        help="run-store JSONL path; shard stores land next to "
+                             "it (default: .repro-explore/run-<space>.jsonl)")
+    parser.add_argument("--format", default="table", choices=["table", "json", "csv"])
+    parser.add_argument("--output", default=None,
+                        help="write the Pareto front to this file instead of stdout")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1070,44 +1098,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_arguments(flow, default=None)
     flow.set_defaults(handler=cmd_flow)
 
+    from .explore import shardable_strategy_names, strategy_names
+
     explore = subparsers.add_parser(
         "explore",
         help="search the (workload, system, CT, partitioner, sequencing) design "
              "space for Pareto-optimal designs",
     )
-    explore.add_argument("--workload", default="jpeg_dct",
-                         help="registered workload name, or 'all' (default: jpeg_dct)")
-    explore.add_argument("--variants", action="store_true",
-                         help="expand each workload's deterministic parameter sweep")
-    from .explore import objective_names, strategy_names
-
-    explore.add_argument("--strategy", default="grid", choices=strategy_names(),
-                         help="search strategy (default: grid)")
-    explore.add_argument("--budget", type=int, default=64,
-                         help="maximum design points to visit (default: 64)")
-    explore.add_argument("--batch-size", type=int, default=8,
-                         help="points proposed/evaluated per round (default: 8)")
-    explore.add_argument("--seed", type=int, default=0,
-                         help="RNG seed; same seed + budget = identical trajectory")
-    explore.add_argument("--objectives", default="latency,throughput",
-                         help="comma-separated objectives (known: "
-                              f"{','.join(objective_names())})")
-    explore.add_argument("--eval-blocks", type=int, default=16384,
-                         help="loop iterations the overhead/throughput objectives "
-                              "are evaluated at (default: 16384)")
-    explore.add_argument("--systems", default="workload-default",
-                         help="comma-separated system presets to sweep "
-                              "('workload-default' = each workload's own board)")
-    explore.add_argument("--ct-sweep", default="1,5,10,50,100",
-                         help="comma-separated reconfiguration times in "
-                              "milliseconds (default: 1,5,10,50,100)")
-    explore.add_argument("--partitioners", default="ilp,list,level",
-                         help="comma-separated partitioners to sweep")
-    explore.add_argument("--sequencing", default="fdh,idh",
-                         help="comma-separated sequencing strategies to sweep")
-    explore.add_argument("--store", default=None,
-                         help="run-store JSONL path (default: "
-                              ".repro-explore/run-<space>.jsonl)")
+    _add_exploration_arguments(explore, strategy_names())
     explore.add_argument("--resume", action="store_true",
                          help="resume from the run store: completed points are "
                               "served without re-running their flows")
@@ -1151,12 +1149,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --scheduler: stop after completing N "
                               "ranges (default: run until the schedule is "
                               "done)")
-    explore.add_argument("--format", default="table", choices=["table", "json", "csv"])
-    explore.add_argument("--output", default=None,
-                         help="write the Pareto front to this file instead of stdout")
     explore.set_defaults(handler=cmd_explore)
-
-    from .explore import shardable_strategy_names
 
     schedule = subparsers.add_parser(
         "schedule",
@@ -1166,40 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
              "Pareto-merge the returned shard stores (byte-identical to the "
              "unsharded run)",
     )
-    schedule.add_argument("--workload", default="jpeg_dct",
-                          help="registered workload name, or 'all' "
-                               "(default: jpeg_dct)")
-    schedule.add_argument("--variants", action="store_true",
-                          help="expand each workload's deterministic "
-                               "parameter sweep")
-    schedule.add_argument("--strategy", default="grid",
-                          choices=shardable_strategy_names(),
-                          help="search strategy (shardable strategies only; "
-                               "default: grid)")
-    schedule.add_argument("--budget", type=int, default=64,
-                          help="maximum design points to visit (default: 64)")
-    schedule.add_argument("--batch-size", type=int, default=8,
-                          help="points proposed per round (default: 8)")
-    schedule.add_argument("--seed", type=int, default=0,
-                          help="RNG seed; same seed + budget = identical "
-                               "trajectory on every worker")
-    schedule.add_argument("--objectives", default="latency,throughput",
-                          help="comma-separated objectives (known: "
-                               f"{','.join(objective_names())})")
-    schedule.add_argument("--eval-blocks", type=int, default=16384,
-                          help="loop iterations the overhead/throughput "
-                               "objectives are evaluated at (default: 16384)")
-    schedule.add_argument("--systems", default="workload-default",
-                          help="comma-separated system presets to sweep")
-    schedule.add_argument("--ct-sweep", default="1,5,10,50,100",
-                          help="comma-separated reconfiguration times in ms")
-    schedule.add_argument("--partitioners", default="ilp,list,level",
-                          help="comma-separated partitioners to sweep")
-    schedule.add_argument("--sequencing", default="fdh,idh",
-                          help="comma-separated sequencing strategies to sweep")
-    schedule.add_argument("--cache-dir", default=None,
-                          help="unused by the daemon itself (workers carry "
-                               "their own caches); accepted for symmetry")
+    _add_exploration_arguments(schedule, shardable_strategy_names())
     schedule.add_argument("--ranges", type=int, default=16,
                           help="fine partition size M — make it several "
                                "times the worker count so stealing has "
@@ -1217,19 +1177,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="flow-engine workers for ordinary job "
                                "submissions on the same daemon (default: 0 "
                                "= scheduler-only)")
-    schedule.add_argument("--store", default=None,
-                          help="store base the returned shard stores land "
-                               "next to (default: "
-                               ".repro-explore/run-<space>.jsonl)")
     schedule.add_argument("--timeout", type=float, default=None,
                           help="give up if the schedule has not completed "
                                "after this many seconds (default: wait "
                                "forever)")
-    schedule.add_argument("--format", default="table",
-                          choices=["table", "json", "csv"])
-    schedule.add_argument("--output", default=None,
-                          help="write the merged Pareto front to this file "
-                               "instead of stdout")
     schedule.set_defaults(handler=cmd_schedule)
 
     verify = subparsers.add_parser(

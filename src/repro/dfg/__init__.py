@@ -12,7 +12,6 @@ from .analysis import (
     DfgProfile,
     asap_levels,
     io_words,
-    list_compute_kinds,
     max_parallelism,
     profile,
     software_operation_count,
@@ -50,7 +49,6 @@ __all__ = [
     "expected_arity",
     "fir_tap_dfg",
     "io_words",
-    "list_compute_kinds",
     "make_operation",
     "max_parallelism",
     "profile",

@@ -9,7 +9,7 @@ how many input/output values cross the task boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from .graph import DataFlowGraph
 from .operations import OpKind
@@ -108,9 +108,3 @@ def software_operation_count(dfg: DataFlowGraph, weights: Dict[OpKind, float] = 
     for op in dfg.compute_operations():
         total += default_weights.get(op.kind, 1.0)
     return total
-
-
-def list_compute_kinds(dfg: DataFlowGraph) -> List[OpKind]:
-    """Kinds of all compute operations, in topological order."""
-    order = dfg.topological_order()
-    return [dfg.operation(n).kind for n in order if not dfg.operation(n).is_zero_cost]

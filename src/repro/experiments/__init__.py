@@ -1,4 +1,9 @@
-"""Experiment drivers that regenerate the paper's tables, figures and claims."""
+"""Experiment drivers that regenerate the paper's tables, figures and claims.
+
+Sweeps that re-solve the partitioning as a parameter varies (CT, system,
+partitioner) are design-space explorations: :mod:`repro.explore` runs them,
+and :mod:`repro.experiments.frontier` reads the JPEG-DCT one.
+"""
 
 from . import paper_constants
 from .case_study import CaseStudy, build_case_study
@@ -25,7 +30,6 @@ from .summary import (
     format_reproduction_report,
     reproduction_report,
 )
-from .sweeps import partitioning_ct_sweep
 from .table1 import Table1Result, breakeven_fdh_blocks, fdh_breakeven_workload, reproduce_table1
 from .table2 import Table2Result, reconfiguration_sweep, reproduce_table2, xc6000_conjecture
 
@@ -53,7 +57,6 @@ __all__ = [
     "jpeg_dct_space",
     "paper_design_point",
     "paper_constants",
-    "partitioning_ct_sweep",
     "percentage",
     "reconfiguration_sweep",
     "reproduce_figure4",

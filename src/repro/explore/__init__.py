@@ -14,20 +14,23 @@ automates that loop as a subsystem:
   :class:`ParetoFront` tracker;
 * :mod:`repro.explore.strategies` — the pluggable strategy registry
   (``grid``, ``random``, ``greedy``, ``anneal``);
-* :mod:`repro.explore.store` — the persistent JSONL :class:`RunStore` that
-  makes interrupted explorations resumable by point fingerprint;
+* :mod:`repro.explore.store` — the persistent :class:`RunStore` (a
+  :mod:`repro.jsonl` log) that makes interrupted explorations resumable by
+  point fingerprint;
 * :mod:`repro.explore.engine` — :class:`Explorer`, which evaluates candidate
   batches through :class:`~repro.synth.flow_engine.FlowEngine` so the
-  partition caches make repeated neighbourhoods nearly free;
-* :mod:`repro.explore.shard` — fingerprint-range sharding: N independent
-  shard workers replaying one trajectory over disjoint slices of the space,
-  each with its own ``<store>.shard-<i>-of-<n>.jsonl`` store;
+  partition caches make repeated neighbourhoods nearly free, and
+  :func:`open_run_store`, which decides every store's meta line;
+* :mod:`repro.explore.shard` — fingerprint-range sharding: :func:`run_range`
+  replays one trajectory over one slice of the space into its own
+  ``<store>.shard-<i>-of-<n>.jsonl`` store, and :func:`run_sharded` maps it
+  over N slices in a process pool;
 * :mod:`repro.explore.merge` — the Pareto-merge fold that unions shard (or
   any) run stores into one front, order-invariantly and idempotently;
 * :mod:`repro.explore.scheduler` — the work-stealing shard scheduler:
   a fine M-way range partition handed out dynamically over ``repro serve``
   with lease timeouts, re-issue and stealing, fault-tolerant because range
-  evaluation is idempotent.
+  evaluation (:func:`run_range` again) is idempotent.
 
 Quickstart::
 
@@ -48,8 +51,8 @@ from .engine import (
     ExploreConfig,
     Explorer,
     default_store_path,
-    explore,
     is_deterministic_failure,
+    open_run_store,
 )
 from .objectives import (
     DEFAULT_EVAL_BLOCKS,
@@ -80,9 +83,9 @@ from .scheduler import (
     run_scheduled_worker,
 )
 from .shard import (
-    ShardRunSummary,
     ShardSpec,
     ShardedExplorationResult,
+    run_range,
     run_sharded,
     shard_key,
     shard_of,
@@ -132,7 +135,6 @@ __all__ = [
     "SchedulerError",
     "SearchSpace",
     "SearchStrategy",
-    "ShardRunSummary",
     "ShardScheduler",
     "ShardSpec",
     "ShardedExplorationResult",
@@ -144,7 +146,6 @@ __all__ = [
     "describe_context_mismatch",
     "dominates",
     "evaluate_report",
-    "explore",
     "is_deterministic_failure",
     "make_strategy",
     "merge_fronts",
@@ -152,9 +153,11 @@ __all__ = [
     "merge_stores",
     "objective_names",
     "objective_vector",
+    "open_run_store",
     "read_store",
     "register_strategy",
     "resolve_objectives",
+    "run_range",
     "run_scheduled_worker",
     "run_sharded",
     "shard_key",

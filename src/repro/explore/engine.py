@@ -47,6 +47,26 @@ def default_store_path(space: SearchSpace, directory: Union[str, Path] = ".repro
     return Path(directory) / f"run-{space.fingerprint()[:16]}.jsonl"
 
 
+def open_run_store(
+    path: Union[str, Path],
+    space: SearchSpace,
+    config: "ExploreConfig",
+    resume: bool = False,
+) -> RunStore:
+    """Open the run store at *path* for exploring *space* under *config*.
+
+    The one place a run store's meta line is decided: the space fingerprint
+    and the ``eval_blocks`` context the stored metrics are computed under,
+    so every store (plain, shard, scheduled range) merges with every other.
+    """
+    return RunStore(
+        path,
+        space.fingerprint(),
+        resume=resume,
+        context={"eval_blocks": config.eval_blocks},
+    )
+
+
 def is_deterministic_failure(record: PointRecord) -> bool:
     """Whether a failed record would fail identically on re-evaluation.
 
@@ -106,6 +126,11 @@ class ExplorationResult:
     def ok(self) -> bool:
         """Whether every visited point produced a finished design."""
         return self.failures == 0
+
+    @property
+    def on_shard(self) -> int:
+        """Visited points in this run's own range (every one when unsharded)."""
+        return self.visited - self.off_shard
 
     def rows(self) -> List[Dict[str, object]]:
         """Per-visit rows (in visit order) for tabular/JSON/CSV output."""
@@ -376,15 +401,3 @@ class Explorer:
                 result.engine_stats[f"stage_{stage.replace('-', '_')}_{name}"] = value
         return result
 
-
-def explore(
-    space: SearchSpace,
-    config: Optional[ExploreConfig] = None,
-    flow_engine: Optional[FlowEngine] = None,
-    store: Optional[RunStore] = None,
-    **overrides,
-) -> ExplorationResult:
-    """One-call convenience around :class:`Explorer`."""
-    return Explorer(
-        space, config=config, flow_engine=flow_engine, store=store, **overrides
-    ).run()

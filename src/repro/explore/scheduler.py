@@ -1,8 +1,9 @@
 """Work-stealing shard scheduler: dynamic fingerprint-range hand-out.
 
-PR 9's sharded exploration splits the key space into N fingerprint ranges,
-but assigning shard indices across machines is manual and static: a slow or
-dead shard stalls the whole run.  This module makes the assignment dynamic.
+Static sharding (``repro explore --shards N`` or ``--shard-index``) splits
+the key space into N fingerprint ranges, but assigning shard indices across
+machines is manual and static: a slow or dead shard stalls the whole run.
+This module makes the assignment dynamic.
 The key space is cut into a *fine* M-way partition (M >> workers, each
 range is one :class:`~repro.explore.shard.ShardSpec` of the M-way
 partition) and a :class:`ShardScheduler` hands ranges out on demand:
@@ -36,7 +37,9 @@ through :meth:`ShardScheduler.to_json_dict`.
 (search space, strategy, budget, seed, objectives, range count) that the
 scheduling daemon publishes so remote workers need nothing but its URL;
 :func:`run_scheduled_worker` is the pull-worker loop behind
-``repro explore --scheduler URL``.
+``repro explore --scheduler URL``.  It runs each leased range through
+:func:`~repro.explore.shard.run_range`, the body static sharding runs too,
+so a range's store is byte-identical whichever executor wrote it.
 """
 
 from __future__ import annotations
@@ -525,9 +528,7 @@ class ExplorationPlan:
         )
 
     def explore_config(
-        self,
-        workers: int = 0,
-        cache_dir: Optional[Union[str, Path]] = None,
+        self, cache_dir: Optional[Union[str, Path]] = None
     ) -> ExploreConfig:
         """The worker-side :class:`ExploreConfig` this plan prescribes."""
         return ExploreConfig(
@@ -537,7 +538,6 @@ class ExplorationPlan:
             seed=self.seed,
             objectives=tuple(self.objectives),
             eval_blocks=self.eval_blocks,
-            workers=workers,
             cache_dir=cache_dir,
         )
 
@@ -661,9 +661,9 @@ def run_scheduled_worker(
 ) -> ScheduledWorkerResult:
     """Pull ranges from the scheduler at *url* until the run is done.
 
-    Each leased range runs the plan's full strategy trajectory as one
-    :class:`~repro.explore.shard.ShardSpec` worker (evaluating only the
-    range's points) into a worker-local shard store, then returns the store
+    Each leased range runs through :func:`~repro.explore.shard.run_range`
+    (the plan's full strategy trajectory, evaluating only the range's
+    points) into a worker-local shard store, then returns the store
     to the scheduler — streamed inline by default, or registered by path
     when *shared_store* names the scheduler's store base on a shared
     filesystem.  The lease is renewed from a background thread for as long
@@ -676,9 +676,7 @@ def run_scheduled_worker(
     to make one worker slow.  *max_ranges* bounds how many ranges this
     worker will run (``None`` = until the whole run is done).
     """
-    from .engine import Explorer
-    from .shard import ShardSpec, shard_store_path
-    from .store import RunStore
+    from .shard import ShardSpec, run_range, shard_store_path
     from ..serve.client import FlowServiceClient, ServeClientError
 
     start = time.perf_counter()
@@ -689,7 +687,7 @@ def run_scheduled_worker(
     client = FlowServiceClient(url)
     plan = ExplorationPlan.from_json_dict(client.scheduler_plan()["plan"])
     lease_timeout = float(client.scheduler_status()["lease_timeout_s"])
-    config = plan.explore_config(workers=0, cache_dir=cache_dir)
+    config = plan.explore_config(cache_dir=cache_dir)
     if work_dir is None:
         work_dir = Path(f".repro-explore/worker-{worker}")
     base = (
@@ -730,21 +728,14 @@ def run_scheduled_worker(
             time.sleep(range_delay_s)
         store_path = shard_store_path(base, index, plan.range_count)
         with _LeaseRenewer(client, lease_id, lease_timeout / 3.0):
-            with RunStore(
+            shard_result = run_range(
+                plan.space,
+                config,
+                ShardSpec(index, plan.range_count),
                 store_path,
-                plan.space.fingerprint(),
                 resume=store_path.exists(),
-                context={"eval_blocks": config.eval_blocks},
-            ) as store:
-                shard_result = Explorer(
-                    plan.space,
-                    config=config,
-                    store=store,
-                    shard=ShardSpec(index, plan.range_count),
-                ).run()
-        result.points_evaluated += (
-            shard_result.visited - shard_result.off_shard
-        )
+            )
+        result.points_evaluated += shard_result.on_shard
         result.flow_evaluated += shard_result.flow_evaluated
         result.failures += shard_result.failures
         try:

@@ -20,24 +20,33 @@ proposals do not depend on observed *metrics* (``grid``, ``random`` — the
 strategies (``greedy``, ``anneal``) would diverge without the off-shard
 outcomes and are refused up front.
 
-Workers run as independent processes (:func:`run_sharded`), each with its
-own :class:`~repro.synth.flow_engine.FlowEngine` over the shared
-content-addressed disk cache and its own append-only shard store
-``<store>.shard-<i>-of-<n>.jsonl``.  A killed worker loses at most one
-partial JSONL line, which the store heals on resume — restarting a sharded
-run re-evaluates zero already-done flow jobs.
+One function runs a range: :func:`run_range` opens the range's
+``<store>.shard-<i>-of-<n>.jsonl`` store and runs the
+:class:`~repro.explore.engine.Explorer` on it with an in-process
+:class:`~repro.synth.flow_engine.FlowEngine` over the shared
+content-addressed disk cache.  :func:`run_sharded` maps it over the N
+ranges in a process pool and merges the stores; a scheduled worker
+(:mod:`repro.explore.scheduler`) calls it once per leased range; ``repro
+explore --shard-index`` runs the same explorer on the same store.  A killed
+worker loses at most one partial JSONL line, which the store heals on
+resume — restarting a sharded run re-evaluates zero already-done flow jobs.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Tuple, Union
 
 from ..errors import ExplorationError
 from .merge import MergeResult, merge_stores
 from .space import SearchSpace
+
+if TYPE_CHECKING:  # pragma: no cover - the engine imports this module
+    from .engine import ExplorationResult, ExploreConfig
 
 #: Bits of the sha256 fingerprint the range partition is computed over.
 SHARD_KEY_BITS = 64
@@ -124,33 +133,41 @@ def shard_store_paths(base: Union[str, Path], count: int) -> List[Path]:
 
 
 # ---------------------------------------------------------------------------
-# The parallel shard driver
+# The range runner and the parallel shard driver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShardRunSummary:
-    """What one shard worker did (the picklable cross-process report)."""
+def run_range(
+    space: SearchSpace,
+    config: "ExploreConfig",
+    shard: ShardSpec,
+    store_path: Union[str, Path],
+    resume: bool = False,
+) -> "ExplorationResult":
+    """Run one range of *space* into its shard store and return the result.
 
-    index: int
-    count: int
-    store_path: str
-    visited: int  # global trajectory positions consumed (same for all shards)
-    evaluated: int  # on-shard points this worker owned
-    off_shard: int  # trajectory points skipped as other shards' work
-    flow_evaluated: int  # flow jobs actually run (0 on a full resume)
-    store_hits: int
-    failures: int
-    wall_time: float
+    :func:`run_sharded` maps it over its ranges and a scheduled worker runs
+    it once per lease.  The explorer replays *config*'s whole trajectory
+    but evaluates only *shard*'s points, so the store it writes is a
+    function of ``(space, config, shard)`` alone.
+    """
+    from .engine import Explorer, open_run_store
+
+    # Ranges ARE the parallelism: each keeps its flow engine in-process so
+    # N ranges never nest N process pools.
+    config = replace(config, workers=0)
+    with open_run_store(store_path, space, config, resume=resume) as store:
+        return Explorer(space, config=config, store=store, shard=shard).run()
 
 
 @dataclass
 class ShardedExplorationResult:
-    """A whole N-way sharded exploration: per-shard work plus the merged front."""
+    """A whole N-way sharded exploration: per-shard runs plus the merged front."""
 
     space: SearchSpace
     shard_count: int
     merge: MergeResult
-    shards: List[ShardRunSummary] = field(default_factory=list)
+    #: One exploration result per shard, in shard order.
+    shards: List["ExplorationResult"] = field(default_factory=list)
     wall_time: float = 0.0
 
     @property
@@ -175,7 +192,7 @@ class ShardedExplorationResult:
 
     def describe(self) -> str:
         """One-line human readable summary."""
-        evaluated = sum(shard.evaluated for shard in self.shards)
+        evaluated = sum(shard.on_shard for shard in self.shards)
         return (
             f"sharded exploration over {self.shard_count} shard(s): "
             f"{evaluated} point(s) evaluated ({self.flow_evaluated} "
@@ -184,57 +201,22 @@ class ShardedExplorationResult:
         )
 
 
-def _shard_worker(payload) -> ShardRunSummary:
-    """Run one shard's Explorer in this process (top level: picklable)."""
-    space, config, index, count, store_path, resume = payload
-    from .engine import Explorer
-    from .store import RunStore
-
-    # Shard processes ARE the parallelism: each worker keeps its flow
-    # engine in-process so N shards never nest N process pools.
-    config = replace(config, workers=0)
-    shard = ShardSpec(index, count)
-    with RunStore(
-        Path(store_path),
-        space.fingerprint(),
-        resume=resume,
-        context={"eval_blocks": config.eval_blocks},
-    ) as store:
-        result = Explorer(space, config=config, store=store, shard=shard).run()
-    return ShardRunSummary(
-        index=index,
-        count=count,
-        store_path=str(store_path),
-        visited=result.visited,
-        evaluated=result.visited - result.off_shard,
-        off_shard=result.off_shard,
-        flow_evaluated=result.flow_evaluated,
-        store_hits=result.store_hits,
-        failures=result.failures,
-        wall_time=result.wall_time,
-    )
-
-
 def run_sharded(
     space: SearchSpace,
-    config,
+    config: "ExploreConfig",
     shard_count: int,
     store_base: Union[str, Path],
     resume: bool = False,
-    objectives: Optional[Sequence[str]] = None,
-    max_parallel: Optional[int] = None,
 ) -> ShardedExplorationResult:
     """Explore *space* as *shard_count* parallel shard workers, then merge.
 
-    Each worker owns one fingerprint range, runs the full strategy
-    trajectory of *config* (evaluating only its own points) against its own
-    ``<store_base>.shard-<i>-of-<n>.jsonl`` store, and the shard stores are
-    folded into one union Pareto front.  Same seed + budget + shard count
-    is byte-deterministic: the merged front is identical regardless of
-    shard completion order, and identical to the unsharded run's front.
+    Each worker process runs :func:`run_range` on one fingerprint range,
+    writing ``<store_base>.shard-<i>-of-<n>.jsonl``, and the shard stores
+    are folded into one union Pareto front over *config*'s objectives.
+    Same seed + budget + shard count is byte-deterministic: the merged
+    front is identical regardless of shard completion order, and identical
+    to the unsharded run's front.
     """
-    import time
-
     from .engine import ExploreConfig
     from .strategies import assert_shardable
 
@@ -246,23 +228,17 @@ def run_sharded(
 
     start = time.perf_counter()
     paths = shard_store_paths(store_base, shard_count)
-    payloads = [
-        (space, config, index, shard_count, str(path), resume)
-        for index, path in enumerate(paths)
-    ]
-    summaries: Dict[int, ShardRunSummary] = {}
+    specs = [ShardSpec(index, shard_count) for index in range(shard_count)]
+    run = partial(run_range, space, config, resume=resume)
     if shard_count == 1:
-        summaries[0] = _shard_worker(payloads[0])
+        shards = [run(specs[0], paths[0])]
     else:
-        workers = max_parallel or shard_count
-        with ProcessPoolExecutor(max_workers=min(workers, shard_count)) as pool:
-            for summary in pool.map(_shard_worker, payloads):
-                summaries[summary.index] = summary
-    merge = merge_stores(paths, objectives=objectives or config.objectives)
+        with ProcessPoolExecutor(max_workers=shard_count) as pool:
+            shards = list(pool.map(run, specs, paths))
     return ShardedExplorationResult(
         space=space,
         shard_count=shard_count,
-        merge=merge,
-        shards=[summaries[index] for index in range(shard_count)],
+        merge=merge_stores(paths, objectives=config.objectives),
+        shards=shards,
         wall_time=time.perf_counter() - start,
     )

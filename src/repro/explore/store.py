@@ -1,12 +1,14 @@
 """The persistent, resumable exploration run store.
 
-A :class:`RunStore` is an append-only JSONL file: one meta line (schema
-version + search-space fingerprint) followed by one line per evaluated
-design point, keyed by the point's content fingerprint.  Appends are
-flushed line-by-line, so an interrupted exploration loses at most the
-record being written; a truncated trailing line is tolerated (logged and
-ignored) on the next open, and a resumed run serves every completed point
-from the store instead of re-running its flow.
+A :class:`RunStore` is a :mod:`repro.jsonl` log: one meta line (schema
+version, search-space fingerprint and evaluation context) followed by one
+line per evaluated design point, keyed by the point's content fingerprint.
+Appends are flushed line-by-line, so an interrupted exploration loses at
+most the record being written.  On top of the shared format this store is
+tolerant: a resume truncates a torn trailing line away and re-evaluates the
+lost record, :func:`read_store` drops such a line without writing, and both
+skip corrupt complete lines with a warning.  A resumed store whose meta
+line never reached the disk gets one before its first record.
 
 ``path=None`` gives the same interface backed by memory only — the
 exploration engine always talks to a store, persistent or not.
@@ -14,12 +16,13 @@ exploration engine always talks to a store, persistent or not.
 
 from __future__ import annotations
 
-import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from .. import jsonl
 from ..errors import ExplorationError
 from .space import DesignPoint
 
@@ -108,6 +111,36 @@ class PointRecord:
             raise ExplorationError(f"malformed run-store record: {error}") from error
 
 
+def _read(path: Path) -> Tuple[Dict[str, object], List[PointRecord], bytes]:
+    """A store's meta line, intact records and torn tail, read-only."""
+    try:
+        lines, tail = jsonl.split_lines(path)
+    except OSError as error:
+        raise ExplorationError(f"cannot read run store {path}: {error}") from error
+    what = f"run store {path}"
+    meta: Dict[str, object] = {}
+    records: List[PointRecord] = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            data = jsonl.parse_line(line, errors="replace")
+        except ValueError:
+            logger.warning("ignoring corrupt run-store line %d of %s", number, path)
+            continue
+        if jsonl.is_meta(data, STORE_VERSION, what, ExplorationError):
+            meta = data
+            continue
+        try:
+            records.append(PointRecord.from_json_dict(data))
+        except ExplorationError as error:
+            logger.warning(
+                "ignoring malformed run-store line %d of %s (%s)",
+                number, path, error,
+            )
+    return meta, records, tail
+
+
 def read_store(path: Union[str, Path]) -> Tuple[Dict[str, object], List[PointRecord]]:
     """Read a run store **read-only**: its meta line plus every intact record.
 
@@ -121,45 +154,11 @@ def read_store(path: Union[str, Path]) -> Tuple[Dict[str, object], List[PointRec
     by fingerprint, so callers need no dedup of their own.
     """
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as error:
-        raise ExplorationError(f"cannot read run store {path}: {error}") from error
-    if raw and not raw.endswith(b"\n"):
-        end = raw.rfind(b"\n") + 1
+    meta, records, tail = _read(path)
+    if tail:
         logger.warning(
             "dropping partial trailing line of %s (interrupted write)", path
         )
-        raw = raw[:end]
-    meta: Dict[str, object] = {}
-    records: List[PointRecord] = []
-    for number, line in enumerate(
-        raw.decode("utf-8", errors="replace").splitlines(), start=1
-    ):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except ValueError:
-            logger.warning("ignoring corrupt run-store line %d of %s", number, path)
-            continue
-        if data.get("kind") == "meta":
-            version = data.get("version")
-            if version != STORE_VERSION:
-                raise ExplorationError(
-                    f"run store {path} was written under schema version "
-                    f"{version}, this library expects {STORE_VERSION}"
-                )
-            meta = dict(data)
-            continue
-        try:
-            records.append(PointRecord.from_json_dict(data))
-        except ExplorationError as error:
-            logger.warning(
-                "ignoring malformed run-store line %d of %s (%s)",
-                number, path, error,
-            )
     return meta, records
 
 
@@ -179,29 +178,26 @@ class RunStore:
         #: computed under; a resume with a *different* context would silently
         #: serve stale numbers, so a mismatch is an error, like the version.
         self.context: Dict[str, object] = dict(context or {})
+        #: Records by fingerprint, in first-insertion order.
         self._records: Dict[str, PointRecord] = {}
-        self._order: List[str] = []
-        self._handle = None
+        self._writer: Optional[jsonl.LineWriter] = None
         if self.path is None:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if resume and self.path.exists():
-            self._load()
-            self._handle = self.path.open("a", encoding="utf-8")
-        else:
-            self._handle = self.path.open("w", encoding="utf-8")
-            self._write_line(self._meta_dict())
+        resuming = resume and self.path.exists()
+        meta = self._load() if resuming else {}
+        self._writer = jsonl.LineWriter(self.path, append=resuming)
+        if not meta:
+            # A fresh store, or a resumed one whose meta line never made it
+            # to disk: the meta line goes first, as in any fresh store.
+            self._writer.write(
+                jsonl.meta_line(
+                    STORE_VERSION,
+                    {"space": self.space_fingerprint, "context": self.context},
+                )
+            )
 
-    def _meta_dict(self) -> Dict[str, object]:
-        return {
-            "kind": "meta",
-            "version": STORE_VERSION,
-            "space": self.space_fingerprint,
-            "context": self.context,
-        }
-
-    def _load(self) -> None:
-        """Read every intact record; heal a truncated trailing line.
+    def _load(self) -> Dict[str, object]:
+        """Read every intact record and return the meta line; heal the tail.
 
         An interrupted write can only corrupt the end of the file.  The
         partial trailing line is truncated away (so the append handle
@@ -209,32 +205,23 @@ class RunStore:
         onto it); corrupt *complete* lines are ignored with a warning.
         """
         assert self.path is not None
-        raw = self.path.read_bytes()
-        if raw and not raw.endswith(b"\n"):
-            end = raw.rfind(b"\n") + 1
+        meta, records, tail = _read(self.path)
+        if tail:
             logger.warning(
                 "truncating partial trailing line of %s (interrupted write); "
                 "the lost record is re-evaluated by this run", self.path,
             )
             with self.path.open("r+b") as handle:
-                handle.truncate(end)
-        meta, records = read_store(self.path)
+                handle.seek(-len(tail), os.SEEK_END)
+                handle.truncate()
         if meta:
             self._check_meta(meta)
         for record in records:
-            if record.fingerprint not in self._records:
-                self._order.append(record.fingerprint)
             self._records[record.fingerprint] = record
+        return meta
 
     def _check_meta(self, data: Mapping[str, object]) -> None:
         """Validate a stored meta line against this opening's expectations."""
-        version = data.get("version")
-        if version != STORE_VERSION:
-            raise ExplorationError(
-                f"run store {self.path} was written under schema version "
-                f"{version}, this library expects {STORE_VERSION}; start a "
-                "fresh store"
-            )
         stored_space = data.get("space", "")
         if (
             self.space_fingerprint
@@ -258,12 +245,6 @@ class RunStore:
                 "context or start a fresh store"
             )
 
-    def _write_line(self, data: Dict[str, object]) -> None:
-        assert self._handle is not None
-        self._handle.write(json.dumps(data, sort_keys=True, separators=(",", ":")))
-        self._handle.write("\n")
-        self._handle.flush()
-
     # ------------------------------------------------------------------
     # Mapping interface
     # ------------------------------------------------------------------
@@ -283,31 +264,21 @@ class RunStore:
         if record.fingerprint in self._records:
             return
         self._records[record.fingerprint] = record
-        self._order.append(record.fingerprint)
-        if self._handle is not None:
-            self._write_line(record.to_json_dict())
+        if self._writer is not None:
+            self._writer.write(record.to_json_dict())
 
     def replay(self) -> List[PointRecord]:
         """Every record in first-insertion order."""
-        return [self._records[fingerprint] for fingerprint in self._order]
+        return list(self._records.values())
 
     def close(self) -> None:
         """Close the underlying file (records stay readable in memory)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
 
     def __enter__(self) -> "RunStore":
         return self
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-    def describe(self) -> str:
-        """One-line human readable summary."""
-        where = str(self.path) if self.path is not None else "(memory)"
-        failed = sum(1 for record in self._records.values() if not record.ok)
-        return (
-            f"run store {where}: {len(self._records)} point(s) "
-            f"({failed} failed)"
-        )

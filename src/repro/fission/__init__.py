@@ -29,7 +29,6 @@ from .throughput import (
     StrategyComparison,
     breakeven_computations,
     compare_static_vs_rtr,
-    full_analysis,
     reconfiguration_absorption_point,
     reconfiguration_time_sweep,
     rtr_timing_spec,
@@ -53,7 +52,6 @@ __all__ = [
     "execution_time",
     "fdh_execution_time",
     "fdh_reconfiguration_overhead",
-    "full_analysis",
     "generate_host_code",
     "idh_execution_time",
     "idh_overhead",

@@ -19,7 +19,7 @@ from ..memmap.mapper import MemoryMap, build_memory_map
 from ..memmap.segments import SegmentKind
 from ..partition.result import TemporalPartitioning
 from ..units import ceil_div
-from .analysis import FissionAnalysis, analyse_fission
+from .analysis import FissionAnalysis
 from .strategies import (
     RtrTimingSpec,
     SequencingStrategy,
@@ -234,40 +234,3 @@ def reconfiguration_time_sweep(
             }
         )
     return rows
-
-
-def full_analysis(
-    partitioning: TemporalPartitioning,
-    memory_words: int,
-    system: RtrSystem,
-    static_spec: StaticTimingSpec,
-    workload_sizes: Sequence[int],
-    round_blocks_to_power_of_two: bool = False,
-) -> Dict[str, object]:
-    """One-call convenience: fission analysis + both strategy sweeps.
-
-    Returns a dictionary with the :class:`FissionAnalysis`, the
-    :class:`RtrTimingSpec`, and the FDH/IDH comparison rows — everything the
-    Table 1 / Table 2 drivers need.
-    """
-    memory_map = build_memory_map(
-        partitioning, round_to_power_of_two=round_blocks_to_power_of_two
-    )
-    analysis = analyse_fission(
-        partitioning, memory_words, memory_map=memory_map,
-        round_blocks_to_power_of_two=round_blocks_to_power_of_two,
-    )
-    spec = rtr_timing_spec(partitioning, analysis, memory_map)
-    fdh_rows = sweep_workload_sizes(
-        SequencingStrategy.FDH, static_spec, spec, workload_sizes, system
-    )
-    idh_rows = sweep_workload_sizes(
-        SequencingStrategy.IDH, static_spec, spec, workload_sizes, system
-    )
-    return {
-        "analysis": analysis,
-        "memory_map": memory_map,
-        "rtr_spec": spec,
-        "fdh": fdh_rows,
-        "idh": idh_rows,
-    }

@@ -7,7 +7,7 @@ hardware/software co-design functional model.
 """
 
 from .codec import EncodedImage, JpegLikeCodec
-from .codesign import HardwareExecutionTrace, JpegCodesign, hardware_software_split
+from .codesign import HardwareExecutionTrace, JpegCodesign
 from .dct import (
     dct_accuracy,
     dct_matrix,
@@ -19,7 +19,7 @@ from .dct import (
     quantise_coefficients,
     vector_product,
 )
-from .huffman import HuffmanCode, encode_with_code
+from .huffman import HuffmanCode
 from .quantize import default_table, dequantize, quantize, scale_table
 from .taskgraph_builder import (
     DCT_SIZE,
@@ -46,9 +46,7 @@ from .workload import (
     ImageWorkload,
     synthetic_image,
     table_workloads,
-    workload_block_counts,
     workload_from_blocks,
-    workload_image,
 )
 from .zigzag import inverse_zigzag, run_length_decode, run_length_encode, zigzag, zigzag_order
 
@@ -77,13 +75,11 @@ __all__ = [
     "dct_matrix",
     "default_table",
     "dequantize",
-    "encode_with_code",
     "expected_paper_partitioning",
     "forward_dct",
     "forward_dct_by_vector_products",
     "forward_dct_fixed_point",
     "forward_dct_two_stage",
-    "hardware_software_split",
     "inverse_dct",
     "inverse_zigzag",
     "quantise_coefficients",
@@ -98,9 +94,7 @@ __all__ = [
     "t2_task_name",
     "table_workloads",
     "vector_product",
-    "workload_block_counts",
     "workload_from_blocks",
-    "workload_image",
     "zigzag",
     "zigzag_order",
 ]

@@ -17,7 +17,7 @@ provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -153,13 +153,3 @@ class JpegCodesign:
             raise CodecError("host_ops_per_second must be positive")
         operations = sum(JpegCodesign.software_operations_per_block(block_size).values())
         return operations / host_ops_per_second
-
-
-def hardware_software_split(graph_task_names: List[str]) -> Dict[str, List[str]]:
-    """The case study's split: every DCT task in hardware, the rest in software.
-
-    Provided for symmetry with co-design formulations that take an explicit
-    split; for the DCT task graph everything is hardware, and the software
-    stages (quantisation, zig-zag, Huffman) are not tasks of the graph at all.
-    """
-    return {"hardware": list(graph_task_names), "software": []}

@@ -164,9 +164,3 @@ class HuffmanCode:
             if second.startswith(first):
                 return False
         return True
-
-
-def encode_with_code(symbols: Sequence[Hashable]) -> Tuple[HuffmanCode, str]:
-    """Build a code from *symbols* and encode them; returns (code, bits)."""
-    code = HuffmanCode.from_symbols(symbols)
-    return code, code.encode(symbols)

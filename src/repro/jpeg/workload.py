@@ -105,11 +105,6 @@ def table_workloads() -> List[ImageWorkload]:
     return [workload_from_blocks(name, blocks) for name, blocks in sizes]
 
 
-def workload_block_counts() -> List[int]:
-    """Block counts of :func:`table_workloads`, largest first."""
-    return [workload.block_count for workload in table_workloads()]
-
-
 def synthetic_image(
     width: int,
     height: int,
@@ -139,8 +134,3 @@ def synthetic_image(
         noise = rng.normal(0.0, 6.0, size=(height, width))
         return np.clip(base + 32.0 + noise, 0.0, 255.0)
     raise SpecificationError(f"unknown image pattern {pattern!r}")
-
-
-def workload_image(workload: ImageWorkload, seed: int = 0, pattern: str = "gradient+noise") -> np.ndarray:
-    """A synthetic image with the dimensions of *workload*."""
-    return synthetic_image(workload.width, workload.height, seed=seed, pattern=pattern)

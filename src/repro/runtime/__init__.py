@@ -43,7 +43,6 @@ from .engine import (
     configure_shared_engine,
     ct_sweep_jobs,
     shared_engine,
-    system_sweep_jobs,
 )
 from .jobs import (
     JobOutcome,
@@ -88,5 +87,4 @@ __all__ = [
     "prune_cache_dir",
     "scan_cache_dir",
     "shared_engine",
-    "system_sweep_jobs",
 ]

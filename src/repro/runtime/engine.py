@@ -460,23 +460,6 @@ def ct_sweep_jobs(
     return jobs
 
 
-def system_sweep_jobs(
-    engine: PartitionEngine,
-    graph: TaskGraph,
-    systems: Dict[str, object],
-    **solver,
-) -> List[PartitionJob]:
-    """Jobs for one graph swept across target systems (name -> system)."""
-    return [
-        engine.make_job(
-            PartitionProblem.from_system(graph, system),
-            tag=f"{graph.name}@{name}",
-            **solver,
-        )
-        for name, system in systems.items()
-    ]
-
-
 def _failure_outcome(
     fingerprint: str,
     status: JobStatus,

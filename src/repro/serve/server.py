@@ -611,17 +611,20 @@ class FlowServer:
         state = self._schedule_state()
         payload = parse_json_body(body, limit=SCHEDULER_MAX_BODY_BYTES)
         lease_id = self._body_string(payload, "lease_id")
-        store_data = payload.get("store_data") if isinstance(payload, dict) else None
-        shared_path = payload.get("store_path") if isinstance(payload, dict) else None
-        if (store_data is None) == (shared_path is None):
+        # The whole body is checked before the scheduler accounts anything:
+        # a range marked done without its store would never be re-leased.
+        store_data = payload.get("store_data")
+        if (store_data is None) == (payload.get("store_path") is None):
             raise ProtocolError(
                 "a completion must carry exactly one of 'store_data' "
                 "(inline shard store) or 'store_path' (shared filesystem)"
             )
+        if store_data is None:
+            path = self._body_string(payload, "store_path")
+        elif not isinstance(store_data, str):
+            raise ProtocolError("'store_data' must be a string")
         lease = state.scheduler.lease_info(lease_id)
-        if shared_path is not None:
-            path = str(shared_path)
-        else:
+        if store_data is not None:
             path = str(shard_store_path(
                 state.store_base, lease.range_index, state.plan.range_count
             ))
@@ -629,8 +632,6 @@ class FlowServer:
             lease_id, time.monotonic(), store_path=path
         )
         if store_data is not None and disposition != "duplicate":
-            if not isinstance(store_data, str):
-                raise ProtocolError("'store_data' must be a string")
             # Atomic publish: a crashed write never leaves a torn store
             # (and a duplicate completion is byte-identical anyway).
             target = Path(path)

@@ -38,7 +38,6 @@ from .oracles import (
     WarmColdOracle,
     default_oracles,
     design_fingerprint,
-    run_oracles,
 )
 from .scenarios import (
     ALL_FAMILIES,
@@ -77,5 +76,4 @@ __all__ = [
     "generate_scenario",
     "generate_scenarios",
     "read_verdicts",
-    "run_oracles",
 ]

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..fission.strategies import SequencingStrategy, execution_time
 from ..memmap.mapper import boundary_words_from_map
@@ -654,10 +654,3 @@ def default_oracles() -> List[Oracle]:
         PartitionValidityOracle(),
         KPathsOracle(),
     ]
-
-
-def run_oracles(
-    artifacts: ScenarioArtifacts, oracles: Optional[Sequence[Oracle]] = None
-) -> List[OracleVerdict]:
-    """Run every oracle on *artifacts*, in order."""
-    return [oracle.check(artifacts) for oracle in (oracles or default_oracles())]

@@ -1,29 +1,28 @@
 """The JSONL verdict store the verification harness writes.
 
-Like the exploration :class:`~repro.explore.store.RunStore`, a
-:class:`VerdictStore` is an append-only JSONL file: one meta line (schema
-version plus the run's configuration) followed by one line per verified
-scenario.  Records carry only deterministic fields (scenario recipe, oracle
-verdicts, shrink outcome — never wall times or cache provenance), so the
-same seed and scenario count always reproduce a byte-identical file; that
-byte-identity is itself asserted by the test suite.
+A :class:`VerdictStore` is a :mod:`repro.jsonl` log, the format the
+exploration :class:`~repro.explore.store.RunStore` uses too: one meta line
+(schema version plus the run's configuration) followed by one line per
+verified scenario.  Records carry only deterministic fields (scenario
+recipe, oracle verdicts, shrink outcome — never wall times or cache
+provenance), so the same seed and scenario count always reproduce a
+byte-identical file; that byte-identity is itself asserted by the test
+suite.  A verdict store is evidence, so :func:`read_verdicts` refuses a
+corrupt line instead of healing it.
 
-``path=None`` gives the same interface backed by memory only.
+``path=None`` gives a store that writes nothing.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Union
 
+from .. import jsonl
 from ..errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (harness uses us)
     from .harness import ScenarioVerdict
-
-logger = logging.getLogger(__name__)
 
 #: Schema version of the JSONL records; a store written under a different
 #: version is refused rather than silently reinterpreted.
@@ -38,37 +37,21 @@ class VerdictStore:
         path: Optional[Union[str, Path]] = None,
         meta: Optional[Mapping[str, object]] = None,
     ) -> None:
-        self.path = Path(path) if path is not None else None
-        self.meta: Dict[str, object] = dict(meta or {})
-        self._records: List["ScenarioVerdict"] = []
-        self._handle = None
-        if self.path is None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("w", encoding="utf-8")
-        self._write_line({"kind": "meta", "version": STORE_VERSION, **self.meta})
-
-    def _write_line(self, data: Dict[str, object]) -> None:
-        assert self._handle is not None
-        self._handle.write(json.dumps(data, sort_keys=True, separators=(",", ":")))
-        self._handle.write("\n")
-        self._handle.flush()
+        self._writer: Optional[jsonl.LineWriter] = None
+        if path is not None:
+            self._writer = jsonl.LineWriter(Path(path))
+            self._writer.write(jsonl.meta_line(STORE_VERSION, meta or {}))
 
     def record(self, verdict: "ScenarioVerdict") -> None:
         """Append one scenario's verdict."""
-        self._records.append(verdict)
-        if self._handle is not None:
-            self._write_line(verdict.to_json_dict())
-
-    def replay(self) -> List["ScenarioVerdict"]:
-        """Every record, in insertion order."""
-        return list(self._records)
+        if self._writer is not None:
+            self._writer.write(verdict.to_json_dict())
 
     def close(self) -> None:
-        """Close the underlying file (records stay readable in memory)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        """Close the underlying file."""
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
 
     def __enter__(self) -> "VerdictStore":
         return self
@@ -76,35 +59,29 @@ class VerdictStore:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-    def __len__(self) -> int:
-        return len(self._records)
-
 
 def read_verdicts(path: Union[str, Path]) -> Iterator[Dict[str, object]]:
     """Iterate the JSON records of a stored verdict file (meta first).
 
     Raises :class:`~repro.errors.ReproError` on an unreadable file or a
-    schema-version mismatch; corrupt individual lines raise too — a verdict
-    store is evidence, so silent healing would be the wrong default.
+    schema-version mismatch; corrupt individual lines (a torn last line
+    included) raise too — a verdict store is evidence, so silent healing
+    would be the wrong default.
     """
     path = Path(path)
+    what = f"verdict store {path}"
     try:
-        raw = path.read_text(encoding="utf-8")
+        lines, tail = jsonl.split_lines(path)
     except OSError as error:
-        raise ReproError(f"cannot read verdict store {path}: {error}") from error
-    for number, line in enumerate(raw.splitlines(), start=1):
-        line = line.strip()
-        if not line:
+        raise ReproError(f"cannot read {what}: {error}") from error
+    if tail:
+        lines.append(tail)
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
             continue
         try:
-            data = json.loads(line)
+            data = jsonl.parse_line(line)
         except ValueError as error:
-            raise ReproError(
-                f"corrupt verdict store {path} at line {number}: {error}"
-            ) from error
-        if data.get("kind") == "meta" and data.get("version") != STORE_VERSION:
-            raise ReproError(
-                f"verdict store {path} was written under schema version "
-                f"{data.get('version')}, this library expects {STORE_VERSION}"
-            )
+            raise ReproError(f"corrupt {what} at line {number}: {error}") from error
+        jsonl.is_meta(data, STORE_VERSION, what)  # refuses another schema
         yield data

@@ -295,6 +295,23 @@ class TestRunStore:
             assert len(healed) == 2
             assert healed.get(_record("y", 3.0, 4.0).fingerprint) is not None
 
+    @pytest.mark.parametrize(
+        "content", [b"", b'{"kind":"meta","version":1,"spa'],
+        ids=["empty", "torn-meta"],
+    )
+    def test_resume_without_a_meta_line_writes_one_first(self, tmp_path, content):
+        """A resumed store whose meta line never reached the disk gets one
+        before its first record: the file then equals a fresh store."""
+        fresh = tmp_path / "fresh.jsonl"
+        with RunStore(fresh, "fp", context={"eval_blocks": 16384}) as store:
+            store.record(_record("x", 1.0, 2.0))
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(content)
+        with RunStore(path, "fp", context={"eval_blocks": 16384}) as store:
+            assert len(store) == 0
+            store.record(_record("x", 1.0, 2.0))
+        assert path.read_bytes() == fresh.read_bytes()
+
     def test_context_mismatch_raises(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with RunStore(path, "fp", context={"eval_blocks": 16384}):

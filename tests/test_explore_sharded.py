@@ -278,6 +278,7 @@ class TestReadStore:
         lines = path.read_text(encoding="utf-8").splitlines()
         lines.insert(1, "{not json at all")
         lines.insert(2, '{"fingerprint": 42}')  # malformed record shape
+        lines.insert(3, "42")  # JSON, but not an object
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         _, records = read_store(path)
         assert len(records) == 1
@@ -432,12 +433,26 @@ class TestRunSharded:
         assert {r.fingerprint for r in healed} == {r.fingerprint for r in complete}
         assert survivor.read_bytes() == survivor_before
 
+    def test_resume_over_an_empty_shard_store_merges(self, tmp_path):
+        """A shard store left empty (its worker died before the meta line)
+        resumes into the same bytes a fresh run writes, so it merges."""
+        config = cheap_config()
+        base = tmp_path / "run.jsonl"
+        first = run_sharded(CHEAP_SPACE, config, 2, base)
+        victim = shard_store_path(base, 1, 2)
+        fresh = victim.read_bytes()
+        victim.write_bytes(b"")
+        resumed = run_sharded(CHEAP_SPACE, config, 2, base, resume=True)
+        assert victim.read_bytes() == fresh
+        assert resumed.shards[1].flow_evaluated == resumed.shards[1].on_shard
+        assert front_bytes(resumed.front) == front_bytes(first.front)
+
     def test_single_shard_runs_in_process(self, tmp_path):
         config = cheap_config(budget=4)
         result = run_sharded(CHEAP_SPACE, config, 1, tmp_path / "run.jsonl")
         assert result.shard_count == 1
         assert result.shards[0].off_shard == 0
-        assert result.shards[0].evaluated == 4
+        assert result.shards[0].on_shard == 4
 
     def test_driver_validates_inputs(self, tmp_path):
         with pytest.raises(ExplorationError):

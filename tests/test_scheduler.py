@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.errors import ExplorationError
 from repro.explore import (
     ExplorationPlan,
@@ -34,6 +35,9 @@ from repro.explore import (
     SchedulerError,
     ShardScheduler,
     read_store,
+    run_scheduled_worker,
+    run_sharded,
+    shard_store_path,
 )
 from repro.explore.scheduler import (
     LEASE_COMPLETED,
@@ -435,6 +439,37 @@ class TestSchedulerEndpoints:
                     ack["lease_id"], store_data="x", store_path="y"
                 )
 
+    def test_malformed_completion_keeps_the_range_leased(self, tmp_path):
+        """A completion refused for its body must not account the range:
+        it stays held by the same lease, and a correct completion of that
+        lease still goes through."""
+        plan = ExplorationPlan.from_config(
+            CHEAP_SPACE, cheap_config(), range_count=1
+        )
+        server = FlowServer(ServeConfig(workers=0))
+        server.attach_schedule(plan, tmp_path / "run.jsonl")
+        with start_in_background(server=server) as handle:
+            client = FlowServiceClient(handle.url)
+            ack = client.scheduler_lease("w")
+            for payload in ({"store_data": 123}, {"store_path": ""},
+                            {"store_path": 7}):
+                with pytest.raises(ServeClientError) as excinfo:
+                    client.scheduler_complete(ack["lease_id"], **payload)
+                assert excinfo.value.status == 400
+                status = client.scheduler_status()
+                assert (status["done"], status["leased"]) == (0, 1)
+                assert [
+                    lease.lease_id
+                    for lease in server.schedule.scheduler.live_leases()
+                ] == [ack["lease_id"]]
+            done = client.scheduler_complete(
+                ack["lease_id"],
+                store_data='{"kind":"meta","version":1,"space":"",'
+                           '"context":{}}\n',
+            )
+            assert done["disposition"] == "completed"
+            assert (tmp_path / "run.shard-0-of-1.jsonl").exists()
+
     def test_shared_store_completion_registers_the_path(self, tmp_path):
         plan = ExplorationPlan.from_config(
             CHEAP_SPACE, cheap_config(), range_count=1
@@ -456,3 +491,42 @@ class TestSchedulerEndpoints:
             assert done["disposition"] == "completed"
             assert done["store_path"] == str(shared)
         assert server.schedule.scheduler.store_paths() == {0: str(shared)}
+
+
+# ---------------------------------------------------------------------------
+# One range runner behind every executor
+# ---------------------------------------------------------------------------
+
+class TestOneRangeRunner:
+    def test_every_executor_writes_the_same_shard_stores(self, tmp_path):
+        """``run_sharded``, a scheduled worker and ``repro explore
+        --shard-index`` all run a range through ``run_range``, so each
+        range's shard store is byte-identical whichever of them wrote it."""
+        config = cheap_config()
+        plan = ExplorationPlan.from_config(CHEAP_SPACE, config, range_count=2)
+
+        run_sharded(CHEAP_SPACE, config, 2, tmp_path / "pool.jsonl")
+
+        server = FlowServer(ServeConfig(workers=0))
+        server.attach_schedule(plan, tmp_path / "scheduled.jsonl")
+        with start_in_background(server=server) as handle:
+            worker = run_scheduled_worker(
+                handle.url, worker_id="w", work_dir=tmp_path / "worker"
+            )
+        assert worker.ranges_completed == 2
+
+        for index in range(2):
+            assert main([
+                "explore", "--workload", "matmul_pipeline",
+                "--ct-sweep", "1,5,20", "--partitioners", "list,level",
+                "--budget", str(config.budget), "--batch-size", "4",
+                "--shards", "2", "--shard-index", str(index),
+                "--store", str(tmp_path / "cli.jsonl"),
+            ]) == 0
+
+        for index in range(2):
+            pooled = shard_store_path(tmp_path / "pool.jsonl", index, 2)
+            assert pooled.read_bytes()
+            for other in ("scheduled.jsonl", "cli.jsonl"):
+                path = shard_store_path(tmp_path / other, index, 2)
+                assert path.read_bytes() == pooled.read_bytes(), path

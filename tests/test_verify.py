@@ -36,7 +36,6 @@ from repro.verify import (
     Scenario,
     ScenarioArtifacts,
     TimingModelOracle,
-    VerdictStore,
     Verifier,
     VerifyConfig,
     WarmColdOracle,
@@ -558,6 +557,16 @@ class TestVerifier:
             list(read_verdicts(wrong))
         with pytest.raises(ReproError, match="cannot read"):
             list(read_verdicts(tmp_path / "missing.jsonl"))
+        # A byte that is not UTF-8 is a corrupt line too, with its number.
+        undecodable = tmp_path / "undecodable.jsonl"
+        undecodable.write_bytes(b'{"kind":"meta","version":1}\n\xff\xfe\n')
+        with pytest.raises(ReproError, match="corrupt verdict store .* at line 2"):
+            list(read_verdicts(undecodable))
+        # So is a line that is JSON but not an object.
+        scalar = tmp_path / "scalar.jsonl"
+        scalar.write_text('{"kind":"meta","version":1}\n42\n', encoding="utf-8")
+        with pytest.raises(ReproError, match="corrupt verdict store .* at line 2"):
+            list(read_verdicts(scalar))
 
     def test_failing_scenarios_are_shrunk_to_smaller_node_counts(self):
         # Find a chain scenario with a comfortably shrinkable task count.
@@ -599,11 +608,6 @@ class TestVerifier:
             VerifyConfig(scenarios=1, blocks=0)
         with pytest.raises(SpecificationError):
             Verifier(VerifyConfig(scenarios=1), scenarios=2)
-
-    def test_verdict_store_memory_only(self):
-        with VerdictStore() as store:
-            assert len(store) == 0
-            assert store.replay() == []
 
 
 # ---------------------------------------------------------------------------
